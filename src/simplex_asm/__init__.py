@@ -38,6 +38,7 @@ from .kernels import (
     ElasticTables,
     MassKernel,
     PkCoeffTable,
+    PkMassKernel,
     StiffnessKernel,
     barycentric_moment,
     build_elastic_tables,

@@ -1,32 +1,40 @@
-"""Global matrix assembly strategies over generic element kernels.
+"""Global matrix assembly: one engine, five strategies.
 
-Five strategies build the same matrix with different loop and storage
+Every driver runs the same engine over a vector kernel with ``m`` coupled
+unknowns per node; a scalar kernel enters as the m = 1 case through
+``ScalarAsVectorKernel``.  On an element with ``nloc`` local nodes the
+engine numbers the ``L = m*nloc`` local degrees of freedom component-major,
+``ii = l*nloc + alpha`` for component l of local node alpha, and maps
+them to the interleaved global numbering: component l of node i is row
+``m*i + l``.  At m = 1 the local dof is the local node.
+
+The five strategies build the same matrix with different loop and storage
 structure:
 
-* ``base``   - per-element, per-entry accumulation into a dictionary of keys;
+* ``base``   - per element, per entry, into a dictionary of keys;
 * ``optv1``  - per-element fill of full-length triplet arrays, one
   constructor call at the end;
-* ``optv2``  - batched kernel fills one triplet row per local index pair,
-  one constructor call on the flattened arrays;
-* ``optv``   - one short triplet batch per local index pair, accumulated
-  into the result matrix as it goes;
-* ``optvs``  - like ``optv`` but exploiting symmetry: strict-triangle pairs
-  only, one transpose-add, then the diagonal pairs.
+* ``optv2``  - one batched kernel call per local pair fills full-length
+  triplet arrays, one constructor call at the end;
+* ``optv``   - one element-length triplet batch per local pair, added into
+  the result as it goes;
+* ``optvs``  - like ``optv`` over the strict upper triangle ``ii < jj``
+  only, then one transpose-add, then the diagonal pairs.
 
-The scalar drivers take kernels with ``batched(alpha, beta)`` /
-``single(alpha, beta, k)``; the vector drivers take kernels that also carry
-the system size ``m`` and evaluate ``(l, alpha, n, beta)``.  Vector degrees
-of freedom are interleaved: component l of node i is row m*i + l.
+``base``, ``optv1``, ``optv2`` and ``optv`` visit the local pairs column by
+column (``jj`` outer, ``ii`` inner); ``optvs`` sweeps its triangle row by
+row.  The one-shot strategies hand the constructor an element-major
+triplet stream, so their duplicates are summed in element order and
+``optv1`` and ``optv2`` are bitwise identical.  For m = 1 every strategy
+reproduces the scalar loops of the paper triplet for triplet.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NonSymmetricKernelError
-from .kernels import PkCoeffTable
+from .kernels import PkCoeffTable, PkMassKernel
 from .mesh import Mesh, PkMesh
 from .sparse import (
     SparseMatrix,
@@ -37,116 +45,7 @@ from .sparse import (
     transpose,
 )
 
-
-def _from_dok(dok: dict, ndof: int) -> SparseMatrix:
-    rows = np.fromiter((ij[0] for ij in dok), dtype=np.int64, count=len(dok))
-    cols = np.fromiter((ij[1] for ij in dok), dtype=np.int64, count=len(dok))
-    vals = np.fromiter(dok.values(), dtype=np.float64, count=len(dok))
-    return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals))
-
-
-# ---------------------------------------------------------------------------
-# Scalar case
-
-
-def assemble_base(mesh: Mesh, kernel) -> SparseMatrix:
-    """Classical assembly: one entry inserted at a time."""
-    dp1 = mesh.d + 1
-    conn = mesh.me.T.tolist()
-    dok: dict = {}
-    get = dok.get
-    single = kernel.single
-    for k in range(mesh.nme):
-        verts = conn[k]
-        for alpha in range(dp1):
-            i = verts[alpha]
-            for beta in range(dp1):
-                key = (i, verts[beta])
-                dok[key] = get(key, 0.0) + single(alpha, beta, k)
-    return _from_dok(dok, mesh.nq)
-
-
-def assemble_optv1(mesh: Mesh, kernel) -> SparseMatrix:
-    """Per-element fill of full-length triplet arrays, single constructor
-    call.  Triplets are element-major, column-wise within each local block."""
-    dp1 = mesh.d + 1
-    conn = mesh.me.T.tolist()
-    rows: list = []
-    cols: list = []
-    vals: list = []
-    single = kernel.single
-    for k in range(mesh.nme):
-        verts = conn[k]
-        for beta in range(dp1):
-            j = verts[beta]
-            for alpha in range(dp1):
-                rows.append(verts[alpha])
-                cols.append(j)
-                vals.append(single(alpha, beta, k))
-    return sparse_from_triplets(TripletBatch(mesh.nq, mesh.nq,
-                                             np.array(rows, dtype=np.int64),
-                                             np.array(cols, dtype=np.int64),
-                                             np.array(vals)))
-
-
-def assemble_optv2(mesh: Mesh, kernel) -> SparseMatrix:
-    """Batched row-wise fill of (d+1)^2-by-nme triplet arrays, single
-    constructor call."""
-    dp1 = mesh.d + 1
-    nme = mesh.nme
-    vals = np.empty((dp1 * dp1, nme))
-    rows = np.empty((dp1 * dp1, nme), dtype=np.int64)
-    cols = np.empty((dp1 * dp1, nme), dtype=np.int64)
-    l = 0
-    for beta in range(dp1):
-        for alpha in range(dp1):
-            vals[l] = kernel.batched(alpha, beta)
-            rows[l] = mesh.me[alpha]
-            cols[l] = mesh.me[beta]
-            l += 1
-    # column-major flattening keeps the triplets element-major
-    return sparse_from_triplets(TripletBatch(mesh.nq, mesh.nq,
-                                             rows.ravel(order="F"),
-                                             cols.ravel(order="F"),
-                                             vals.ravel(order="F")))
-
-
-def assemble_optv(mesh: Mesh, kernel) -> SparseMatrix:
-    """One nme-length batch per local index pair, accumulated immediately."""
-    nq = mesh.nq
-    out = empty_matrix(nq, nq)
-    for beta in range(mesh.d + 1):
-        for alpha in range(mesh.d + 1):
-            batch = TripletBatch(nq, nq, mesh.me[alpha], mesh.me[beta],
-                                 kernel.batched(alpha, beta))
-            out = add(out, sparse_from_triplets(batch))
-    return out
-
-
-def assemble_optvs(mesh: Mesh, kernel) -> SparseMatrix:
-    """Symmetry-exploiting variant of ``optv``: strictly-upper pairs, a
-    transpose-add, then the diagonal pairs."""
-    if not kernel.symmetric:
-        raise NonSymmetricKernelError(
-            "the symmetrized driver requires a kernel flagged symmetric"
-        )
-    nq = mesh.nq
-    out = empty_matrix(nq, nq)
-    for alpha in range(mesh.d + 1):
-        for beta in range(alpha + 1, mesh.d + 1):
-            batch = TripletBatch(nq, nq, mesh.me[alpha], mesh.me[beta],
-                                 kernel.batched(alpha, beta))
-            out = add(out, sparse_from_triplets(batch))
-    out = add(out, transpose(out))
-    for alpha in range(mesh.d + 1):
-        batch = TripletBatch(nq, nq, mesh.me[alpha], mesh.me[alpha],
-                             kernel.batched(alpha, alpha))
-        out = add(out, sparse_from_triplets(batch))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Vector case (m coupled unknowns per node)
+STRATEGIES = ("base", "optv1", "optv2", "optv", "optvs")
 
 
 class ScalarAsVectorKernel:
@@ -165,105 +64,117 @@ class ScalarAsVectorKernel:
         return self._kernel.single(alpha, beta, k)
 
 
-def assemble_vector_base(mesh: Mesh, kernel) -> SparseMatrix:
+def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
+    """Assemble ``kernel`` over ``mesh`` (a Mesh or a PkMesh) with one of
+    the five strategies."""
     m = kernel.m
-    dp1 = mesh.d + 1
+    nloc, nme = mesh.me.shape
     ndof = m * mesh.nq
-    conn = mesh.me.T.tolist()
-    dok: dict = {}
-    get = dok.get
-    single = kernel.single
-    for k in range(mesh.nme):
-        verts = conn[k]
-        for l in range(m):
-            for n in range(m):
-                for alpha in range(dp1):
-                    r = m * verts[alpha] + l
-                    for beta in range(dp1):
-                        key = (r, m * verts[beta] + n)
-                        dok[key] = get(key, 0.0) + single(l, alpha, n, beta, k)
-    return _from_dok(dok, ndof)
+    size = m * nloc
+    local = [divmod(ii, nloc) for ii in range(size)]       # ii -> (l, alpha)
+    columns = [(ii, jj) for jj in range(size) for ii in range(size)]
+
+    def dofs(ii):
+        """Global dof of local dof ii on every element."""
+        l, alpha = local[ii]
+        return mesh.me[alpha] if m == 1 else m * mesh.me[alpha] + l
+
+    def batch(ii, jj) -> TripletBatch:
+        return TripletBatch(ndof, ndof, dofs(ii), dofs(jj),
+                            kernel.batched(*local[ii], *local[jj]))
+
+    if strategy in ("base", "optv1", "optv2"):
+        # (size, nme) table of every local dof's global dof
+        table = mesh.me if m == 1 else np.stack([dofs(ii) for ii in range(size)])
+
+    if strategy == "optv2":
+        vals = np.empty((size * size, nme))
+        for p, (ii, jj) in enumerate(columns):
+            vals[p] = kernel.batched(*local[ii], *local[jj])
+        vals = vals.T.ravel()
+        # element-major stream, each element's block column by column
+        shape = (nme, size, size)
+        rows = np.broadcast_to(table.T[:, None, :], shape)
+        cols = np.broadcast_to(table.T[:, :, None], shape)
+        return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals))
+
+    if strategy in ("base", "optv1"):
+        single = kernel.single
+        pairs = [(ii, jj, local[ii] + local[jj]) for ii, jj in columns]
+        conn = table.T.tolist()
+        if strategy == "base":
+            dok: dict = {}
+            get = dok.get
+            for k in range(nme):
+                glob = conn[k]
+                for ii, jj, lanb in pairs:
+                    key = (glob[ii], glob[jj])
+                    dok[key] = get(key, 0.0) + single(*lanb, k)
+            rows = np.fromiter((key[0] for key in dok), np.int64, len(dok))
+            cols = np.fromiter((key[1] for key in dok), np.int64, len(dok))
+            vals = np.fromiter(dok.values(), np.float64, len(dok))
+        else:
+            rows, cols, vals = [], [], []
+            for k in range(nme):
+                glob = conn[k]
+                for ii, jj, lanb in pairs:
+                    rows.append(glob[ii])
+                    cols.append(glob[jj])
+                    vals.append(single(*lanb, k))
+        return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals))
+
+    if strategy == "optv":
+        out = empty_matrix(ndof, ndof)
+        for ii, jj in columns:
+            out = add(out, sparse_from_triplets(batch(ii, jj)))
+        return out
+
+    if strategy == "optvs":
+        if not kernel.symmetric:
+            raise NonSymmetricKernelError(
+                "the symmetrized driver requires a kernel flagged symmetric"
+            )
+        out = empty_matrix(ndof, ndof)
+        for ii in range(size):
+            for jj in range(ii + 1, size):
+                out = add(out, sparse_from_triplets(batch(ii, jj)))
+        out = add(out, transpose(out))
+        for ii in range(size):
+            out = add(out, sparse_from_triplets(batch(ii, ii)))
+        return out
+
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def assemble_vector_optv2(mesh: Mesh, kernel) -> SparseMatrix:
-    m = kernel.m
-    dp1 = mesh.d + 1
-    nme = mesh.nme
-    ndof = m * mesh.nq
-    npairs = (m * dp1) ** 2
-    vals = np.empty((npairs, nme))
-    rows = np.empty((npairs, nme), dtype=np.int64)
-    cols = np.empty((npairs, nme), dtype=np.int64)
-    p = 0
-    for l in range(m):
-        for n in range(m):
-            for beta in range(dp1):
-                for alpha in range(dp1):
-                    vals[p] = kernel.batched(l, alpha, n, beta)
-                    rows[p] = m * mesh.me[alpha] + l
-                    cols[p] = m * mesh.me[beta] + n
-                    p += 1
-    return sparse_from_triplets(TripletBatch(ndof, ndof,
-                                             rows.ravel(order="F"),
-                                             cols.ravel(order="F"),
-                                             vals.ravel(order="F")))
+def _driver(strategy: str, vector: bool):
+    def drive(mesh: Mesh, kernel) -> SparseMatrix:
+        if not vector:
+            kernel = ScalarAsVectorKernel(kernel)
+        return _assemble(mesh, kernel, strategy)
+
+    kind = "vector" if vector else "scalar"
+    drive.__name__ = drive.__qualname__ = (
+        f"assemble_{'vector_' if vector else ''}{strategy}")
+    drive.__doc__ = f"Assemble a {kind} kernel with the {strategy!r} strategy."
+    return drive
 
 
-def assemble_vector_optv(mesh: Mesh, kernel) -> SparseMatrix:
-    m = kernel.m
-    dp1 = mesh.d + 1
-    ndof = m * mesh.nq
-    out = empty_matrix(ndof, ndof)
-    for l in range(m):
-        for alpha in range(dp1):
-            rows = m * mesh.me[alpha] + l
-            for n in range(m):
-                for beta in range(dp1):
-                    batch = TripletBatch(ndof, ndof, rows,
-                                         m * mesh.me[beta] + n,
-                                         kernel.batched(l, alpha, n, beta))
-                    out = add(out, sparse_from_triplets(batch))
-    return out
+SCALAR_DRIVERS = {s: _driver(s, vector=False) for s in STRATEGIES}
+VECTOR_DRIVERS = {s: _driver(s, vector=True) for s in STRATEGIES if s != "optv1"}
 
-
-def assemble_vector_optvs(mesh: Mesh, kernel) -> SparseMatrix:
-    """Vector analogue of ``optvs``; the pre-transpose sweep keeps exactly
-    the local pairs with row index strictly below the column index."""
-    if not kernel.symmetric:
-        raise NonSymmetricKernelError(
-            "the symmetrized driver requires a kernel flagged symmetric"
-        )
-    m = kernel.m
-    dp1 = mesh.d + 1
-    ndof = m * mesh.nq
-    out = empty_matrix(ndof, ndof)
-    for l in range(m):
-        for alpha in range(dp1):
-            rows = m * mesh.me[alpha] + l
-            ii = m * alpha + l
-            for n in range(m):
-                for beta in range(dp1):
-                    if ii > m * beta + n:
-                        batch = TripletBatch(ndof, ndof, rows,
-                                             m * mesh.me[beta] + n,
-                                             kernel.batched(l, alpha, n, beta))
-                        out = add(out, sparse_from_triplets(batch))
-    out = add(out, transpose(out))
-    for l in range(m):
-        for alpha in range(dp1):
-            rows = m * mesh.me[alpha] + l
-            batch = TripletBatch(ndof, ndof, rows, rows,
-                                 kernel.batched(l, alpha, l, alpha))
-            out = add(out, sparse_from_triplets(batch))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pk mass matrix
+assemble_base = SCALAR_DRIVERS["base"]
+assemble_optv1 = SCALAR_DRIVERS["optv1"]
+assemble_optv2 = SCALAR_DRIVERS["optv2"]
+assemble_optv = SCALAR_DRIVERS["optv"]
+assemble_optvs = SCALAR_DRIVERS["optvs"]
+assemble_vector_base = VECTOR_DRIVERS["base"]
+assemble_vector_optv2 = VECTOR_DRIVERS["optv2"]
+assemble_vector_optv = VECTOR_DRIVERS["optv"]
+assemble_vector_optvs = VECTOR_DRIVERS["optvs"]
 
 
 def assemble_mass_pk(pkmesh: PkMesh, coeffs: PkCoeffTable) -> SparseMatrix:
-    """Mass matrix on an order-k node lattice, batched-row strategy.
+    """Mass matrix on an order-k node lattice, ``optv2`` strategy.
 
     Every local entry is the element-independent coefficient d!*C[a, b]
     scaled by the element volume.
@@ -273,36 +184,4 @@ def assemble_mass_pk(pkmesh: PkMesh, coeffs: PkCoeffTable) -> SparseMatrix:
             f"coefficient table (d={coeffs.d}, k={coeffs.k}) does not match "
             f"lattice mesh (d={pkmesh.d}, k={pkmesh.k})"
         )
-    ndfe = pkmesh.ndfe
-    nme = pkmesh.nme
-    dfact = float(math.factorial(pkmesh.d))
-    vals = np.empty((ndfe * ndfe, nme))
-    rows = np.empty((ndfe * ndfe, nme), dtype=np.int64)
-    cols = np.empty((ndfe * ndfe, nme), dtype=np.int64)
-    l = 0
-    for beta in range(ndfe):
-        for alpha in range(ndfe):
-            vals[l] = dfact * coeffs.C[alpha, beta] * pkmesh.vols
-            rows[l] = pkmesh.me[alpha]
-            cols[l] = pkmesh.me[beta]
-            l += 1
-    return sparse_from_triplets(TripletBatch(pkmesh.nq, pkmesh.nq,
-                                             rows.ravel(order="F"),
-                                             cols.ravel(order="F"),
-                                             vals.ravel(order="F")))
-
-
-SCALAR_DRIVERS = {
-    "base": assemble_base,
-    "optv1": assemble_optv1,
-    "optv2": assemble_optv2,
-    "optv": assemble_optv,
-    "optvs": assemble_optvs,
-}
-
-VECTOR_DRIVERS = {
-    "base": assemble_vector_base,
-    "optv2": assemble_vector_optv2,
-    "optv": assemble_vector_optv,
-    "optvs": assemble_vector_optvs,
-}
+    return assemble_optv2(pkmesh, PkMassKernel(pkmesh, coeffs))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .assembly import SCALAR_DRIVERS, VECTOR_DRIVERS, assemble_mass_pk
@@ -29,9 +28,9 @@ MATRICES = ("mass", "stiffness", "elastic", "mass-pk")
 MODES = ("time", "verify", "memory")
 
 VARIANTS_FOR = {
-    "mass": ("base", "optv1", "optv2", "optv", "optvs"),
-    "stiffness": ("base", "optv1", "optv2", "optv", "optvs"),
-    "elastic": ("base", "optv2", "optv", "optvs"),
+    "mass": tuple(SCALAR_DRIVERS),
+    "stiffness": tuple(SCALAR_DRIVERS),
+    "elastic": tuple(VECTOR_DRIVERS),
     "mass-pk": ("optv2",),
 }
 
@@ -49,7 +48,6 @@ class BenchConfig:
     mode: str = "time"
     out: str | None = None      # table destination; None means stdout
     fmt: str = "csv"
-    parallel_verify: bool = False
 
     def validate(self) -> None:
         if self.matrix not in MATRICES:
@@ -239,14 +237,7 @@ def _verify_refinement(result, config, problem, ctx, ndof, ldof, n) -> None:
         mat = problem.assemble(ctx, v)
         return mat, time.perf_counter() - t0
 
-    if config.parallel_verify:
-        with ThreadPoolExecutor(max_workers=len(config.variants)) as pool:
-            built = dict(zip(config.variants,
-                             pool.map(build, config.variants)))
-        timings_valid = False
-    else:
-        built = {v: build(v) for v in config.variants}
-        timings_valid = True
+    built = {v: build(v) for v in config.variants}
 
     scale = max(max_abs(mat) for mat, _ in built.values())
     worst = 0.0
@@ -264,9 +255,7 @@ def _verify_refinement(result, config, problem, ctx, ndof, ldof, n) -> None:
         f"verify n={n} ndof={ndof}: max pairwise diff {worst:.3e}, "
         f"scale {scale:.3e}"
     )
-    for v in config.variants:
-        mat, t = built[v]
-        t = t if timings_valid else 0.0
+    for v, (_, t) in built.items():
         result.records.append(BenchRecord(
             v, config.matrix, config.d, ndof, ctx.nme,
             t, t, aux_memory_bytes(v, ldof, ctx.nme), 1.0,

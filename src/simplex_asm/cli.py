@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", choices=MODES, default="time")
     bench.add_argument("--out", default=None, help="table output path (default stdout)")
     bench.add_argument("--format", dest="fmt", choices=("csv", "md"), default="csv")
-    bench.add_argument("--parallel-verify", action="store_true",
-                       help="verify variants concurrently (disables timings)")
 
     asm = sub.add_parser("assemble", help="assemble one matrix from a mesh file")
     asm.add_argument("--mesh", required=True)
@@ -74,7 +72,6 @@ def _run_bench(args, parser) -> int:
         mode=args.mode,
         out=args.out,
         fmt=args.fmt,
-        parallel_verify=args.parallel_verify,
     )
     try:
         config.validate()

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSimplexError, RangeGuardError
-from .mesh import Mesh, multi_index_lattice
+from .mesh import Mesh, PkMesh, multi_index_lattice
 
 
 def barycentric_moment(d: int, vol: float, exponents) -> float:
@@ -267,15 +267,21 @@ def pk_mass_coeffs(d: int, k: int) -> PkCoeffTable:
 
 def _nodal_values(value, q: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient at all nodes: accepts a constant or a callable
-    mapping the (d, nq) coordinate array to nq values."""
+    mapping the (d, nq) coordinate array to nq values.  Non-finite values
+    are rejected, naming the first node that has one."""
     if callable(value):
         out = np.asarray(value(q), dtype=np.float64)
         if out.shape != (q.shape[1],):
             raise ValueError(
                 f"coefficient returned shape {out.shape}, expected ({q.shape[1]},)"
             )
-        return out
-    return np.full(q.shape[1], float(value))
+    else:
+        out = np.full(q.shape[1], float(value))
+    finite = np.isfinite(out)
+    if not finite.all():
+        node = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"coefficient value {out[node]} at node {node} is not finite")
+    return out
 
 
 class MassKernel:
@@ -385,3 +391,20 @@ class ElasticKernel:
                 if aji != 0.0:
                     acc_s += aji * (ga[i] * gb[j])
         return lambs[k] * acc_q + mus[k] * acc_s
+
+
+class PkMassKernel:
+    """Order-k lattice mass entries d! * C[a, b] * |K|.
+
+    Only ``batched`` is provided: the lattice mass matrix is assembled with
+    the batched ``optv2`` strategy.
+    """
+
+    symmetric = True
+
+    def __init__(self, pkmesh: PkMesh, coeffs: PkCoeffTable):
+        self.scaled = float(math.factorial(pkmesh.d)) * coeffs.C
+        self.vols = pkmesh.vols
+
+    def batched(self, a: int, b: int) -> np.ndarray:
+        return self.scaled[a, b] * self.vols

@@ -43,6 +43,26 @@ def compute_volumes(q: np.ndarray, me: np.ndarray) -> np.ndarray:
     return np.abs(dets) / math.factorial(d)
 
 
+def _check_mesh_arrays(q: np.ndarray, me: np.ndarray) -> None:
+    """Reject connectivity outside [0, nq) and non-finite coordinates.
+
+    Raises IndexRangeError naming the first element with a bad vertex
+    index, or MeshValidationError naming the first non-finite node.
+    """
+    nq = q.shape[1]
+    bad = (me < 0) | (me >= nq)
+    if bad.any():
+        elem = int(np.flatnonzero(bad.any(axis=0))[0])
+        vert = int(me[bad[:, elem].argmax(), elem])
+        raise IndexRangeError(
+            f"element {elem} references vertex {vert}, valid range is [0, {nq})"
+        )
+    finite = np.isfinite(q).all(axis=0)
+    if not finite.all():
+        node = int(np.flatnonzero(~finite)[0])
+        raise MeshValidationError(f"node {node} has non-finite coordinates")
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """A conforming mesh of d-simplices."""
@@ -55,6 +75,7 @@ class Mesh:
     def from_arrays(cls, q, me) -> "Mesh":
         q = np.ascontiguousarray(q, dtype=np.float64)
         me = np.ascontiguousarray(me, dtype=np.int64)
+        _check_mesh_arrays(q, me)
         return cls(q, me, compute_volumes(q, me))
 
     @property
@@ -80,11 +101,7 @@ class Mesh:
             raise MeshValidationError(
                 f"connectivity shape {self.me.shape} does not match ({d + 1}, nme)"
             )
-        if self.me.size and (self.me.min() < 0 or self.me.max() >= self.nq):
-            bad = np.argwhere((self.me < 0) | (self.me >= self.nq))[0]
-            raise IndexRangeError(
-                f"connectivity entry me[{bad[0]}, {bad[1]}] out of range [0, {self.nq})"
-            )
+        _check_mesh_arrays(self.q, self.me)
         if self.vols.shape != (self.nme,):
             raise MeshValidationError(
                 f"volume array shape {self.vols.shape} does not match (nme,)"
@@ -305,11 +322,4 @@ def read_mesh(path) -> Mesh:
             me[:, kk] = [int(p) for p in parts]
         except ValueError as exc:
             raise MeshFormatError(f"{path}: bad index on element line {kk}") from exc
-
-    if nme and (me.min() < 0 or me.max() >= nq):
-        bad = np.argwhere((me < 0) | (me >= nq))[0]
-        raise IndexRangeError(
-            f"{path}: element {bad[1]} references vertex {me[bad[0], bad[1]]}, "
-            f"valid range is [0, {nq})"
-        )
     return Mesh.from_arrays(q, me)

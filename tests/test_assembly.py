@@ -143,15 +143,29 @@ def test_optvs_output_is_exactly_symmetric():
     assert max_abs_diff(out, transpose(out)) == 0.0
 
 
-def test_optvs_strict_triangle_before_transpose():
-    mesh = generate_hypercube_mesh(2, 2)
-    rec = RecordingScalar(StiffnessKernel(mesh))
-    assemble_optvs(mesh, rec)
-    first_diag = next(i for i, (a, b) in enumerate(rec.calls) if a == b)
-    for alpha, beta in rec.calls[:first_diag]:
-        assert alpha < beta   # strictly one-sided pairs only
-    for alpha, beta in rec.calls[first_diag:]:
-        assert alpha == beta  # diagonal sweep after the transpose add
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_optvs_strict_triangle_before_transpose(vector):
+    # local dofs (l, alpha) are ordered component-major; before the
+    # transpose-add the sweep visits the strict upper triangle row by row
+    mesh = generate_hypercube_mesh(2, 1 if vector else 2)
+    if vector:
+        rec = RecordingVector(ElasticKernel(mesh))
+        assemble_vector_optvs(mesh, rec)
+        calls = [((l, a), (n, b)) for l, a, n, b in rec.calls]
+        size = rec.m * (mesh.d + 1)
+    else:
+        rec = RecordingScalar(StiffnessKernel(mesh))
+        assemble_optvs(mesh, rec)
+        calls = [((a,), (b,)) for a, b in rec.calls]
+        size = mesh.d + 1
+    first_diag = next(i for i, (row, col) in enumerate(calls) if row == col)
+    upper = calls[:first_diag]
+    assert len(upper) == size * (size - 1) // 2
+    assert upper == sorted(upper)
+    for row, col in upper:
+        assert row < col      # strictly one-sided pairs only
+    for row, col in calls[first_diag:]:
+        assert row == col     # diagonal sweep after the transpose add
 
 
 def test_batch_counts_per_strategy():
@@ -188,15 +202,10 @@ def test_wrapped_scalar_kernel_reduces_to_scalar_assembly():
     kernel = MassKernel(mesh, lambda q: 1 + q[1])
     wrapped = ScalarAsVectorKernel(kernel)
     assert wrapped.m == 1
-    scale = max_abs(assemble_optv2(mesh, kernel))
     for name in VECTOR_DRIVERS:
         got = VECTOR_DRIVERS[name](mesh, wrapped)
         want = SCALAR_DRIVERS[name](mesh, kernel)
-        diff = max_abs_diff(got, want)
-        if name in ("base", "optv2"):   # identical triplet streams
-            assert diff == 0.0
-        else:
-            assert diff <= 1e-13 * scale
+        assert max_abs_diff(got, want) == 0.0   # one code path at m = 1
 
 
 def test_vector_optvs_requires_symmetric_kernel():
@@ -205,19 +214,6 @@ def test_vector_optvs_requires_symmetric_kernel():
     kernel.symmetric = False
     with pytest.raises(NonSymmetricKernelError):
         assemble_vector_optvs(mesh, kernel)
-
-
-def test_vector_optvs_strict_triangle_before_transpose():
-    mesh = generate_hypercube_mesh(2, 1)
-    rec = RecordingVector(ElasticKernel(mesh))
-    assemble_vector_optvs(mesh, rec)
-    m = rec.m
-    first_diag = next(i for i, (l, a, n, b) in enumerate(rec.calls)
-                      if (l, a) == (n, b))
-    for l, alpha, n, beta in rec.calls[:first_diag]:
-        assert m * alpha + l > m * beta + n   # no ii <= jj before the transpose
-    for l, alpha, n, beta in rec.calls[first_diag:]:
-        assert (l, alpha) == (n, beta)
 
 
 def test_elastic_rigid_modes_small():
@@ -259,6 +255,42 @@ def test_vector_drivers_match_dense_oracle(d, n):
     for driver in VECTOR_DRIVERS.values():
         got = driver(mesh, kernel).to_dense()
         assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def shuffled_mesh(d, n, seed):
+    """Jittered Kuhn mesh whose local vertex order is permuted per element,
+    so that local pairs map to global entries in no consistent order."""
+    rng = np.random.default_rng(seed)
+    kuhn = generate_hypercube_mesh(d, n)
+    q = kuhn.q + rng.uniform(-0.15, 0.15, kuhn.q.shape) / n
+    me = np.take_along_axis(kuhn.me, rng.permuted(
+        np.broadcast_to(np.arange(d + 1)[:, None], kuhn.me.shape), axis=0), axis=0)
+    return Mesh.from_arrays(q, me)
+
+
+@pytest.mark.parametrize("d,n", [(1, 12), (2, 4), (3, 2)])
+def test_drivers_match_dense_oracle_on_shuffled_mesh(d, n):
+    mesh = shuffled_mesh(d, n, seed=d)
+    assert mesh.nq <= 60
+    assert not np.array_equal(mesh.me, generate_hypercube_mesh(d, n).me)
+    for kernel in (MassKernel(mesh, lambda q: 1 + q[0] * q[-1]),
+                   StiffnessKernel(mesh)):
+        want = dense_assembly_scalar(mesh, kernel)
+        scale = np.abs(want).max()
+        got = {name: driver(mesh, kernel)
+               for name, driver in SCALAR_DRIVERS.items()}
+        for mat in got.values():
+            assert np.abs(mat.to_dense() - want).max() <= 1e-12 * scale
+        for field in ("row_ptr", "col_idx", "vals"):
+            assert np.array_equal(getattr(got["optv1"], field),
+                                  getattr(got["optv2"], field))
+    if d >= 2:
+        kernel = ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1])
+        want = dense_assembly_vector(mesh, kernel)
+        scale = np.abs(want).max()
+        for driver in VECTOR_DRIVERS.values():
+            got = driver(mesh, kernel).to_dense()
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,6 @@ def test_verify_mode_passes():
     assert any(m.startswith("verify") for m in result.messages)
 
 
-def test_verify_mode_parallel():
-    result = run_bench(config(mode="verify", parallel_verify=True))
-    assert result.ok
-    # timings are disabled when verification runs concurrently
-    assert all(r.time_median_s == 0.0 for r in result.records)
-
-
 def test_verify_mode_detects_corruption(monkeypatch):
     orig = bench_mod._Problem.assemble
 

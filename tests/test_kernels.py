@@ -309,6 +309,21 @@ def test_elastic_kernel_requires_positive_lame_sum():
         ElasticKernel(mesh, lambda q: q[0] - 2.0, 1.0)
 
 
+def test_elastic_kernel_rejects_nan_lame_field():
+    # a NaN passes the lamb + mu <= 0 guard, so it is caught at the nodes
+    mesh = generate_hypercube_mesh(2, 2)
+    lamb = lambda q: np.where(np.arange(q.shape[1]) == 4, np.nan, 1.0)
+    with pytest.raises(ValueError, match="node 4 is not finite"):
+        ElasticKernel(mesh, lamb, 1.0)
+
+
+def test_mass_kernel_rejects_infinite_weight():
+    mesh = generate_hypercube_mesh(2, 2)
+    weight = lambda q: np.where(np.arange(q.shape[1]) == 7, np.inf, 1.0)
+    with pytest.raises(ValueError, match="node 7 is not finite"):
+        MassKernel(mesh, weight)
+
+
 def test_elastic_kernel_swap_symmetry():
     mesh = generate_hypercube_mesh(3, 1)
     kern = ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[1])

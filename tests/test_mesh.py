@@ -93,6 +93,42 @@ def test_validate_catches_tampering():
         out_of_range.validate()
 
 
+TRI_Q = np.array([[0., 1., 0.], [0., 0., 1.]])
+
+
+def test_from_arrays_rejects_negative_index():
+    # a negative index would wrap to the last vertex and give a valid-looking
+    # triangle of volume 0.5
+    me = np.array([[0, 0], [1, 1], [2, -1]])
+    with pytest.raises(IndexRangeError, match="element 1 references vertex -1"):
+        Mesh.from_arrays(TRI_Q, me)
+
+
+def test_from_arrays_rejects_index_past_end():
+    me = np.array([[0, 0], [1, 3], [2, 2]])
+    with pytest.raises(IndexRangeError, match="element 1 references vertex 3"):
+        Mesh.from_arrays(TRI_Q, me)
+
+
+def test_from_arrays_rejects_non_finite_coordinates():
+    q = TRI_Q.copy()
+    q[1, 2] = np.nan
+    with pytest.raises(MeshValidationError, match="node 2"):
+        Mesh.from_arrays(q, np.array([[0], [1], [2]]))
+    q[1, 2] = 1.0
+    q[0, 1] = np.inf
+    with pytest.raises(MeshValidationError, match="node 1"):
+        Mesh.from_arrays(q, np.array([[0], [1], [2]]))
+
+
+def test_validate_catches_non_finite_coordinates():
+    mesh = generate_hypercube_mesh(2, 2)
+    q = mesh.q.copy()
+    q[0, 5] = np.nan
+    with pytest.raises(MeshValidationError, match="node 5"):
+        Mesh(q, mesh.me, mesh.vols).validate()
+
+
 # ---------------------------------------------------------------------------
 # Order-k node lattices
 
