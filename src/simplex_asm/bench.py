@@ -1,8 +1,9 @@
 """Benchmark and verification harness for the assembly strategies.
 
 Timings follow a fixed methodology: for each refinement and variant the
-same matrix is assembled ``reps`` times after one untimed warm-up, and the
-median wall time is the headline number (the mean and the min/max jitter
+same matrix is assembled ``reps`` times after one untimed warm-up, the
+repetitions of all refinements and variants interleaved, and the median
+wall time is the headline number (the mean and the min/max jitter
 are kept alongside, never silently averaged away).  Auxiliary memory is
 accounted analytically from the sizes of the batch arrays each strategy
 allocates, so the numbers are deterministic across runs.
@@ -168,7 +169,9 @@ def run_bench(config: BenchConfig) -> BenchResult:
     config.validate()
     problem = _Problem(config.matrix, config.d, config.k)
     result = BenchResult(records=[])
-    prev: dict = {}
+    if config.mode == "time":
+        _time_sweep(result, config, problem)
+        return result
 
     for n in config.refinements:
         ctx = problem.setup(n)
@@ -182,24 +185,45 @@ def run_bench(config: BenchConfig) -> BenchResult:
                     0.0, 0.0, aux_memory_bytes(v, ldof, ctx.nme), 1.0,
                 ))
             _memory_messages(result, config, ldof, ctx.nme, n)
-            continue
-
-        if config.mode == "verify":
+        else:
             _verify_refinement(result, config, problem, ctx, ndof, ldof, n)
-            continue
 
+    return result
+
+
+def _time_sweep(result, config, problem) -> None:
+    """Time every (refinement, variant) cell ``reps`` times.
+
+    Each repetition times every cell once, starting one cell later than
+    the repetition before, so a drift in host speed during the sweep
+    spreads over all cells instead of landing on one refinement and
+    bending the slopes between them.
+    """
+    ctxs = {n: problem.setup(n) for n in config.refinements}
+    cells = [(n, v) for n in config.refinements for v in config.variants]
+    for n, v in cells:
+        problem.assemble(ctxs[n], v)  # warm-up, excluded
+    times: dict = {cell: [] for cell in cells}
+    for rep in range(config.reps):
+        for i in range(len(cells)):
+            n, v = cells[(rep + i) % len(cells)]
+            t0 = time.perf_counter()
+            problem.assemble(ctxs[n], v)
+            times[n, v].append(time.perf_counter() - t0)
+
+    ldof = problem.local_dofs()
+    prev: dict = {}
+    for n in config.refinements:
+        ctx = ctxs[n]
+        ndof = problem.ndof(ctx)
         medians: dict = {}
         stats: dict = {}
         for v in config.variants:
-            problem.assemble(ctx, v)  # warm-up, excluded
-            times = []
-            for _ in range(config.reps):
-                t0 = time.perf_counter()
-                problem.assemble(ctx, v)
-                times.append(time.perf_counter() - t0)
-            med = statistics.median(times)
+            cell_times = times[n, v]
+            med = statistics.median(cell_times)
             medians[v] = med
-            stats[v] = (statistics.fmean(times), med, min(times), max(times))
+            stats[v] = (statistics.fmean(cell_times), med,
+                        min(cell_times), max(cell_times))
             if med < 1e-3:
                 result.messages.append(
                     f"warning: median time {med * 1e6:.0f} us for {v} at n={n} "
@@ -227,8 +251,6 @@ def run_bench(config: BenchConfig) -> BenchResult:
                 f"spread [{tmin:.6g}, {tmax:.6g}] s"
             )
             result.records.append(rec)
-
-    return result
 
 
 def _verify_refinement(result, config, problem, ctx, ndof, ldof, n) -> None:

@@ -1,9 +1,9 @@
 """Per-element mathematics for P1 assembly and the Pk mass extension.
 
-Everything here is a pure function of immutable inputs.  The batched
-evaluators return one value per mesh element so that assembly drivers can
-stay free of per-element loops; the matching single-element evaluators on
-the kernel classes reproduce the batched arithmetic term by term.
+Everything here is a pure function of immutable inputs.  Each local-entry
+formula is written once and evaluated two ways: by a kernel's ``batched``
+method on whole-mesh arrays, one value per element, and by its ``single``
+method on one element's Python floats, with the same bits.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, RangeGuardError
-from .mesh import Mesh, PkMesh, multi_index_lattice
+from .errors import RangeGuardError
+from .mesh import Mesh, PkMesh, edge_matrices, multi_index_lattice
 
 
 def barycentric_moment(d: int, vol: float, exponents) -> float:
@@ -36,8 +36,7 @@ def barycentric_moment(d: int, vol: float, exponents) -> float:
         raise RangeGuardError(
             f"d + sum(exponents) = {d + total} exceeds the exact-factorial range (20)"
         )
-    num = math.factorial(d) * math.prod(math.factorial(e) for e in exponents)
-    return vol * (num / math.factorial(d + total))
+    return vol * float(math.factorial(d) * _moment_fraction(d, exponents))
 
 
 def reference_gradients(d: int) -> np.ndarray:
@@ -51,18 +50,32 @@ def compute_gradients(mesh: Mesh) -> np.ndarray:
 
     Returns grads with shape (nme, d+1, d) where grads[k, a, :] is the
     (constant) gradient of the a-th barycentric coordinate on element k,
-    obtained by solving B_k^t G_k = [-1 | I_d] element by element.
+    obtained by solving B_k^t G_k = [-1 | I_d] element by element.  Raises
+    DegenerateSimplexError naming the first element of zero volume.
     """
     d = mesh.d
-    edges = mesh.q[:, mesh.me[1:]] - mesh.q[:, mesh.me[0]][:, None, :]
-    bmats = np.moveaxis(edges, 2, 0)           # (nme, d, d)
-    dets = np.linalg.det(bmats)
-    degenerate = np.flatnonzero(dets == 0.0)
-    if degenerate.size:
-        raise DegenerateSimplexError(int(degenerate[0]))
+    bmats, _ = edge_matrices(mesh.q, mesh.me)
     rhs = np.broadcast_to(reference_gradients(d), (mesh.nme, d, d + 1))
     solved = np.linalg.solve(bmats.transpose(0, 2, 1), rhs)
     return np.ascontiguousarray(solved.transpose(0, 2, 1))
+
+
+def _mass_entry(alpha, beta, W, wsum, vol):
+    """(alpha, beta) entry of the local weighted mass matrix, with W[a] the
+    weight at local vertex a (d + 1 of them) and wsum their sum."""
+    nv = len(W)
+    coef = (2.0 if alpha == beta else 1.0) / (nv * (nv + 1) * (nv + 2))
+    return coef * vol * (wsum + W[alpha] + W[beta])
+
+
+def _stiffness_entry(alpha, beta, G, vol):
+    """(alpha, beta) entry vol * <grad phi_beta, grad phi_alpha>, with G[a][i]
+    component i of grad phi_a (arrays over the elements, or floats)."""
+    ga, gb = G[alpha], G[beta]
+    acc = 0.0
+    for i in range(len(ga)):
+        acc += gb[i] * ga[i]
+    return acc * vol
 
 
 def mass_kernel(alpha: int, beta: int, mesh: Mesh,
@@ -73,19 +86,13 @@ def mass_kernel(alpha: int, beta: int, mesh: Mesh,
     element k), and wsum its column sums.  The weight is integrated through
     its nodal interpolant, which is exact for affine weights.
     """
-    d = mesh.d
-    coef = (2.0 if alpha == beta else 1.0) / ((d + 1) * (d + 2) * (d + 3))
-    return coef * mesh.vols * (wsum + W[alpha] + W[beta])
+    return _mass_entry(alpha, beta, W, wsum, mesh.vols)
 
 
 def stiffness_kernel(alpha: int, beta: int, grads: np.ndarray,
                      vols: np.ndarray) -> np.ndarray:
     """Batched (alpha, beta) entries |K| <grad phi_beta, grad phi_alpha>."""
-    d = grads.shape[2]
-    acc = np.zeros(len(vols))
-    for i in range(d):
-        acc += grads[:, beta, i] * grads[:, alpha, i]
-    return acc * vols
+    return _stiffness_entry(alpha, beta, grads.transpose(1, 2, 0), vols)
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +145,29 @@ def build_elastic_tables(d: int) -> ElasticTables:
     return ElasticTables(d, tuple(bls), c0, c1, q, s)
 
 
+def _elastic_entry(l, alpha, n, beta, Q, S, G, lamb, mu):
+    """lamb <grad phi_beta, Q[n][l] grad phi_alpha> + mu (the same with
+    S[n][l]), forming each gradient product once, skipping zero entries."""
+    qmat, smat = Q[n][l], S[n][l]
+    acc_q = acc_s = 0.0
+    for i, ga_i in enumerate(G[alpha]):
+        for j, gb_j in enumerate(G[beta]):
+            qji, sji = qmat[j][i], smat[j][i]
+            if qji or sji:
+                p = ga_i * gb_j
+                if qji:
+                    acc_q += qji * p
+                if sji:
+                    acc_s += sji * p
+    return lamb * acc_q + mu * acc_s
+
+
 def dot_mat_vec_g(A: np.ndarray, grads: np.ndarray,
                   alpha: int, beta: int) -> np.ndarray:
     """Batched <grad phi_beta, A grad phi_alpha> for an element-independent
-    d-by-d matrix A."""
-    d = grads.shape[2]
-    acc = np.zeros(grads.shape[0])
-    for i in range(d):
-        for j in range(d):
-            aji = A[j, i]
-            if aji != 0.0:
-                acc += aji * (grads[:, alpha, i] * grads[:, beta, j])
-    return acc
+    d-by-d matrix A: the elastic formula with unit lamb and zero mu table."""
+    return _elastic_entry(0, alpha, 0, beta, [[A]], [[np.zeros_like(A)]],
+                          grads.transpose(1, 2, 0), np.ones(len(grads)), 0.0)
 
 
 def elastic_kernel(l: int, alpha: int, n: int, beta: int,
@@ -168,8 +186,8 @@ def elastic_kernel(l: int, alpha: int, n: int, beta: int,
     fields the transposed pairing would assemble a different (wrong)
     matrix; the rigid-mode tests catch that.
     """
-    return (lambs * dot_mat_vec_g(tables.Q[n][l], grads, alpha, beta)
-            + mus * dot_mat_vec_g(tables.S[n][l], grads, alpha, beta))
+    return _elastic_entry(l, alpha, n, beta, tables.Q, tables.S,
+                          grads.transpose(1, 2, 0), lambs, mus)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +279,11 @@ def pk_mass_coeffs(d: int, k: int) -> PkCoeffTable:
 # A scalar kernel exposes `batched(alpha, beta) -> (nme,)`,
 # `single(alpha, beta, k) -> float` and a `symmetric` flag; a vector kernel
 # additionally carries the system size `m` and takes (l, alpha, n, beta).
-# Coefficient functions are evaluated at the mesh nodes once, here, so the
-# evaluators are pure array transforms.
+# Both evaluate the kernel's one entry formula: `batched` through the module
+# function on whole-mesh arrays (gradients as the (d+1, d, nme) view
+# G[a][i] = grads[:, a, i]), `single` on `_flat[k]`, element k's values as
+# Python lists and floats.  Coefficient functions are evaluated at the mesh
+# nodes once, here, so the evaluators are pure array transforms.
 
 
 def _nodal_values(value, q: np.ndarray) -> np.ndarray:
@@ -300,13 +321,12 @@ class MassKernel:
 
     @cached_property
     def _flat(self):
-        return self.W.tolist(), self.wsum.tolist(), self.mesh.vols.tolist()
+        return list(zip(self.W.T.tolist(), self.wsum.tolist(),
+                        self.mesh.vols.tolist()))
 
     def single(self, alpha: int, beta: int, k: int) -> float:
-        W, wsum, vols = self._flat
-        d = self.mesh.d
-        coef = (2.0 if alpha == beta else 1.0) / ((d + 1) * (d + 2) * (d + 3))
-        return coef * vols[k] * (wsum[k] + W[alpha][k] + W[beta][k])
+        W, wsum, vol = self._flat[k]
+        return _mass_entry(alpha, beta, W, wsum, vol)
 
 
 class StiffnessKernel:
@@ -315,7 +335,6 @@ class StiffnessKernel:
     symmetric = True
 
     def __init__(self, mesh: Mesh):
-        self.d = mesh.d
         self.vols = mesh.vols
         self.grads = compute_gradients(mesh)
 
@@ -324,15 +343,11 @@ class StiffnessKernel:
 
     @cached_property
     def _flat(self):
-        return self.grads.tolist(), self.vols.tolist()
+        return list(zip(self.grads.tolist(), self.vols.tolist()))
 
     def single(self, alpha: int, beta: int, k: int) -> float:
-        grads, vols = self._flat
-        ga, gb = grads[k][alpha], grads[k][beta]
-        acc = 0.0
-        for i in range(self.d):
-            acc += gb[i] * ga[i]
-        return acc * vols[k]
+        G, vol = self._flat[k]
+        return _stiffness_entry(alpha, beta, G, vol)
 
 
 class ElasticKernel:
@@ -346,8 +361,10 @@ class ElasticKernel:
 
     def __init__(self, mesh: Mesh, lamb=1.0, mu=1.0):
         d = mesh.d
-        self.d = self.m = d
+        self.m = d
         self.tables = build_elastic_tables(d)
+        self._Q = [[m.tolist() for m in row] for row in self.tables.Q]
+        self._S = [[m.tolist() for m in row] for row in self.tables.S]
         self.grads = compute_gradients(mesh)
         lamb_nodal = _nodal_values(lamb, mesh.q)
         mu_nodal = _nodal_values(mu, mesh.q)
@@ -367,30 +384,12 @@ class ElasticKernel:
 
     @cached_property
     def _flat(self):
-        qmats = [[m.tolist() for m in row] for row in self.tables.Q]
-        smats = [[m.tolist() for m in row] for row in self.tables.S]
-        return (self.grads.tolist(), self.lambs.tolist(), self.mus.tolist(),
-                qmats, smats)
+        return list(zip(self.grads.tolist(), self.lambs.tolist(),
+                        self.mus.tolist()))
 
     def single(self, l: int, alpha: int, n: int, beta: int, k: int) -> float:
-        grads, lambs, mus, qmats, smats = self._flat
-        ga, gb = grads[k][alpha], grads[k][beta]
-        d = self.d
-        acc_q = 0.0
-        qmat = qmats[n][l]
-        for i in range(d):
-            for j in range(d):
-                aji = qmat[j][i]
-                if aji != 0.0:
-                    acc_q += aji * (ga[i] * gb[j])
-        acc_s = 0.0
-        smat = smats[n][l]
-        for i in range(d):
-            for j in range(d):
-                aji = smat[j][i]
-                if aji != 0.0:
-                    acc_s += aji * (ga[i] * gb[j])
-        return lambs[k] * acc_q + mus[k] * acc_s
+        G, lamb, mu = self._flat[k]
+        return _elastic_entry(l, alpha, n, beta, self._Q, self._S, G, lamb, mu)
 
 
 class PkMassKernel:

@@ -26,29 +26,56 @@ _MAX_INDEX = np.iinfo(np.int64).max
 MESH_FORMAT_VERSION = 1
 
 
-def compute_volumes(q: np.ndarray, me: np.ndarray) -> np.ndarray:
-    """Volumes |det B_k| / d! of every simplex, where column i of B_k is
-    the edge vector from local vertex 0 to local vertex i.
+def _check_connectivity_shape(d: int, me: np.ndarray) -> None:
+    if me.ndim != 2 or me.shape[0] != d + 1:
+        raise MeshValidationError(
+            f"connectivity shape {me.shape} does not match ({d + 1}, nme)"
+        )
 
-    Raises DegenerateSimplexError naming the first simplex whose edge
-    matrix is singular.
+
+def edge_matrices(q: np.ndarray, me: np.ndarray):
+    """Edge matrices B_k, shape (nme, d, d), and their determinants.
+
+    Column i of B_k is the edge vector from local vertex 0 to local vertex
+    i + 1 of simplex k.  Raises MeshValidationError when the connectivity
+    does not have d + 1 rows, and DegenerateSimplexError naming the first
+    simplex whose edge matrix is singular.
     """
-    d = q.shape[0]
+    _check_connectivity_shape(q.shape[0], me)
     # edges[i, j, k] = coord i of (vertex j+1 minus vertex 0) on simplex k
     edges = q[:, me[1:]] - q[:, me[0]][:, None, :]
-    dets = np.linalg.det(np.moveaxis(edges, 2, 0))
+    bmats = np.moveaxis(edges, 2, 0)
+    dets = np.linalg.det(bmats)
     degenerate = np.flatnonzero(dets == 0.0)
     if degenerate.size:
         raise DegenerateSimplexError(int(degenerate[0]))
-    return np.abs(dets) / math.factorial(d)
+    return bmats, dets
+
+
+def compute_volumes(q: np.ndarray, me: np.ndarray) -> np.ndarray:
+    """Volumes |det B_k| / d! of every simplex (see ``edge_matrices``)."""
+    _, dets = edge_matrices(q, me)
+    return np.abs(dets) / math.factorial(q.shape[0])
 
 
 def _check_mesh_arrays(q: np.ndarray, me: np.ndarray) -> None:
-    """Reject connectivity outside [0, nq) and non-finite coordinates.
+    """Reject malformed connectivity and non-finite coordinates.
 
-    Raises IndexRangeError naming the first element with a bad vertex
-    index, or MeshValidationError naming the first non-finite node.
+    Raises MeshValidationError when the connectivity is not (d+1)-by-nme,
+    MeshValidationError naming the first element with a non-integral
+    vertex index (integral floats such as 2.0 pass), IndexRangeError
+    naming the first element with a vertex index outside [0, nq), and
+    MeshValidationError naming the first non-finite node.
     """
+    _check_connectivity_shape(q.shape[0], me)
+    if me.dtype.kind == "f":
+        fractional = ~np.isfinite(me) | (me != np.trunc(me))
+        if fractional.any():
+            elem = int(np.flatnonzero(fractional.any(axis=0))[0])
+            vert = me[fractional[:, elem].argmax(), elem]
+            raise MeshValidationError(
+                f"element {elem} references vertex {vert}, which is not an integer"
+            )
     nq = q.shape[1]
     bad = (me < 0) | (me >= nq)
     if bad.any():
@@ -74,8 +101,9 @@ class Mesh:
     @classmethod
     def from_arrays(cls, q, me) -> "Mesh":
         q = np.ascontiguousarray(q, dtype=np.float64)
-        me = np.ascontiguousarray(me, dtype=np.int64)
+        me = np.asarray(me)
         _check_mesh_arrays(q, me)
+        me = np.ascontiguousarray(me, dtype=np.int64)
         return cls(q, me, compute_volumes(q, me))
 
     @property
@@ -96,11 +124,6 @@ class Mesh:
         Validation is a separate pass so that assembly and benchmark paths
         never pay for it implicitly.
         """
-        d = self.d
-        if self.me.shape != (d + 1, self.nme):
-            raise MeshValidationError(
-                f"connectivity shape {self.me.shape} does not match ({d + 1}, nme)"
-            )
         _check_mesh_arrays(self.q, self.me)
         if self.vols.shape != (self.nme,):
             raise MeshValidationError(

@@ -1,8 +1,10 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+import simplex_asm.assembly
 from simplex_asm import (
     ElasticKernel,
     MassKernel,
@@ -168,18 +170,54 @@ def test_optvs_strict_triangle_before_transpose(vector):
         assert row == col     # diagonal sweep after the transpose add
 
 
-def test_batch_counts_per_strategy():
+class CountingKernel:
+    """Proxy that counts batched and single calls and forwards the rest."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = collections.Counter()
+
+    def batched(self, *index):
+        self.calls["batched"] += 1
+        return self._inner.batched(*index)
+
+    def single(self, *index):
+        self.calls["single"] += 1
+        return self._inner.single(*index)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_batch_counts_per_strategy(monkeypatch):
+    # the benchmark's tracer swaps these module attributes and proxies the
+    # kernel, so every strategy must call through both
+    calls = collections.Counter()
+    for name in ("sparse_from_triplets", "add", "transpose"):
+        def counted(*args, _name=name, _real=getattr(simplex_asm.assembly, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(simplex_asm.assembly, name, counted)
+
     mesh = generate_hypercube_mesh(2, 2)
-    dp1 = mesh.d + 1
-    rec = RecordingScalar(StiffnessKernel(mesh))
-    assemble_optv(mesh, rec)
-    assert len(rec.calls) == dp1 * dp1      # one short batch per local pair
-    rec = RecordingScalar(StiffnessKernel(mesh))
-    assemble_optvs(mesh, rec)
-    assert len(rec.calls) == dp1 * (dp1 + 1) // 2
-    rec = RecordingScalar(StiffnessKernel(mesh))
-    assemble_optv2(mesh, rec)
-    assert len(rec.calls) == dp1 * dp1
+    for drivers, kernel in ((SCALAR_DRIVERS, StiffnessKernel(mesh)),
+                            (VECTOR_DRIVERS, ElasticKernel(mesh))):
+        size = getattr(kernel, "m", 1) * (mesh.d + 1)   # L local dofs
+        pairs, half = size * size, size * (size + 1) // 2
+        expected = {
+            "base": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
+            "optv1": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
+            "optv2": ({"sparse_from_triplets": 1}, {"batched": pairs}),
+            "optv": ({"sparse_from_triplets": pairs, "add": pairs},
+                     {"batched": pairs}),
+            "optvs": ({"sparse_from_triplets": half, "add": half + 1,
+                       "transpose": 1}, {"batched": half}),
+        }
+        for strategy, driver in drivers.items():
+            calls.clear()
+            counting = CountingKernel(kernel)
+            driver(mesh, counting)
+            assert (calls, counting.calls) == expected[strategy], strategy
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from simplex_asm import (
     ElasticKernel,
     MassKernel,
     Mesh,
+    MeshValidationError,
     RangeGuardError,
     StiffnessKernel,
     barycentric_moment,
@@ -31,6 +32,7 @@ from oracles import (
     simplex_quadrature,
     voigt_strain_basis,
 )
+from test_assembly import shuffled_mesh
 
 REF_TRI = Mesh.from_arrays(np.array([[0., 1., 0.], [0., 0., 1.]]),
                            np.array([[0], [1], [2]]))
@@ -151,6 +153,15 @@ def test_gradients_degenerate_error_names_element():
     assert err.value.element == 1
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+def test_kernel_rejects_connectivity_with_wrong_row_count(rows):
+    q = np.array([[0., 1., 0.], [0., 0., 1.]])
+    me = np.array([[0], [1], [2], [0]])[:rows]
+    mesh = Mesh(q, me, np.array([0.5]))   # bypass the constructor checks
+    with pytest.raises(MeshValidationError, match=r"connectivity shape"):
+        StiffnessKernel(mesh)
+
+
 # ---------------------------------------------------------------------------
 # Scalar kernels
 
@@ -221,19 +232,33 @@ def test_stiffness_kernel_against_dense_per_element():
             assert kern.batched(alpha, beta)[0] == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("make", [
-    lambda mesh: MassKernel(mesh, lambda q: 1.0 + q[0]),
-    lambda mesh: StiffnessKernel(mesh),
+KERNELS = {
+    "mass": lambda mesh: MassKernel(mesh, 2.5),
+    "weighted-mass": lambda mesh: MassKernel(mesh, lambda q: 1.0 + q[0]),
+    "stiffness": StiffnessKernel,
+    "elastic": lambda mesh: ElasticKernel(mesh, lambda q: 1 + q[0],
+                                          lambda q: 2 + q[-1] * q[0]),
+}
+
+
+@pytest.mark.parametrize("kind,d,shuffled", [
+    pytest.param(kind, d, shuffled,
+                 id=f"{kind}-d{d}-{'shuffled' if shuffled else 'kuhn'}")
+    for kind in KERNELS for d in (1, 2, 3) for shuffled in (False, True)
+    if not (kind == "elastic" and d == 1)
 ])
-def test_batched_matches_single(make):
-    mesh = generate_hypercube_mesh(2, 3)
-    kern = make(mesh)
-    for alpha in range(3):
-        for beta in range(3):
-            arr = kern.batched(alpha, beta)
-            for k in range(mesh.nme):
-                single = kern.single(alpha, beta, k)
-                assert abs(arr[k] - single) <= 1e-14 * abs(single)
+def test_batched_matches_single(kind, d, shuffled):
+    # batched and single evaluate one formula, so they agree bit for bit
+    n = {1: 5, 2: 3, 3: 2}[d]
+    mesh = shuffled_mesh(d, n, seed=d) if shuffled else generate_hypercube_mesh(d, n)
+    kern = KERNELS[kind](mesh)
+    if kind == "elastic":
+        indices = itertools.product(range(d), range(d + 1), range(d), range(d + 1))
+    else:
+        indices = itertools.product(range(d + 1), repeat=2)
+    for index in indices:
+        single = [kern.single(*index, k) for k in range(mesh.nme)]
+        assert kern.batched(*index).tolist() == single, index
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +396,6 @@ def test_elastic_kernel_variable_fields_against_voigt_oracle(d):
         want = mesh.vols[k] * float(eps_col @ cmat @ eps_row)
         got = kern.batched(l, alpha, n, beta)[k]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-
-def test_elastic_kernel_batched_matches_single():
-    mesh = generate_hypercube_mesh(2, 2)
-    kern = ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[1])
-    for l, alpha, n, beta in itertools.product(range(2), range(3),
-                                               range(2), range(3)):
-        arr = kern.batched(l, alpha, n, beta)
-        for k in range(mesh.nme):
-            single = kern.single(l, alpha, n, beta, k)
-            assert abs(arr[k] - single) <= 1e-14 * max(abs(single), 1e-30)
 
 
 def test_elastic_kernel_prescaled_field_averages():

@@ -110,6 +110,27 @@ def test_from_arrays_rejects_index_past_end():
         Mesh.from_arrays(TRI_Q, me)
 
 
+def test_from_arrays_rejects_non_integral_index():
+    # the int64 cast used to truncate [0.5, 1.2, 2.9] to a valid triangle
+    with pytest.raises(MeshValidationError,
+                       match="element 0 references vertex 0.5, which is not an integer"):
+        Mesh.from_arrays(TRI_Q, [[0.5], [1.2], [2.9]])
+    me = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.float64)
+    me[2, 1] = np.nan
+    with pytest.raises(MeshValidationError, match="element 1"):
+        Mesh.from_arrays(TRI_Q, me)
+    mesh = Mesh.from_arrays(TRI_Q, [[0.0], [1.0], [2.0]])
+    assert mesh.me.dtype == np.int64 and mesh.vols[0] == 0.5
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_from_arrays_rejects_wrong_row_count(rows):
+    me = np.array([[0], [1], [2], [0]])[:rows]
+    with pytest.raises(MeshValidationError,
+                       match=rf"connectivity shape \({rows}, 1\) does not match \(3, nme\)"):
+        Mesh.from_arrays(TRI_Q, me)
+
+
 def test_from_arrays_rejects_non_finite_coordinates():
     q = TRI_Q.copy()
     q[1, 2] = np.nan
