@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .assembly import SCALAR_DRIVERS, VECTOR_DRIVERS, assemble_mass_pk
-from .bench import MATRICES, MODES, BenchConfig, emit_table, run_bench
+from .bench import MATRICES, MODES, VARIANTS_FOR, BenchConfig, emit_table, run_bench
 from .errors import SimplexAsmError
 from .kernels import ElasticKernel, MassKernel, StiffnessKernel, pk_mass_coeffs
 from .mesh import build_pk_mesh, read_mesh
@@ -35,8 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dim", required=True, type=int, choices=(1, 2, 3))
     bench.add_argument("--order", type=int, default=1,
                        help="lattice order k (mass-pk only)")
-    bench.add_argument("--variants", default="optv2,optv,optvs",
-                       help="comma-separated list of strategies")
+    bench.add_argument("--variants", default=None,
+                       help="comma-separated list of strategies (default: the "
+                       "batched strategies available for the matrix)")
     bench.add_argument("--refine", default="8,16,32",
                        help="comma-separated subdivisions per axis")
     bench.add_argument("--reps", type=int, default=5)
@@ -47,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     asm = sub.add_parser("assemble", help="assemble one matrix from a mesh file")
     asm.add_argument("--mesh", required=True)
     asm.add_argument("--matrix", required=True, choices=MATRICES)
-    asm.add_argument("--variant", default="optvs")
+    asm.add_argument("--variant", default=None,
+                     help="strategy (default: optvs; optv2 for mass-pk)")
     asm.add_argument("--order", type=int, default=1,
                      help="lattice order k (mass-pk only)")
     asm.add_argument("--out", required=True, help="MatrixMarket output path")
@@ -61,11 +63,18 @@ def _parse_ints(text: str, what: str, parser) -> tuple:
         parser.error(f"cannot parse {what} list {text!r}")
 
 
+def _batched_variants(matrix: str) -> list:
+    """The strategies available for ``matrix`` except the per-element loops."""
+    return [v for v in VARIANTS_FOR[matrix] if v not in ("base", "optv1")]
+
+
 def _run_bench(args, parser) -> int:
+    names = (_batched_variants(args.matrix) if args.variants is None
+             else args.variants.split(","))
     config = BenchConfig(
         matrix=args.matrix,
         d=args.dim,
-        variants=tuple(v.strip() for v in args.variants.split(",") if v.strip()),
+        variants=tuple(v.strip() for v in names if v.strip()),
         refinements=_parse_ints(args.refine, "refinement", parser),
         k=args.order,
         reps=args.reps,
@@ -90,23 +99,22 @@ def _run_bench(args, parser) -> int:
 
 
 def _run_assemble(args, parser) -> int:
-    if args.matrix == "mass-pk" and args.variant != "optv2":
-        parser.error("mass-pk is assembled with the optv2 strategy only")
-    if args.matrix == "elastic" and args.variant not in VECTOR_DRIVERS:
-        parser.error(f"unknown elastic variant {args.variant!r}")
-    if args.matrix in ("mass", "stiffness") and args.variant not in SCALAR_DRIVERS:
-        parser.error(f"unknown variant {args.variant!r}")
+    allowed = VARIANTS_FOR[args.matrix]
+    variant = args.variant or _batched_variants(args.matrix)[-1]
+    if variant not in allowed:
+        parser.error(f"variant {variant!r} is not available for matrix "
+                     f"{args.matrix!r} (allowed: {', '.join(allowed)})")
 
     mesh = read_mesh(args.mesh)
     if args.matrix == "mass-pk":
         lattice = build_pk_mesh(mesh, args.order)
         matrix = assemble_mass_pk(lattice, pk_mass_coeffs(mesh.d, args.order))
     elif args.matrix == "elastic":
-        matrix = VECTOR_DRIVERS[args.variant](mesh, ElasticKernel(mesh))
+        matrix = VECTOR_DRIVERS[variant](mesh, ElasticKernel(mesh))
     else:
         kernel = (MassKernel(mesh) if args.matrix == "mass"
                   else StiffnessKernel(mesh))
-        matrix = SCALAR_DRIVERS[args.variant](mesh, kernel)
+        matrix = SCALAR_DRIVERS[variant](mesh, kernel)
     write_matrixmarket(matrix, args.out)
     print(f"wrote {matrix.nrows}x{matrix.ncols} matrix "
           f"({matrix.nnz} entries) to {args.out}")

@@ -61,12 +61,15 @@ def compute_volumes(q: np.ndarray, me: np.ndarray) -> np.ndarray:
 def _check_mesh_arrays(q: np.ndarray, me: np.ndarray) -> None:
     """Reject malformed connectivity and non-finite coordinates.
 
-    Raises MeshValidationError when the connectivity is not (d+1)-by-nme,
-    MeshValidationError naming the first element with a non-integral
-    vertex index (integral floats such as 2.0 pass), IndexRangeError
-    naming the first element with a vertex index outside [0, nq), and
-    MeshValidationError naming the first non-finite node.
+    Raises MeshValidationError when the coordinates are not a (d, nq)
+    array or the connectivity is not (d+1)-by-nme, MeshValidationError
+    naming the first element with a non-integral vertex index (integral
+    floats such as 2.0 pass), IndexRangeError naming the first element
+    with a vertex index outside [0, nq), and MeshValidationError naming
+    the first non-finite node.
     """
+    if q.ndim != 2:
+        raise MeshValidationError(f"coordinate array shape {q.shape} is not (d, nq)")
     _check_connectivity_shape(q.shape[0], me)
     if me.dtype.kind == "f":
         fractional = ~np.isfinite(me) | (me != np.trunc(me))

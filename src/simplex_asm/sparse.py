@@ -1,10 +1,15 @@
 """Triplet-accumulating sparse matrix construction and small CSR algebra.
 
-The constructor follows the semantics assembly codes rely on: triplets
-with identical (row, col) are summed, input triplets whose value is
-exactly 0.0 are skipped, and entries that cancel to exactly 0.0 are
-dropped.  Duplicates are summed in order of appearance, which makes the
-result deterministic for regression tests.
+Every canonical matrix comes from one keyed sort (``_from_keys``): entry
+(row, col) of an nrows-by-ncols matrix gets the int64 key
+``row*ncols + col``, one stable sort of the keys puts duplicates next to
+each other in order of appearance, and a left-to-right ``bincount`` sums
+them.  Input triplets whose value is exactly 0.0 are skipped and sums
+that cancel to exactly 0.0 are dropped, so results are deterministic.
+``add`` (keys of ``a`` before those of ``b``), ``transpose``,
+``max_abs_diff`` and the MatrixMarket reader use the same sort.  Shapes
+whose keys overflow int64 raise ``CapacityError`` where they enter:
+``TripletBatch`` and the MatrixMarket size line.
 """
 
 from __future__ import annotations
@@ -13,9 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexRangeError, MatrixFormatError, ShapeMismatchError
+from .errors import (
+    CapacityError,
+    IndexRangeError,
+    MatrixFormatError,
+    ShapeMismatchError,
+)
 
-_MAX_KEY = np.iinfo(np.int64).max
+
+def _check_key_range(nrows: int, ncols: int) -> None:
+    if int(nrows) * int(ncols) > np.iinfo(np.int64).max:
+        raise CapacityError(f"a {nrows}x{ncols} matrix exceeds the int64 key range")
 
 
 @dataclass
@@ -29,6 +42,7 @@ class TripletBatch:
     vals: np.ndarray
 
     def __post_init__(self):
+        _check_key_range(self.nrows, self.ncols)
         self.rows = np.asarray(self.rows, dtype=np.int64).ravel()
         self.cols = np.asarray(self.cols, dtype=np.int64).ravel()
         self.vals = np.asarray(self.vals, dtype=np.float64).ravel()
@@ -82,121 +96,90 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
     )
 
 
-def _canonicalize(nrows, ncols, rows, cols, vals) -> SparseMatrix:
-    """Merge unsorted triplets into canonical CSR.
+def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
+    """Merge triplets given as keys ``row*ncols + col`` into canonical CSR.
 
-    Assumes indices already validated.  Keeps only nonzero inputs, sums
-    duplicates stably in order of appearance, drops exact-zero sums.
+    The only constructor of canonical matrices.  Assumes indices already
+    validated and ``nrows*ncols`` within int64.  Skips inputs that are
+    exactly 0.0, sums duplicates in order of appearance, drops sums that
+    are exactly 0.0.  Never writes into ``keys`` or ``vals``.  Callers
+    pass ``keys`` unnamed, so that the sort below frees the unsorted copy.
     """
     keep = vals != 0.0
     if not keep.all():
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        keys, vals = keys[keep], vals[keep]
     if len(vals) == 0:
         return empty_matrix(nrows, ncols)
 
-    order = np.lexsort((cols, rows))  # stable: ties keep input order
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    # stable: ties keep input order.  For int64 numpy runs timsort, which
+    # merges presorted runs (the operands of ``add``) in linear time.
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order  # lowers the peak memory of the sums below
 
-    starts = np.empty(len(vals), dtype=bool)
+    starts = np.empty(len(keys), dtype=bool)
     starts[0] = True
-    np.logical_or(rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=starts[1:])
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     # bincount accumulates strictly left-to-right, so duplicates sum in
-    # order of appearance with a reproducible association
-    sums = np.bincount(np.cumsum(starts) - 1, weights=vals)
-    starts = np.flatnonzero(starts)
+    # order of appearance with a reproducible association; cumsum numbers
+    # the groups from 1, so slot 0 stays empty
+    sums = np.bincount(np.cumsum(starts), weights=vals)[1:]
 
     keep = sums != 0.0
-    rows_u = rows[starts][keep]
-    cols_u = cols[starts][keep]
+    keys = keys[starts][keep]
     sums = sums[keep]
-
+    rows, cols = np.divmod(keys, ncols)
     row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows_u, minlength=nrows), out=row_ptr[1:])
-    return SparseMatrix(nrows, ncols, row_ptr, cols_u, sums)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+    return SparseMatrix(nrows, ncols, row_ptr, cols, sums)
+
+
+def _keys(rows, ncols, cols) -> np.ndarray:
+    """The keys ``rows*ncols + cols`` as a new int64 array."""
+    keys = rows * ncols
+    keys += cols
+    return keys
 
 
 def sparse_from_triplets(batch: TripletBatch) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch."""
-    bad = (batch.rows < 0) | (batch.rows >= batch.nrows)
-    if bad.any():
-        pos = int(np.flatnonzero(bad)[0])
-        raise IndexRangeError(
-            f"row index {batch.rows[pos]} at triplet {pos} outside [0, {batch.nrows})"
-        )
-    bad = (batch.cols < 0) | (batch.cols >= batch.ncols)
-    if bad.any():
-        pos = int(np.flatnonzero(bad)[0])
-        raise IndexRangeError(
-            f"col index {batch.cols[pos]} at triplet {pos} outside [0, {batch.ncols})"
-        )
-    return _canonicalize(batch.nrows, batch.ncols,
-                         batch.rows, batch.cols, batch.vals)
+    for name, idx, size in (("row", batch.rows, batch.nrows),
+                            ("col", batch.cols, batch.ncols)):
+        bad = (idx < 0) | (idx >= size)
+        if bad.any():
+            pos = int(np.flatnonzero(bad)[0])
+            raise IndexRangeError(
+                f"{name} index {idx[pos]} at triplet {pos} outside [0, {size})"
+            )
+    return _from_keys(batch.nrows, batch.ncols,
+                      _keys(batch.rows, batch.ncols, batch.cols), batch.vals)
 
 
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Entrywise sum, canonical output, exact-zero results dropped.
 
-    Both operands are already canonical, so their (row, col) key sequences
-    are sorted runs that can be merged without a fresh sort; repeated
-    accumulation (matrix += batch) stays linear in the result size.
+    The entries of ``a`` come before those of ``b``.  Both operands are
+    canonical, so their keys form two sorted runs that the stable sort
+    merges in linear time; repeated accumulation (matrix += batch) stays
+    linear in the result size.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
-    if a.nnz == 0:
-        return b
-    if b.nnz == 0:
-        return a
-    if a.nrows and a.ncols > _MAX_KEY // a.nrows:
-        return _canonicalize(
-            a.nrows, a.ncols,
-            np.concatenate([a.row_indices(), b.row_indices()]),
-            np.concatenate([a.col_idx, b.col_idx]),
-            np.concatenate([a.vals, b.vals]),
-        )
-
-    akey = a.row_indices() * a.ncols + a.col_idx
-    bkey = b.row_indices() * b.ncols + b.col_idx
-    total = a.nnz + b.nnz
-    # stable merge positions: on equal keys the entries of `a` come first
-    pos_a = np.arange(a.nnz, dtype=np.int64) + np.searchsorted(bkey, akey, "left")
-    pos_b = np.arange(b.nnz, dtype=np.int64) + np.searchsorted(akey, bkey, "right")
-    keys = np.empty(total, dtype=np.int64)
-    vals = np.empty(total)
-    keys[pos_a], keys[pos_b] = akey, bkey
-    vals[pos_a], vals[pos_b] = a.vals, b.vals
-
-    starts = np.empty(total, dtype=bool)
-    starts[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    sums = np.bincount(np.cumsum(starts) - 1, weights=vals)
-    keep = sums != 0.0
-    keys = keys[np.flatnonzero(starts)][keep]
-    sums = sums[keep]
-
-    rows_u = keys // a.ncols
-    row_ptr = np.zeros(a.nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows_u, minlength=a.nrows), out=row_ptr[1:])
-    return SparseMatrix(a.nrows, a.ncols, row_ptr, keys - rows_u * a.ncols, sums)
+    return _from_keys(a.nrows, a.ncols,
+                      np.concatenate([_keys(m.row_indices(), m.ncols, m.col_idx)
+                                      for m in (a, b)]),
+                      np.concatenate([a.vals, b.vals]))
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
-    return _canonicalize(a.ncols, a.nrows, a.col_idx.copy(),
-                         a.row_indices(), a.vals.copy())
+    return _from_keys(a.ncols, a.nrows,
+                      _keys(a.col_idx, a.nrows, a.row_indices()), a.vals)
 
 
 def max_abs_diff(a: SparseMatrix, b: SparseMatrix) -> float:
     """max |a_ij - b_ij| over the union of both sparsity patterns."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
-    diff = _canonicalize(
-        a.nrows, a.ncols,
-        np.concatenate([a.row_indices(), b.row_indices()]),
-        np.concatenate([a.col_idx, b.col_idx]),
-        np.concatenate([a.vals, -b.vals]),
-    )
-    if diff.nnz == 0:
-        return 0.0
-    return float(np.abs(diff.vals).max())
+    return max_abs(add(a, SparseMatrix(b.nrows, b.ncols, b.row_ptr,
+                                       b.col_idx, -b.vals)))
 
 
 def max_abs(a: SparseMatrix) -> float:
@@ -240,13 +223,13 @@ def read_matrixmarket(path) -> SparseMatrix:
         nrows, ncols, nnz = (int(t) for t in size_line)
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: bad size line") from exc
+    _check_key_range(nrows, ncols)
     if len(entries) != nnz:
         raise MatrixFormatError(
             f"{path}: size line declares {nnz} entries, found {len(entries)}"
         )
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
+    keys = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
     for pos, (lineno, parts) in enumerate(entries):
         if len(parts) != 3:
@@ -260,5 +243,5 @@ def read_matrixmarket(path) -> SparseMatrix:
                 f"{path}:{lineno}: one-based index ({i}, {j}) outside "
                 f"{nrows}x{ncols}"
             )
-        rows[pos], cols[pos], vals[pos] = i - 1, j - 1, v
-    return _canonicalize(nrows, ncols, rows, cols, vals)
+        keys[pos], vals[pos] = (i - 1) * ncols + j - 1, v
+    return _from_keys(nrows, ncols, keys, vals)

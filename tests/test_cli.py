@@ -61,6 +61,17 @@ def test_assemble_mass_pk(square_mesh_file, tmp_path):
     assert mat.vals.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_assemble_mass_pk_default_variant(square_mesh_file, tmp_path):
+    out = tmp_path / "pk.mtx"
+    assert main(["assemble", "--mesh", str(square_mesh_file),
+                 "--matrix", "mass-pk", "--order", "2", "--out", str(out)]) == 0
+    explicit = tmp_path / "pk_optv2.mtx"
+    assert main(["assemble", "--mesh", str(square_mesh_file),
+                 "--matrix", "mass-pk", "--order", "2", "--variant", "optv2",
+                 "--out", str(explicit)]) == 0
+    assert out.read_text() == explicit.read_text()
+
+
 def test_assemble_missing_mesh_file(tmp_path):
     code = main(["assemble", "--mesh", str(tmp_path / "nope.mesh"),
                  "--matrix", "mass", "--out", str(tmp_path / "m.mtx")])
@@ -100,6 +111,14 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_bench_mass_pk_default_variants(tmp_path):
+    out = tmp_path / "table.csv"
+    assert main(["bench", "--matrix", "mass-pk", "--dim", "2", "--order", "2",
+                 "--refine", "2", "--reps", "3", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["optv2"]
+
+
 def test_bench_markdown_to_stdout(capsys):
     code = main(["bench", "--matrix", "mass", "--dim", "1",
                  "--variants", "optvs", "--refine", "4",
@@ -122,6 +141,10 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["assemble", "--matrix", "mass-pk", "--mesh", "x",
               "--variant", "optv", "--out", "y"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["assemble", "--matrix", "elastic", "--mesh", "x",
+              "--variant", "optv1", "--out", "y"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main([])

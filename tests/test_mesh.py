@@ -131,6 +131,12 @@ def test_from_arrays_rejects_wrong_row_count(rows):
         Mesh.from_arrays(TRI_Q, me)
 
 
+def test_from_arrays_rejects_flat_coordinates():
+    with pytest.raises(MeshValidationError,
+                       match=r"coordinate array shape \(3,\) is not \(d, nq\)"):
+        Mesh.from_arrays([0., 1., 2.], [[0, 1], [1, 2]])
+
+
 def test_from_arrays_rejects_non_finite_coordinates():
     q = TRI_Q.copy()
     q[1, 2] = np.nan
