@@ -20,6 +20,7 @@ from .errors import (
     MeshFormatError,
     MeshValidationError,
 )
+from .sparse import _loadtxt
 
 _MAX_INDEX = np.iinfo(np.int64).max
 
@@ -238,51 +239,43 @@ class PkMesh:
 def build_pk_mesh(mesh: Mesh, k: int) -> PkMesh:
     """Build the order-k node lattice of a mesh.
 
-    Shared nodes are merged by exact lattice identity: a node is keyed by
-    the set of (vertex id, integer barycentric weight) pairs with nonzero
-    weight, never by floating-point coordinate comparison.  For k = 1 the
-    result is structurally identical to the source mesh.
+    Shared nodes are merged by exact lattice identity, never by
+    floating-point coordinate comparison.  A lattice point with integer
+    barycentric weights ``alpha`` on an element is keyed by the sorted
+    codes ``vertex id*(k+1) + alpha_i`` of its nonzero weights (padded
+    with -1), and one ``np.unique`` over the keys of every (element,
+    lattice point) numbers the nodes.  Corner points keep their vertex
+    ids; the other nodes follow in order of first appearance, element by
+    element, each placed from the element it first appears on.  For k = 1
+    the result is structurally identical to the source mesh.
     """
     if k < 1:
         raise ValueError(f"polynomial order must be >= 1, got {k}")
     d = mesh.d
-    lattice = multi_index_lattice(d, k)
-    ndfe = len(lattice)
-    if ndfe * mesh.nme > _MAX_INDEX:
+    lattice = np.array(multi_index_lattice(d, k)).T      # (d+1, ndfe)
+    ndfe = lattice.shape[1]
+    if max(ndfe * mesh.nme, (k + 1) * mesh.nq) > _MAX_INDEX:
         raise CapacityError(f"order-{k} lattice exceeds the platform index range")
 
-    # which lattice points are plain vertices, and of which local vertex
-    vertex_slot = {}
-    for local, alpha in enumerate(lattice):
-        if max(alpha) == k:
-            vertex_slot[local] = alpha.index(k)
-
     me = np.empty((ndfe, mesh.nme), dtype=np.int64)
-    node_ids: dict[tuple, int] = {}
-    new_coords: list[np.ndarray] = []
-    alphas = np.array(lattice, dtype=np.float64).T / k   # (d+1, ndfe)
+    corner = lattice.max(axis=0) == k
+    me[corner] = mesh.me[lattice[:, corner].argmax(axis=0)]
 
-    for elem in range(mesh.nme):
-        verts = mesh.me[:, elem]
-        for local, alpha in enumerate(lattice):
-            slot = vertex_slot.get(local)
-            if slot is not None:
-                me[local, elem] = verts[slot]
-                continue
-            key = tuple(sorted(
-                (int(verts[i]), alpha[i]) for i in range(d + 1) if alpha[i]
-            ))
-            node = node_ids.get(key)
-            if node is None:
-                node = mesh.nq + len(new_coords)
-                node_ids[key] = node
-                new_coords.append(mesh.q[:, verts] @ alphas[:, local])
-            me[local, elem] = node
+    inner = lattice[:, ~corner]                          # (d+1, ninner)
+    ninner = inner.shape[1]
+    codes = np.where(inner[:, None, :] > 0,
+                     mesh.me[:, :, None] * (k + 1) + inner[:, None, :], -1)
+    keys = np.sort(codes.transpose(1, 2, 0), axis=-1).reshape(-1, d + 1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)            # unique keys by first appearance
+    rank = np.argsort(order)
+    me[~corner] = mesh.nq + rank[inverse].reshape(mesh.nme, ninner).T
 
-    if new_coords:
-        q = np.hstack([mesh.q, np.column_stack(new_coords)])
-    else:
-        q = mesh.q
+    elem, local = np.divmod(first[order], ninner)
+    corners = mesh.q[:, mesh.me[:, elem]].transpose(2, 0, 1)  # (nnew, d, d+1)
+    weights = inner[:, local].T[:, :, None] / k               # (nnew, d+1, 1)
+    q = np.hstack([mesh.q, (corners @ weights)[:, :, 0].T])
     return PkMesh(d, k, q, me, mesh.vols)
 
 
@@ -292,7 +285,8 @@ def build_pk_mesh(mesh: Mesh, k: int) -> PkMesh:
 # Line-oriented text format:
 #   simplexmesh <version> <d> <nq> <nme>
 #   nq lines of d coordinates, then nme lines of d+1 zero-based indices.
-# Volumes are recomputed on load, never stored.
+# Volumes are recomputed on load, never stored.  The reader parses each
+# table with one np.loadtxt; the writer stays per line (see ROADMAP).
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -302,6 +296,17 @@ def write_mesh(mesh: Mesh, path) -> None:
             f.write(" ".join(f"{x:.17g}" for x in mesh.q[:, j]) + "\n")
         for kk in range(mesh.nme):
             f.write(" ".join(str(i) for i in mesh.me[:, kk]) + "\n")
+
+
+def _read_table(lines, dtype, width, path, what) -> np.ndarray:
+    """One table of the mesh file as a (width, rows) array."""
+    table = _loadtxt(lines, MeshFormatError, f"{path}: {what}", dtype=dtype,
+                     comments=None, ndmin=2)
+    if table.size and table.shape[1] != width:
+        raise MeshFormatError(
+            f"{path}: {what} has {table.shape[1]} columns, expected {width}"
+        )
+    return table.reshape(-1, width).T
 
 
 def read_mesh(path) -> Mesh:
@@ -324,28 +329,6 @@ def read_mesh(path) -> Mesh:
         raise MeshFormatError(
             f"{path}: expected {1 + nq + nme} lines, found {len(lines)}"
         )
-
-    q = np.empty((d, nq))
-    for j in range(nq):
-        parts = lines[1 + j].split()
-        if len(parts) != d:
-            raise MeshFormatError(
-                f"{path}: vertex line {j} has {len(parts)} coordinates, expected {d}"
-            )
-        try:
-            q[:, j] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise MeshFormatError(f"{path}: bad coordinate on vertex line {j}") from exc
-
-    me = np.empty((d + 1, nme), dtype=np.int64)
-    for kk in range(nme):
-        parts = lines[1 + nq + kk].split()
-        if len(parts) != d + 1:
-            raise MeshFormatError(
-                f"{path}: element line {kk} has {len(parts)} indices, expected {d + 1}"
-            )
-        try:
-            me[:, kk] = [int(p) for p in parts]
-        except ValueError as exc:
-            raise MeshFormatError(f"{path}: bad index on element line {kk}") from exc
+    q = _read_table(lines[1:1 + nq], np.float64, d, path, "vertex table")
+    me = _read_table(lines[1 + nq:], np.int64, d + 1, path, "element table")
     return Mesh.from_arrays(q, me)

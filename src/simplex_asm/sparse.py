@@ -9,11 +9,13 @@ that cancel to exactly 0.0 are dropped, so results are deterministic.
 ``add`` (keys of ``a`` before those of ``b``), ``transpose``,
 ``max_abs_diff`` and the MatrixMarket reader use the same sort.  Shapes
 whose keys overflow int64 raise ``CapacityError`` where they enter:
-``TripletBatch`` and the MatrixMarket size line.
+``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
+reader parses the entries with one ``np.loadtxt`` over the open file.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +45,16 @@ class TripletBatch:
 
     def __post_init__(self):
         _check_key_range(self.nrows, self.ncols)
-        self.rows = np.asarray(self.rows, dtype=np.int64).ravel()
-        self.cols = np.asarray(self.cols, dtype=np.int64).ravel()
+        # rows and cols keep their (common) shape, so broadcast views are
+        # not copied; they are read in C order
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.cols = np.asarray(self.cols, dtype=np.int64)
         self.vals = np.asarray(self.vals, dtype=np.float64).ravel()
-        if not (len(self.rows) == len(self.cols) == len(self.vals)):
+        if not (self.rows.shape == self.cols.shape
+                and self.rows.size == self.vals.size):
             raise ShapeMismatchError(
-                f"triplet arrays have lengths {len(self.rows)}, "
-                f"{len(self.cols)}, {len(self.vals)}"
+                f"triplet arrays have shapes {self.rows.shape}, "
+                f"{self.cols.shape}, {self.vals.shape}"
             )
 
 
@@ -149,10 +154,11 @@ def sparse_from_triplets(batch: TripletBatch) -> SparseMatrix:
         if bad.any():
             pos = int(np.flatnonzero(bad)[0])
             raise IndexRangeError(
-                f"{name} index {idx[pos]} at triplet {pos} outside [0, {size})"
+                f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
     return _from_keys(batch.nrows, batch.ncols,
-                      _keys(batch.rows, batch.ncols, batch.cols), batch.vals)
+                      _keys(batch.rows, batch.ncols, batch.cols).ravel(),
+                      batch.vals)
 
 
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -202,46 +208,51 @@ def write_matrixmarket(a: SparseMatrix, path) -> None:
             f.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
+def _loadtxt(source, error, where, **kwargs):
+    """``np.loadtxt``, raising its ValueError (whose text names the row and
+    column) as ``error`` prefixed by ``where``.  Empty tables are valid."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            return np.loadtxt(source, **kwargs)
+        except ValueError as exc:
+            raise error(f"{where}: {exc}") from exc
+
+
 def read_matrixmarket(path) -> SparseMatrix:
     with open(path) as f:
         header = f.readline().strip()
         if header.split() != _MM_HEADER.split():
             raise MatrixFormatError(f"{path}: unsupported header {header!r}")
-        size_line = None
-        entries = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            if size_line is None:
-                size_line = line.split()
-                continue
-            entries.append((lineno, line.split()))
-    if size_line is None:
-        raise MatrixFormatError(f"{path}: missing size line")
-    try:
-        nrows, ncols, nnz = (int(t) for t in size_line)
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: bad size line") from exc
-    _check_key_range(nrows, ncols)
-    if len(entries) != nnz:
-        raise MatrixFormatError(
-            f"{path}: size line declares {nnz} entries, found {len(entries)}"
-        )
-
-    keys = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    for pos, (lineno, parts) in enumerate(entries):
-        if len(parts) != 3:
-            raise MatrixFormatError(f"{path}:{lineno}: expected 'i j value'")
+        for line in f:
+            size_line = line.split()
+            if size_line and not size_line[0].startswith("%"):
+                break
+        else:
+            raise MatrixFormatError(f"{path}: missing size line")
         try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            nrows, ncols, nnz = (int(t) for t in size_line)
         except ValueError as exc:
-            raise MatrixFormatError(f"{path}:{lineno}: bad record") from exc
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
+            raise MatrixFormatError(f"{path}: bad size line") from exc
+        if min(nrows, ncols, nnz) < 0:
             raise MatrixFormatError(
-                f"{path}:{lineno}: one-based index ({i}, {j}) outside "
-                f"{nrows}x{ncols}"
+                f"{path}: negative size on size line {line.strip()!r}"
             )
-        keys[pos], vals[pos] = (i - 1) * ncols + j - 1, v
-    return _from_keys(nrows, ncols, keys, vals)
+        _check_key_range(nrows, ncols)
+        i, j, v = _loadtxt(f, MatrixFormatError, f"{path}: entries",
+                           dtype=[("i", np.int64), ("j", np.int64),
+                                  ("v", np.float64)],
+                           comments="%", ndmin=1, unpack=True)
+    if len(v) != nnz:
+        raise MatrixFormatError(
+            f"{path}: size line declares {nnz} entries, found {len(v)}"
+        )
+    bad = (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
+    if bad.any():
+        pos = int(np.flatnonzero(bad)[0])
+        raise MatrixFormatError(
+            f"{path}: entry {pos}: one-based index ({i[pos]}, {j[pos]}) "
+            f"outside {nrows}x{ncols}"
+        )
+    return _from_keys(nrows, ncols, (i - 1) * ncols + (j - 1), v)

@@ -1,7 +1,11 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplex_asm import (
     CapacityError,
@@ -17,6 +21,8 @@ from simplex_asm import (
     read_mesh,
     write_mesh,
 )
+
+from test_assembly import shuffled_mesh
 
 
 @pytest.mark.parametrize("d,n,nq,nme", [
@@ -207,13 +213,25 @@ def test_pk_node_count_single_simplex(d, k):
 
 
 def test_pk_mesh_nodes_consistent_between_elements():
-    mesh = generate_hypercube_mesh(3, 2)
-    pk = build_pk_mesh(mesh, 2)
-    # recompute every node coordinate from its element and compare
-    lattice = np.array(multi_index_lattice(3, 2), dtype=float).T / 2
-    for elem in range(pk.nme):
-        coords = mesh.q[:, mesh.me[:, elem]] @ lattice
-        assert np.allclose(coords, pk.q[:, pk.me[:, elem]], atol=1e-15)
+    for (d, n), k, shuffled in itertools.product(
+            [(1, 5), (2, 3), (3, 2)], [1, 2, 3, 4], [False, True]):
+        # jittered, with the local vertex order shuffled per element
+        mesh = (shuffled_mesh(d, n, seed=k) if shuffled
+                else generate_hypercube_mesh(d, n))
+        pk = build_pk_mesh(mesh, k)
+        # the order-k lattice of a Kuhn mesh is the grid of spacing 1/(k*n);
+        # jitter and local vertex order do not change the count
+        assert pk.nq == (k * n + 1) ** d
+        assert np.array_equal(pk.q[:, :mesh.nq], mesh.q)
+        assert np.array_equal(np.unique(pk.me), np.arange(pk.nq))
+        # added nodes are numbered in order of first appearance, element-major
+        added = pk.me.T[pk.me.T >= mesh.nq]
+        _, first = np.unique(added, return_index=True)
+        assert np.array_equal(added[np.sort(first)], np.arange(mesh.nq, pk.nq))
+        # recompute every node coordinate from each element it lies on
+        lattice = np.array(multi_index_lattice(d, k), dtype=float).T / k
+        coords = np.einsum("ijn,jl->iln", mesh.q[:, mesh.me], lattice)
+        assert np.abs(coords - pk.q[:, pk.me]).max() <= 1e-15, (d, k, shuffled)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +280,54 @@ def test_read_mesh_rejects_dimension_mismatch(tmp_path):
         "simplexmesh 1 2 3 1\n0 0 0\n1 0\n0 1\n0 1 2\n")
     with pytest.raises(MeshFormatError):
         read_mesh(path)
+
+
+TRI_FILE = "simplexmesh 1 2 3 1\n0 0\n1 0\n0 1\n0 1 2\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (TRI_FILE.replace("1 0\n", "1 x\n"),
+     "vertex table: could not convert string 'x' to float64 at row 1, column 2"),
+    (TRI_FILE.replace("0 1 2", "0 1.5 2"),
+     "element table: could not convert string '1.5' to int64 at row 0, column 2"),
+    (TRI_FILE + "0 1 2\n", "expected 5 lines, found 6"),
+    ("simplexmesh 1 2 3 1\n0 0 0\n1 0 0\n0 1 0\n0 1 2\n",
+     "vertex table has 3 columns, expected 2"),
+    ("simplexmesh 1 2 3 1\n0 0\n1 0\n0 1\n0 1\n",
+     "element table has 2 columns, expected 3"),
+], ids=["non-numeric-coordinate", "fractional-index", "trailing-line",
+        "vertex-width", "element-width"])
+def test_read_mesh_rejects_malformed_tables(tmp_path, text, message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=f"{re.escape(str(path))}: {message}"):
+        read_mesh(path)
+
+
+def test_read_mesh_accepts_empty_tables(tmp_path):
+    path = tmp_path / "empty.mesh"
+    path.write_text("simplexmesh 1 2 0 0\n")
+    mesh = read_mesh(path)
+    assert mesh.q.shape == (2, 0) and mesh.me.shape == (3, 0)
+    path.write_text("simplexmesh 1 3 2 0\n0 0 0\n1 2 3\n")
+    assert np.array_equal(read_mesh(path).q, [[0, 1], [0, 2], [0, 3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3), shift=st.floats(-1e6, 1e6))
+def test_mesh_roundtrip_is_bitwise(tmp_path_factory, d, n, seed, scale, shift):
+    rng = np.random.default_rng(seed)
+    base = shuffled_mesh(d, n, seed)
+    mesh = Mesh.from_arrays(base.q * scale + shift,
+                            base.me[:, rng.permutation(base.nme)])
+    path = tmp_path_factory.mktemp("mesh") / "m.mesh"
+    write_mesh(mesh, path)
+    back = read_mesh(path)
+    for field in ("q", "me", "vols"):
+        got, want = getattr(back, field), getattr(mesh, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_read_mesh_rejects_degenerate_element(tmp_path):

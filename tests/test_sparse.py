@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,11 +69,31 @@ def test_out_of_range_triplet_reports_position():
         sparse_from_triplets(batch([(0, 0, 1.0), (4, 0, 1.0)], shape=(4, 4)))
     with pytest.raises(IndexRangeError, match="col"):
         sparse_from_triplets(batch([(0, -1, 1.0)], shape=(4, 4)))
+    # broadcast views, as the optv2 driver passes them, are kept as views;
+    # the position is the flat one, in C order
+    table = np.array([[0, 1, 2], [3, 1, 4]])
+    rows = np.broadcast_to(table[:, None, :], (2, 3, 3))
+    cols = np.broadcast_to(table[:, :, None], (2, 3, 3))
+    views = TripletBatch(5, 4, rows, cols, np.ones(18))
+    assert np.shares_memory(views.rows, table)
+    assert np.shares_memory(views.cols, table)
+    with pytest.raises(IndexRangeError, match="col index 4 at triplet 15 outside"):
+        sparse_from_triplets(views)
+    vals = np.arange(1.0, 19.0)
+    dense = np.zeros((5, 5))
+    np.add.at(dense, (rows.ravel(), cols.ravel()), vals)
+    assert np.array_equal(
+        sparse_from_triplets(TripletBatch(5, 5, rows, cols, vals)).to_dense(), dense)
 
 
 def test_triplet_length_mismatch():
     with pytest.raises(ShapeMismatchError):
         TripletBatch(2, 2, np.array([0]), np.array([0, 1]), np.array([1.0]))
+    rows = np.broadcast_to(np.arange(2)[:, None], (2, 3))
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\), \(3, 2\)"):
+        TripletBatch(2, 3, rows, rows.T, np.ones(6))
+    with pytest.raises(ShapeMismatchError, match=r"\(5,\)"):
+        TripletBatch(2, 3, rows, rows, np.ones(5))
 
 
 def test_shape_beyond_int64_keys_rejected(tmp_path):
@@ -276,3 +298,58 @@ def test_matrixmarket_rejects_truncated_file(tmp_path):
                     "2 2 2\n1 1 1.0\n")
     with pytest.raises(MatrixFormatError):
         read_matrixmarket(path)
+
+
+MM_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("2 2 2\n1 1 1.0\n2 2\n", "entries: .*requires 3 columns but 2"),
+    ("2 2 2\n1 1 1.0 4\n2 2 1.0\n", "entries: .*requires 3 columns but 4"),
+    ("2 2 1\n1 1 1.0\n2 2 1.0\n", "size line declares 1 entries, found 2"),
+    ("2 2 3\n1 1 1.0\n% a comment\n\n2 2 1.0\n", "size line declares 3 entries, found 2"),
+    ("2 2 1\n1 1 x\n", "entries: could not convert string 'x'"),
+    ("2 2 1\n1.5 1 1.0\n", "entries: could not convert string '1.5'"),
+    ("2 3 2\n1 1 1.0\n2 4 1.0\n", r"entry 1: one-based index \(2, 4\) outside 2x3"),
+], ids=["two-fields", "four-fields", "more-entries", "fewer-entries",
+        "non-numeric-value", "fractional-index", "index-range"])
+def test_matrixmarket_rejects_malformed_entries(tmp_path, body, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(MM_HEADER + body)
+    with pytest.raises(MatrixFormatError, match=f"{re.escape(str(path))}: {message}"):
+        read_matrixmarket(path)
+
+
+@pytest.mark.parametrize("size", ["-1 3 0", "-2 3 0", "2 -3 0", "2 3 -1"])
+def test_matrixmarket_rejects_negative_size(tmp_path, size):
+    path = tmp_path / "neg.mtx"
+    path.write_text(MM_HEADER + size + "\n")
+    with pytest.raises(MatrixFormatError,
+                       match=f"negative size on size line '{size}'"):
+        read_matrixmarket(path)
+
+
+# every finite double, by bit pattern
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), data=st.data())
+def test_matrixmarket_roundtrip_is_bitwise(tmp_path_factory, shape, data):
+    nrows, ncols = shape
+    entry = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                      finite_doubles)
+    a = sparse_from_triplets(batch(data.draw(st.lists(entry, max_size=40)), shape))
+    path = tmp_path_factory.mktemp("mm") / "a.mtx"
+    write_matrixmarket(a, path)
+    header, size, *lines = path.read_text().splitlines(keepends=True)
+    # comment and blank lines between the entries are skipped
+    for pos in sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=4)),
+                      reverse=True):
+        lines.insert(pos, data.draw(st.sampled_from(["% note\n", "\n", "  \n"])))
+    path.write_text(header + size + "".join(lines))
+    back = read_matrixmarket(path)
+    assert back.shape == a.shape
+    for field in ("row_ptr", "col_idx", "vals"):
+        got, want = getattr(back, field), getattr(a, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
