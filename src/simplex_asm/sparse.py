@@ -2,12 +2,16 @@
 
 Every canonical matrix comes from one keyed sort (``_from_keys``): entry
 (row, col) of an nrows-by-ncols matrix gets the int64 key
-``row*ncols + col``, one stable sort of the keys puts duplicates next to
+``row*ncols + col``, a stable sort of the keys puts duplicates next to
 each other in order of appearance, and a left-to-right ``bincount`` sums
-them.  Input triplets whose value is exactly 0.0 are skipped and sums
-that cancel to exactly 0.0 are dropped, so results are deterministic.
-``add`` (keys of ``a`` before those of ``b``), ``transpose``,
-``max_abs_diff`` and the MatrixMarket reader use the same sort.  Shapes
+them.  The stable order comes from numpy's default (unstable, SIMD) sort
+of words ``key << shift | position``, which are distinct; a stable
+argsort of the keys is used when the words would not fit in 63 bits and
+for ``add``, whose keys are two presorted runs.  Input triplets whose
+value is exactly 0.0 are skipped and sums that cancel to exactly 0.0
+are dropped, so results are deterministic.  ``add`` (keys of ``a``
+before those of ``b``), ``transpose``, ``max_abs_diff`` and the
+MatrixMarket reader use the same routine.  Shapes
 whose keys overflow int64 raise ``CapacityError`` where they enter:
 ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
 reader parses the entries with one ``np.loadtxt`` over the open file.
@@ -33,6 +37,27 @@ def _check_key_range(nrows: int, ncols: int) -> None:
         raise CapacityError(f"a {nrows}x{ncols} matrix exceeds the int64 key range")
 
 
+def _as_index(idx, name: str) -> np.ndarray:
+    """``idx`` as int64, rejecting indices that the cast would change.
+
+    Integer input is cast (or kept) without a check.  Other input raises
+    IndexRangeError naming the first flat (C-order) triplet position whose
+    index is not an integer in the int64 range; integral floats such as
+    2.0 pass.
+    """
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        f = idx.astype(np.float64)
+        bad = ~(np.abs(f) < 2.0**63) | (f != np.trunc(f))
+        if bad.any():
+            pos = int(np.flatnonzero(bad)[0])
+            raise IndexRangeError(
+                f"{name} index {idx.flat[pos]} at triplet {pos} is not an "
+                "integer in the int64 range"
+            )
+    return idx.astype(np.int64, copy=False)
+
+
 @dataclass
 class TripletBatch:
     """Unordered (row, col, value) contributions to an nrows-by-ncols matrix."""
@@ -47,8 +72,8 @@ class TripletBatch:
         _check_key_range(self.nrows, self.ncols)
         # rows and cols keep their (common) shape, so broadcast views are
         # not copied; they are read in C order
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.rows = _as_index(self.rows, "row")
+        self.cols = _as_index(self.cols, "col")
         self.vals = np.asarray(self.vals, dtype=np.float64).ravel()
         if not (self.rows.shape == self.cols.shape
                 and self.rows.size == self.vals.size):
@@ -101,26 +126,42 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
     )
 
 
-def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
+def _from_keys(nrows, ncols, keys, vals, *, _runs=False) -> SparseMatrix:
     """Merge triplets given as keys ``row*ncols + col`` into canonical CSR.
 
     The only constructor of canonical matrices.  Assumes indices already
     validated and ``nrows*ncols`` within int64.  Skips inputs that are
     exactly 0.0, sums duplicates in order of appearance, drops sums that
     are exactly 0.0.  Never writes into ``keys`` or ``vals``.  Callers
-    pass ``keys`` unnamed, so that the sort below frees the unsorted copy.
+    pass ``keys`` unnamed, so that the first new key array below frees
+    the unsorted copy.
+
+    Each key is packed with its input position into one int64 word,
+    ``key << shift | position``.  The words are distinct, so numpy's
+    default (unstable, SIMD) sort of them is exactly the stable order of
+    the keys, on every platform.  A stable argsort is used instead when
+    the words would not fit in 63 bits, or when ``_runs`` says that the
+    keys are two presorted runs (``add``), which timsort merges in linear
+    time.
     """
     keep = vals != 0.0
     if not keep.all():
         keys, vals = keys[keep], vals[keep]
-    if len(vals) == 0:
+    n = len(vals)
+    if n == 0:
         return empty_matrix(nrows, ncols)
 
-    # stable: ties keep input order.  For int64 numpy runs timsort, which
-    # merges presorted runs (the operands of ``add``) in linear time.
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    del order  # lowers the peak memory of the sums below
+    shift = (n - 1).bit_length()
+    if _runs or (int(nrows) * int(ncols) - 1).bit_length() + shift > 63:
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        del order  # lowers the peak memory of the sums below
+    else:
+        keys = keys << shift  # frees the caller's unsorted keys
+        keys |= np.arange(n)
+        keys.sort()
+        vals = vals[keys & ((1 << shift) - 1)]
+        keys >>= shift
 
     starts = np.empty(len(keys), dtype=bool)
     starts[0] = True
@@ -174,7 +215,7 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return _from_keys(a.nrows, a.ncols,
                       np.concatenate([_keys(m.row_indices(), m.ncols, m.col_idx)
                                       for m in (a, b)]),
-                      np.concatenate([a.vals, b.vals]))
+                      np.concatenate([a.vals, b.vals]), _runs=True)
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:

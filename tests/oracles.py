@@ -88,6 +88,16 @@ def dense_assembly_vector(mesh, kernel) -> np.ndarray:
     return out
 
 
+def scipy_coo_to_csr(nrows, ncols, rows, cols, vals):
+    """scipy's COO->CSR of the triplets: duplicates summed, exact zeros
+    eliminated, column indices sorted."""
+    csr = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    return csr
+
+
 def voigt_strain_basis(component: int, grad: np.ndarray) -> np.ndarray:
     """Voigt strain of the field (barycentric basis function) * e_component,
     built from the symmetric-gradient definition."""

@@ -30,7 +30,12 @@ from simplex_asm import (
     transpose,
 )
 
-from oracles import dense_assembly_scalar, dense_assembly_vector, rigid_body_modes
+from oracles import (
+    dense_assembly_scalar,
+    dense_assembly_vector,
+    rigid_body_modes,
+    scipy_coo_to_csr,
+)
 
 REF_TRI = Mesh.from_arrays(np.array([[0., 1., 0.], [0., 0., 1.]]),
                            np.array([[0], [1], [2]]))
@@ -329,6 +334,40 @@ def test_drivers_match_dense_oracle_on_shuffled_mesh(d, n):
         for driver in VECTOR_DRIVERS.values():
             got = driver(mesh, kernel).to_dense()
             assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 4)])
+def test_optv2_is_deterministic_and_matches_scipy(d, n):
+    mesh = shuffled_mesh(d, n, seed=10 + d)
+    for driver, kernel in (
+            (assemble_optv2, StiffnessKernel(mesh)),
+            (assemble_vector_optv2,
+             ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]))):
+        m = getattr(kernel, "m", 1)
+        first, second = driver(mesh, kernel), driver(mesh, kernel)
+        for field in ("row_ptr", "col_idx", "vals"):
+            assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+
+        # every local pair's triplets, built without the package's drivers
+        size = m * (d + 1)
+        rows, cols, vals = [], [], []
+        for ii, jj in itertools.product(range(size), repeat=2):
+            (l, alpha), (k, beta) = divmod(ii, d + 1), divmod(jj, d + 1)
+            rows.append(m * mesh.me[alpha] + l)
+            cols.append(m * mesh.me[beta] + k)
+            vals.append(kernel.batched(l, alpha, k, beta) if m > 1
+                        else kernel.batched(alpha, beta))
+        triplets = (m * mesh.nq, m * mesh.nq, np.concatenate(rows),
+                    np.concatenate(cols), np.concatenate(vals))
+        want = scipy_coo_to_csr(*triplets)
+        assert np.array_equal(first.row_ptr, want.indptr)
+        assert np.array_equal(first.col_idx, want.indices)
+        # summation error bound of either order: count * eps * sum |v|
+        stored = want.nonzero()
+        count, mass = (np.asarray(scipy_coo_to_csr(*triplets[:4], v)[stored]).ravel()
+                       for v in (np.ones_like(triplets[4]), np.abs(triplets[4])))
+        bound = count * np.finfo(float).eps * mass
+        assert np.all(np.abs(first.vals - want.data) <= bound)
 
 
 # ---------------------------------------------------------------------------

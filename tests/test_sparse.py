@@ -110,6 +110,22 @@ def test_shape_beyond_int64_keys_rejected(tmp_path):
     assert entries_of(wide) == {(0, 5): 2.0, (0, 2**63 - 2): 1.0}
 
 
+def test_triplet_batch_rejects_non_integral_index():
+    # the int64 cast used to truncate 0.7 to row 0
+    with pytest.raises(IndexRangeError,
+                       match="row index 0.7 at triplet 0 is not an integer"):
+        TripletBatch(2, 2, [0.7], [0], [1.0])
+    cols = np.array([[0.0, 1.0], [1.0, np.nan]])
+    with pytest.raises(IndexRangeError, match="col index nan at triplet 3 "):
+        TripletBatch(2, 2, np.zeros((2, 2)), cols, np.ones(4))
+    for big in (np.inf, -np.inf, 2.0**63, 1e300):
+        with pytest.raises(IndexRangeError, match="triplet 1 .*int64 range"):
+            TripletBatch(2, 2, [0, 0], [1.0, big], [1.0, 1.0])
+    # integral floats pass
+    m = sparse_from_triplets(TripletBatch(2, 2, [1.0, 0.0], [0.0, 1.0], [2.0, 3.0]))
+    assert entries_of(m) == {(1, 0): 2.0, (0, 1): 3.0}
+
+
 def test_add_identities():
     for shape in ((4, 4), (5, 9)):
         a = sparse_from_triplets(batch([(0, 0, 1.0), (2, 3, -2.5)], shape))
@@ -177,6 +193,104 @@ def test_canonical_form():
         max_abs_diff(m, transpose(transpose(m)))
         for x, before in zip(inputs, copies):
             assert np.array_equal(x, before)
+
+
+# ---------------------------------------------------------------------------
+# The constructor packs each key with its input position into one int64
+# word when ``bit_length(nrows*ncols - 1) + bit_length(n - 1)`` is at most
+# 63, and runs a stable argsort otherwise.  Both sides of that boundary
+# are compared bitwise against a reference built without the package.
+
+
+def reference_csr(nrows, ncols, rows, cols, vals):
+    """Canonical CSR arrays from a stable argsort of the keys and a
+    left-to-right Python sum per key, skipping and dropping exact zeros."""
+    keys = rows * ncols + cols
+    order = np.argsort(keys, kind="stable")
+    sums = {}
+    for key, v in zip(keys[order].tolist(), vals[order].tolist()):
+        if v != 0.0:
+            sums[key] = sums.get(key, 0.0) + v
+    kept = np.array([k for k, v in sums.items() if v != 0.0], dtype=np.int64)
+    out_rows, out_cols = np.divmod(kept, ncols)
+    row_ptr = np.searchsorted(out_rows, np.arange(nrows + 1)).astype(np.int64)
+    return row_ptr, out_cols, np.array([v for v in sums.values() if v != 0.0])
+
+
+def assert_csr_bitwise(m, nrows, ncols, rows, cols, vals):
+    assert m.shape == (nrows, ncols)
+    for got, want in zip((m.row_ptr, m.col_idx, m.vals),
+                         reference_csr(nrows, ncols, rows, cols, vals)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def tie_heavy(rng, nrows, ncols, n):
+    """n triplets on few keys, the first and the last key of the shape
+    among them, with values whose sums depend on the order of addition.
+
+    The last eight triplets on keys of their own are the order-of-
+    appearance cases of ``test_exact_cancellation_dropped``: 1e16, 1.0,
+    -1e16 cancels exactly, while 1e16, -1e16, 1.0 keeps 1.0.
+    """
+    size = nrows * ncols
+    pool = rng.integers(1, size - 1, 64)
+    pool[:2] = 0, size - 1
+    keys = pool[rng.integers(0, len(pool), n - 8)]
+    vals = rng.choice([1e16, -1e16, 1.0, -1.0, 0.5, 0.0], n - 8)
+    vals[0] = 1.0
+    spare = np.setdiff1d(rng.integers(1, size - 1, 16), pool)[:4]
+    keys = np.concatenate([keys, spare[[0, 1, 0, 0, 2, 3, 2, 2]]])
+    vals = np.concatenate([vals, [1e16, 1.0, 1.0, -1e16, 1e16, 1.0, -1e16, 1.0]])
+    return (*np.divmod(keys, ncols), vals)
+
+
+def distinct(rng, nrows, ncols, n):
+    """n triplets on n distinct keys, the first and the last among them,
+    in random order, with nonzero values."""
+    size = nrows * ncols
+    keys = np.unique(np.concatenate([[0, size - 1],
+                                     rng.integers(0, size, n + 100)]))
+    keys = np.concatenate([[0, size - 1], rng.permutation(keys[1:-1])[:n - 2]])
+    return (*np.divmod(keys, ncols), rng.standard_normal(n))
+
+
+def packed_bits(nrows, ncols, n):
+    return (nrows * ncols - 1).bit_length() + (n - 1).bit_length()
+
+
+@pytest.mark.parametrize("bits", [63, 64])
+def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
+    rng = np.random.default_rng(bits)
+    # wide: 13 position bits and 50 or 51 key bits, few rows
+    nrows, ncols, n = 16, 2**46 + (bits - 63), 2**12 + 1
+    assert packed_bits(nrows, ncols, n) == bits
+    rows, cols, vals = tie_heavy(rng, nrows, ncols, n)
+    m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
+    assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
+    path = tmp_path / "ties.mtx"
+    path.write_text(MM_HEADER + f"{nrows} {ncols} {n}\n" + "".join(
+        f"{i + 1} {j + 1} {v!r}\n"
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())))
+    assert_csr_bitwise(read_matrixmarket(path), nrows, ncols, rows, cols, vals)
+    # add: the entries of a, then those of b, 2**12 + 1 of them in all
+    split = 2**11
+    a = sparse_from_triplets(TripletBatch(nrows, ncols, *distinct(rng, nrows, ncols, split)))
+    b = sparse_from_triplets(TripletBatch(nrows, ncols, *distinct(rng, nrows, ncols, n - split)))
+    assert_csr_bitwise(add(a, b), nrows, ncols,
+                       np.concatenate([a.row_indices(), b.row_indices()]),
+                       np.concatenate([a.col_idx, b.col_idx]),
+                       np.concatenate([a.vals, b.vals]))
+
+    # square: 21 position bits and 42 or 43 key bits, so that the
+    # transpose has as few rows as the input
+    nrows, ncols, n = 2**21, 2**21 + (bits - 63), 2**20 + 1
+    assert packed_bits(nrows, ncols, n) == bits
+    rows, cols, vals = tie_heavy(rng, nrows, ncols, n)
+    m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
+    assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
+    a = sparse_from_triplets(TripletBatch(nrows, ncols, *distinct(rng, nrows, ncols, n)))
+    assert a.nnz == n
+    assert_csr_bitwise(transpose(a), ncols, nrows, a.col_idx, a.row_indices(), a.vals)
 
 
 # ---------------------------------------------------------------------------
