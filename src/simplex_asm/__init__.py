@@ -47,7 +47,6 @@ from .kernels import (
     elastic_kernel,
     mass_kernel,
     pk_mass_coeffs,
-    reference_gradients,
     stiffness_kernel,
 )
 from .mesh import (
@@ -58,6 +57,7 @@ from .mesh import (
     generate_hypercube_mesh,
     multi_index_lattice,
     read_mesh,
+    reference_gradients,
     write_mesh,
 )
 from .sparse import (

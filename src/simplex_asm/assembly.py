@@ -88,15 +88,18 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         table = mesh.me if m == 1 else np.stack([dofs(ii) for ii in range(size)])
 
     if strategy == "optv2":
-        vals = np.empty((size * size, nme))
+        pairs = np.empty((size * size, nme))
         for p, (ii, jj) in enumerate(columns):
-            vals[p] = kernel.batched(*local[ii], *local[jj])
-        vals = vals.T.ravel()
-        # element-major stream, each element's block column by column
+            pairs[p] = kernel.batched(*local[ii], *local[jj])
+        # element-major stream, each element's block column by column; a
+        # copy even where the transpose is contiguous (nme = 1)
+        vals = pairs.T.flatten()
         shape = (nme, size, size)
         rows = np.broadcast_to(table.T[:, None, :], shape)
         cols = np.broadcast_to(table.T[:, :, None], shape)
-        return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals))
+        # both full-length buffers are ours, so the constructor reuses them
+        return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals),
+                                    _spare=pairs)
 
     if strategy in ("base", "optv1"):
         single = kernel.single

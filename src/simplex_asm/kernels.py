@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RangeGuardError
-from .mesh import Mesh, PkMesh, edge_matrices, multi_index_lattice
+from .mesh import Mesh, PkMesh, multi_index_lattice, simplex_geometry
 
 
 def barycentric_moment(d: int, vol: float, exponents) -> float:
@@ -39,25 +39,18 @@ def barycentric_moment(d: int, vol: float, exponents) -> float:
     return vol * float(math.factorial(d) * _moment_fraction(d, exponents))
 
 
-def reference_gradients(d: int) -> np.ndarray:
-    """Gradients of the barycentric coordinates on the reference simplex,
-    one per column: [-1 | I_d], shape (d, d+1)."""
-    return np.hstack([-np.ones((d, 1)), np.eye(d)])
-
-
 def compute_gradients(mesh: Mesh) -> np.ndarray:
     """Gradients of the local basis functions on every element.
 
     Returns grads with shape (nme, d+1, d) where grads[k, a, :] is the
-    (constant) gradient of the a-th barycentric coordinate on element k,
-    obtained by solving B_k^t G_k = [-1 | I_d] element by element.  Raises
+    (constant) gradient of the a-th barycentric coordinate on element k.
+    It is a view of the component-major (d+1, d, nme) array of
+    ``simplex_geometry``: closed-form cofactors over the determinant for
+    d <= 3, a solve of B_k^t G_k = [-1 | I_d] for d > 3.  Raises
     DegenerateSimplexError naming the first element of zero volume.
     """
-    d = mesh.d
-    bmats, _ = edge_matrices(mesh.q, mesh.me)
-    rhs = np.broadcast_to(reference_gradients(d), (mesh.nme, d, d + 1))
-    solved = np.linalg.solve(bmats.transpose(0, 2, 1), rhs)
-    return np.ascontiguousarray(solved.transpose(0, 2, 1))
+    _, grads = simplex_geometry(mesh.q, mesh.me, gradients=True)
+    return grads.transpose(2, 0, 1)
 
 
 def _mass_entry(alpha, beta, W, wsum, vol):

@@ -20,7 +20,7 @@ from .errors import (
     MeshFormatError,
     MeshValidationError,
 )
-from .sparse import _loadtxt
+from .sparse import _loadtxt, _write_lines
 
 _MAX_INDEX = np.iinfo(np.int64).max
 
@@ -34,28 +34,79 @@ def _check_connectivity_shape(d: int, me: np.ndarray) -> None:
         )
 
 
-def edge_matrices(q: np.ndarray, me: np.ndarray):
-    """Edge matrices B_k, shape (nme, d, d), and their determinants.
+def reference_gradients(d: int) -> np.ndarray:
+    """Gradients of the barycentric coordinates on the reference simplex,
+    one per column: [-1 | I_d], shape (d, d+1)."""
+    return np.hstack([-np.ones((d, 1)), np.eye(d)])
 
-    Column i of B_k is the edge vector from local vertex 0 to local vertex
-    i + 1 of simplex k.  Raises MeshValidationError when the connectivity
-    does not have d + 1 rows, and DegenerateSimplexError naming the first
-    simplex whose edge matrix is singular.
+
+def _cofactors(edges):
+    """cof[j][i] = component i of det(B) * (row j of B^-1), for d <= 3:
+    1 in 1D, the rotated other edge in 2D, the cross product of the other
+    two edges in 3D.  Row j is orthogonal to every edge but edge j."""
+    d = len(edges)
+    if d == 1:
+        return [[1.0]]
+    if d == 2:
+        (x0, x1), (y0, y1) = edges
+        return [[y1, -x1], [-y0, x0]]
+    e = edges.transpose(1, 0, 2)          # e[j, i] = coord i of edge j
+    return [[e[(j + 1) % 3, (i + 1) % 3] * e[(j + 2) % 3, (i + 2) % 3]
+             - e[(j + 1) % 3, (i + 2) % 3] * e[(j + 2) % 3, (i + 1) % 3]
+             for i in range(3)] for j in range(3)]
+
+
+def simplex_geometry(q: np.ndarray, me: np.ndarray, gradients: bool = False):
+    """Signed determinants of the edge matrices B_k, shape (nme,), and, if
+    ``gradients``, the barycentric gradients, shape (d+1, d, nme).
+
+    Column j of B_k is the edge vector from local vertex 0 to local vertex
+    j + 1 of simplex k; grads[a, i, k] is component i of the gradient of
+    the a-th barycentric coordinate on simplex k, stored component-major,
+    the layout the kernels read.  For d <= 3 one closed-form pass computes
+    both: the determinant by cofactor expansion along the first edge,
+    gradient a = cofactor row a / det for a >= 1, and gradient 0 = minus
+    the sum of the others.  For d > 3 the determinants come from
+    ``np.linalg.det`` and the gradients from solving B_k^t G_k = [-1 | I_d].
+
+    Raises MeshValidationError when the connectivity does not have d + 1
+    rows, and DegenerateSimplexError naming the first simplex whose
+    determinant is exactly zero.
     """
-    _check_connectivity_shape(q.shape[0], me)
+    d = q.shape[0]
+    _check_connectivity_shape(d, me)
     # edges[i, j, k] = coord i of (vertex j+1 minus vertex 0) on simplex k
     edges = q[:, me[1:]] - q[:, me[0]][:, None, :]
-    bmats = np.moveaxis(edges, 2, 0)
-    dets = np.linalg.det(bmats)
+    if d <= 3:
+        cof = _cofactors(edges)
+        dets = edges[0, 0] * cof[0][0]
+        for i in range(1, d):
+            dets += edges[i, 0] * cof[0][i]
+    else:
+        bmats = np.moveaxis(edges, 2, 0)
+        dets = np.linalg.det(bmats)
     degenerate = np.flatnonzero(dets == 0.0)
     if degenerate.size:
         raise DegenerateSimplexError(int(degenerate[0]))
-    return bmats, dets
+    if not gradients:
+        return dets, None
+
+    grads = np.empty((d + 1, d, me.shape[1]))
+    if d <= 3:
+        for j in range(d):
+            for i in range(d):
+                np.divide(cof[j][i], dets, out=grads[j + 1, i])
+        np.sum(grads[1:], axis=0, out=grads[0])
+        np.negative(grads[0], out=grads[0])
+    else:
+        rhs = np.broadcast_to(reference_gradients(d), (len(dets), d, d + 1))
+        grads[...] = np.linalg.solve(bmats.transpose(0, 2, 1), rhs).transpose(2, 1, 0)
+    return dets, grads
 
 
 def compute_volumes(q: np.ndarray, me: np.ndarray) -> np.ndarray:
-    """Volumes |det B_k| / d! of every simplex (see ``edge_matrices``)."""
-    _, dets = edge_matrices(q, me)
+    """Volumes |det B_k| / d! of every simplex (see ``simplex_geometry``)."""
+    dets, _ = simplex_geometry(q, me)
     return np.abs(dets) / math.factorial(q.shape[0])
 
 
@@ -286,16 +337,14 @@ def build_pk_mesh(mesh: Mesh, k: int) -> PkMesh:
 #   simplexmesh <version> <d> <nq> <nme>
 #   nq lines of d coordinates, then nme lines of d+1 zero-based indices.
 # Volumes are recomputed on load, never stored.  The reader parses each
-# table with one np.loadtxt; the writer stays per line (see ROADMAP).
+# table with one np.loadtxt; the writer formats the lines in chunks.
 
 
 def write_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as f:
         f.write(f"simplexmesh {MESH_FORMAT_VERSION} {mesh.d} {mesh.nq} {mesh.nme}\n")
-        for j in range(mesh.nq):
-            f.write(" ".join(f"{x:.17g}" for x in mesh.q[:, j]) + "\n")
-        for kk in range(mesh.nme):
-            f.write(" ".join(str(i) for i in mesh.me[:, kk]) + "\n")
+        _write_lines(f, " ".join(["%.17g"] * mesh.d) + "\n", *mesh.q)
+        _write_lines(f, " ".join(["%d"] * (mesh.d + 1)) + "\n", *mesh.me)
 
 
 def _read_table(lines, dtype, width, path, what) -> np.ndarray:

@@ -5,16 +5,18 @@ Every canonical matrix comes from one keyed sort (``_from_keys``): entry
 ``row*ncols + col``, a stable sort of the keys puts duplicates next to
 each other in order of appearance, and a left-to-right ``bincount`` sums
 them.  The stable order comes from numpy's default (unstable, SIMD) sort
-of words ``key << shift | position``, which are distinct; a stable
-argsort of the keys is used when the words would not fit in 63 bits and
-for ``add``, whose keys are two presorted runs.  Input triplets whose
-value is exactly 0.0 are skipped and sums that cancel to exactly 0.0
-are dropped, so results are deterministic.  ``add`` (keys of ``a``
-before those of ``b``), ``transpose``, ``max_abs_diff`` and the
-MatrixMarket reader use the same routine.  Shapes
-whose keys overflow int64 raise ``CapacityError`` where they enter:
-``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
-reader parses the entries with one ``np.loadtxt`` over the open file.
+of words ``key << shift | position``, which are distinct; ``add``, whose
+keys are two presorted runs, sorts the words with timsort, and a stable
+argsort of the keys is used when the words would not fit in 63 bits.  The one-shot ``optv2``
+batch hands the constructor both of its full-length buffers, which the
+sort and the sums then reuse.  Sums that are exactly 0.0 are dropped, so
+no exact zero is ever stored, and results are deterministic.  ``add``
+(keys of ``a`` before those of ``b``), ``transpose``, ``max_abs_diff``
+and the MatrixMarket reader use the same routine.  Shapes whose keys
+overflow int64 raise ``CapacityError`` where they enter: ``TripletBatch``
+and the MatrixMarket size line.  The MatrixMarket reader parses the
+entries with one ``np.loadtxt`` over the open file; the writers format
+their lines in chunks.
 """
 
 from __future__ import annotations
@@ -126,88 +128,125 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
     )
 
 
-def _from_keys(nrows, ncols, keys, vals, *, _runs=False) -> SparseMatrix:
+# Length of the chunks in which the construction works in place: their
+# temporaries stay at a few hundred KiB instead of another array of the
+# batch's length.
+_CHUNK = 1 << 15
+
+
+def _from_keys(nrows, ncols, keys, vals, *, _runs=False, _owned=False) -> SparseMatrix:
     """Merge triplets given as keys ``row*ncols + col`` into canonical CSR.
 
     The only constructor of canonical matrices.  Assumes indices already
-    validated and ``nrows*ncols`` within int64.  Skips inputs that are
-    exactly 0.0, sums duplicates in order of appearance, drops sums that
-    are exactly 0.0.  Never writes into ``keys`` or ``vals``.  Callers
-    pass ``keys`` unnamed, so that the first new key array below frees
-    the unsorted copy.
+    validated and ``nrows*ncols`` within int64.  Sums duplicates in order
+    of appearance and drops sums that are exactly 0.0.  Inputs of exactly
+    0.0 change no sum: the running sums start at +0.0 and are never -0.0,
+    and x + 0.0 is x.  ``keys`` must be a new int64 array made for this
+    call, which is overwritten.  ``vals`` is overwritten only when
+    ``_owned`` says that the caller made it for this call too; otherwise
+    one new array of its length is allocated.
 
     Each key is packed with its input position into one int64 word,
-    ``key << shift | position``.  The words are distinct, so numpy's
-    default (unstable, SIMD) sort of them is exactly the stable order of
-    the keys, on every platform.  A stable argsort is used instead when
-    the words would not fit in 63 bits, or when ``_runs`` says that the
-    keys are two presorted runs (``add``), which timsort merges in linear
-    time.
+    ``key << shift | position``, in the keys' own memory.  The words are
+    distinct, so numpy's default (unstable, SIMD) sort of them is exactly
+    the stable order of the keys, on every platform.  When ``_runs`` says
+    that the keys are two presorted runs (``add``), the words are sorted
+    with timsort instead, which merges the runs in linear time.  The run
+    starts and the unique keys are read off the sorted words, the words
+    are masked down to input positions, and the values are gathered into
+    the same memory chunk by chunk; the group numbers of the sum then go
+    into the spent ``vals`` (or the one new array).  When the words would
+    not fit in 63 bits, a stable argsort of the keys is used instead.
     """
-    keep = vals != 0.0
-    if not keep.all():
-        keys, vals = keys[keep], vals[keep]
     n = len(vals)
     if n == 0:
         return empty_matrix(nrows, ncols)
 
-    shift = (n - 1).bit_length()
-    if _runs or (int(nrows) * int(ncols) - 1).bit_length() + shift > 63:
-        order = np.argsort(keys, kind="stable")
-        keys, vals = keys[order], vals[order]
-        del order  # lowers the peak memory of the sums below
-    else:
-        keys = keys << shift  # frees the caller's unsorted keys
-        keys |= np.arange(n)
-        keys.sort()
-        vals = vals[keys & ((1 << shift) - 1)]
-        keys >>= shift
-
-    starts = np.empty(len(keys), dtype=bool)
+    starts = np.empty(n, dtype=bool)
     starts[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    shift = (n - 1).bit_length()
+    if (int(nrows) * int(ncols) - 1).bit_length() + shift > 63:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        vals = vals[order]
+        del order  # lowers the peak memory of the sums below
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        uniq = keys[starts]
+        groups = keys
+    else:
+        keys <<= shift
+        for s in range(0, n, _CHUNK):
+            keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, n))
+        keys.sort(kind="stable" if _runs else None)
+        # neighbours share a key iff they differ in the position bits only
+        for s in range(1, n, _CHUNK):
+            e = min(s + _CHUNK, n)
+            np.greater_equal(keys[s:e] ^ keys[s - 1:e - 1], 1 << shift,
+                             out=starts[s:e])
+        uniq = keys[starts]
+        uniq >>= shift
+        keys &= (1 << shift) - 1
+        # the values in sorted order go into the same memory; each chunk
+        # overwrites only the positions it has just read
+        for s in range(0, n, _CHUNK):
+            keys.view(np.float64)[s:s + _CHUNK] = vals[keys[s:s + _CHUNK]]
+        groups = vals.view(np.int64) if _owned else np.empty(n, dtype=np.int64)
+        vals = keys.view(np.float64)
+    del keys
+
     # bincount accumulates strictly left-to-right, so duplicates sum in
     # order of appearance with a reproducible association; cumsum numbers
     # the groups from 1, so slot 0 stays empty
-    sums = np.bincount(np.cumsum(starts), weights=vals)[1:]
+    groups[...] = starts
+    np.cumsum(groups, out=groups)
+    sums = np.bincount(groups, weights=vals)[1:]
+    del groups, vals, starts  # lowers the peak memory of the CSR below
 
     keep = sums != 0.0
-    keys = keys[starts][keep]
-    sums = sums[keep]
-    rows, cols = np.divmod(keys, ncols)
+    if not keep.all():
+        uniq, sums = uniq[keep], sums[keep]
+    rows = uniq // ncols  # a division by one scalar, faster than divmod
+    uniq -= rows * ncols  # now the column indices
     row_ptr = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
-    return SparseMatrix(nrows, ncols, row_ptr, cols, sums)
+    return SparseMatrix(nrows, ncols, row_ptr, uniq, sums)
 
 
-def _keys(rows, ncols, cols) -> np.ndarray:
-    """The keys ``rows*ncols + cols`` as a new int64 array."""
-    keys = rows * ncols
+def _keys(rows, ncols, cols, out=None) -> np.ndarray:
+    """The keys ``rows*ncols + cols`` as a new int64 array, or in ``out``."""
+    keys = np.multiply(rows, ncols, out=out)
     keys += cols
     return keys
 
 
-def sparse_from_triplets(batch: TripletBatch) -> SparseMatrix:
-    """Build a canonical sparse matrix from a triplet batch."""
+def sparse_from_triplets(batch: TripletBatch, *, _spare=None) -> SparseMatrix:
+    """Build a canonical sparse matrix from a triplet batch.
+
+    The batch's arrays are never written.  ``_spare`` is private to the
+    ``optv2`` engine: a C-contiguous float64 array of the batch's size
+    that the engine allocated and no longer reads, passed together with a
+    ``batch.vals`` that it allocated too.  The construction then
+    overwrites both and allocates no other array of that length.
+    """
     for name, idx, size in (("row", batch.rows, batch.nrows),
                             ("col", batch.cols, batch.ncols)):
-        bad = (idx < 0) | (idx >= size)
-        if bad.any():
-            pos = int(np.flatnonzero(bad)[0])
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
+            pos = int(np.flatnonzero((idx < 0) | (idx >= size))[0])
             raise IndexRangeError(
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
+    out = None if _spare is None else _spare.view(np.int64).reshape(batch.rows.shape)
     return _from_keys(batch.nrows, batch.ncols,
-                      _keys(batch.rows, batch.ncols, batch.cols).ravel(),
-                      batch.vals)
+                      _keys(batch.rows, batch.ncols, batch.cols, out).ravel(),
+                      batch.vals, _owned=_spare is not None)
 
 
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Entrywise sum, canonical output, exact-zero results dropped.
 
     The entries of ``a`` come before those of ``b``.  Both operands are
-    canonical, so their keys form two sorted runs that the stable sort
-    merges in linear time; repeated accumulation (matrix += batch) stays
+    canonical, so their keys form two sorted runs that timsort merges in
+    linear time; repeated accumulation (matrix += batch) stays
     linear in the result size.
     """
     if a.shape != b.shape:
@@ -215,7 +254,7 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return _from_keys(a.nrows, a.ncols,
                       np.concatenate([_keys(m.row_indices(), m.ncols, m.col_idx)
                                       for m in (a, b)]),
-                      np.concatenate([a.vals, b.vals]), _runs=True)
+                      np.concatenate([a.vals, b.vals]), _runs=True, _owned=True)
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
@@ -244,9 +283,20 @@ def write_matrixmarket(a: SparseMatrix, path) -> None:
     with open(path, "w") as f:
         f.write(_MM_HEADER + "\n")
         f.write(f"{a.nrows} {a.ncols} {a.nnz}\n")
-        rows = a.row_indices()
-        for i, j, v in zip(rows, a.col_idx, a.vals):
-            f.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        _write_lines(f, "%d %d %.17g\n", a.row_indices() + 1, a.col_idx + 1, a.vals)
+
+
+# Lines per string that the writers format: the per-chunk overhead is
+# negligible, and the strings and Python objects of a chunk stay near 1 MiB.
+_WRITE_CHUNK = 8192
+
+
+def _write_lines(f, fmt: str, *columns) -> None:
+    """Write ``fmt % row`` for every row of the equal-length ``columns``,
+    ``_WRITE_CHUNK`` rows per joined string."""
+    for s in range(0, len(columns[0]), _WRITE_CHUNK):
+        rows = zip(*(c[s:s + _WRITE_CHUNK].tolist() for c in columns))
+        f.write("".join(map(fmt.__mod__, rows)))
 
 
 def _loadtxt(source, error, where, **kwargs):

@@ -307,10 +307,14 @@ def test_criterion_7_linear_complexity(report):
     [0.8, 1.3].  Absolute timings are machine-specific and not asserted."""
     t0 = time.perf_counter()
     with report(7, "linear complexity"):
-        # sizes where one assembly takes 0.4-2 s: scheduler jitter is a few
-        # percent of the median, and every refinement's working set exceeds
-        # the last-level cache, so no allocator/cache regime step masquerades
-        # as a complexity change inside the fit window
+        # sizes where one assembly takes about 0.1-1.5 s, so scheduler
+        # jitter is a few percent of the median.  The fit window does hold
+        # allocator and cache regime steps: a full-length optv2 array is
+        # 14.4, 28.9 and 57.5 MB at n = 316, 448 and 632, so glibc's 32 MiB
+        # mmap ceiling falls between the last two sizes (at n = 632 each
+        # such array is a fresh, page-faulted mapping, at n = 448 the heap
+        # reuses it), and a 105 MiB last-level cache, as on the 2-vCPU host
+        # the bound was set on, holds two of them at n = 448 but not at 632
         config = BenchConfig(matrix="stiffness", d=2,
                              variants=("optv2", "optv", "optvs"),
                              refinements=(316, 448, 632), reps=5)

@@ -126,14 +126,16 @@ def test_scalar_variants_agree(d, n, make):
 
 
 def test_optv1_and_optv2_are_bitwise_identical():
-    # both produce the same element-major triplet stream
-    mesh = generate_hypercube_mesh(2, 5)
-    kernel = StiffnessKernel(mesh)
-    a = assemble_optv1(mesh, kernel)
-    b = assemble_optv2(mesh, kernel)
-    assert np.array_equal(a.vals, b.vals)
-    assert np.array_equal(a.col_idx, b.col_idx)
-    assert np.array_equal(a.row_ptr, b.row_ptr)
+    # both produce the same element-major triplet stream; optv2 hands the
+    # constructor its own buffers, optv1 new lists.  The shuffled mesh's
+    # 73,728 triplets span several of the constructor's in-place chunks.
+    for mesh in (generate_hypercube_mesh(2, 5), shuffled_mesh(2, 64, seed=3)):
+        kernel = StiffnessKernel(mesh)
+        a = assemble_optv1(mesh, kernel)
+        b = assemble_optv2(mesh, kernel)
+        assert np.array_equal(a.vals, b.vals)
+        assert np.array_equal(a.col_idx, b.col_idx)
+        assert np.array_equal(a.row_ptr, b.row_ptr)
 
 
 def test_optvs_requires_symmetric_kernel():
@@ -199,9 +201,10 @@ def test_batch_counts_per_strategy(monkeypatch):
     # kernel, so every strategy must call through both
     calls = collections.Counter()
     for name in ("sparse_from_triplets", "add", "transpose"):
-        def counted(*args, _name=name, _real=getattr(simplex_asm.assembly, name)):
+        def counted(*args, _name=name, _real=getattr(simplex_asm.assembly, name),
+                    **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
         monkeypatch.setattr(simplex_asm.assembly, name, counted)
 
     mesh = generate_hypercube_mesh(2, 2)

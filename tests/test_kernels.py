@@ -33,6 +33,7 @@ from oracles import (
     voigt_strain_basis,
 )
 from test_assembly import shuffled_mesh
+from test_mesh import DEGENERATE
 
 REF_TRI = Mesh.from_arrays(np.array([[0., 1., 0.], [0., 0., 1.]]),
                            np.array([[0], [1], [2]]))
@@ -103,7 +104,7 @@ def test_gradients_scale_inversely():
     assert np.allclose(grads[0], [[-0.5, -0.5], [0.5, 0], [0, 0.5]], atol=0)
 
 
-@pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 2)])
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 2), (4, 2)])
 def test_gradient_partition_of_unity(d, n):
     mesh = generate_hypercube_mesh(d, n)
     grads = compute_gradients(mesh)
@@ -111,14 +112,33 @@ def test_gradient_partition_of_unity(d, n):
     assert np.abs(grads.sum(axis=1)).max() <= bound
 
 
-@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 2)])
 def test_gradients_solve_their_defining_system(d, n):
+    # d = 4 takes the general solve, d <= 3 the closed-form cofactors
     mesh = generate_hypercube_mesh(d, n)
     grads = compute_gradients(mesh)
     ref = reference_gradients(d)
     for k in range(mesh.nme):
         edges = mesh.q[:, mesh.me[1:, k]] - mesh.q[:, mesh.me[0, k]][:, None]
         assert np.allclose(edges.T @ grads[k].T, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("d,n", [(1, 40), (2, 12), (3, 5)])
+def test_closed_form_geometry_matches_lu_solve(d, n):
+    # the closed-form cofactors against LAPACK's LU, element by element,
+    # on jittered meshes whose local vertex order is shuffled
+    mesh = shuffled_mesh(d, n, seed=20 + d)
+    edges = mesh.q[:, mesh.me[1:]] - mesh.q[:, mesh.me[0]][:, None, :]
+    bmats = np.moveaxis(edges, 2, 0)
+    rhs = np.broadcast_to(reference_gradients(d), (mesh.nme, d, d + 1))
+    want = np.linalg.solve(bmats.transpose(0, 2, 1), rhs).transpose(0, 2, 1)
+    grads = compute_gradients(mesh)
+    assert grads.shape == (mesh.nme, d + 1, d)
+    assert grads.transpose(1, 2, 0).flags.c_contiguous   # the layout kernels read
+    err = np.abs(grads - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+    vols = np.abs(np.linalg.det(bmats)) / math.factorial(d)
+    assert np.all(np.abs(mesh.vols - vols) <= 1e-14 * vols)
 
 
 def test_gradients_match_finite_differences():
@@ -144,13 +164,12 @@ def test_gradients_match_block_diagonal_solve():
 
 
 def test_gradients_degenerate_error_names_element():
-    q = np.array([[0., 1., 0., 2.], [0., 0., 1., 0.]])
-    me = np.array([[0, 0], [1, 1], [2, 3]])
-    mesh = Mesh(q, me, np.array([0.5, 0.5]))   # bypass volume check
     from simplex_asm import DegenerateSimplexError
-    with pytest.raises(DegenerateSimplexError) as err:
-        compute_gradients(mesh)
-    assert err.value.element == 1
+    for q, me in DEGENERATE.values():
+        mesh = Mesh(q, me, np.array([0.5, 0.5]))   # bypass volume check
+        with pytest.raises(DegenerateSimplexError) as err:
+            compute_gradients(mesh)
+        assert err.value.element == 1
 
 
 @pytest.mark.parametrize("rows", [2, 4])

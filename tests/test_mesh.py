@@ -76,12 +76,24 @@ def test_volumes_of_reference_simplices():
     assert scaled.vols[0] == pytest.approx(2.0, abs=0)
 
 
+# in each dimension the second simplex is flat: a point, collinear or
+# coplanar vertices, whose closed-form determinant is exactly zero
+DEGENERATE = {
+    1: (np.array([[0., 1., 1.]]), np.array([[0, 1], [1, 2]])),
+    2: (np.array([[0., 1., 0., 2.], [0., 0., 1., 0.]]),
+        np.array([[0, 0], [1, 1], [2, 3]])),
+    3: (np.array([[0., 1., 0., 0., 1.], [0., 0., 1., 0., 1.],
+                  [0., 0., 0., 1., 0.]]),
+        np.array([[0, 0], [1, 1], [2, 2], [3, 4]])),
+}
+
+
 def test_degenerate_simplex_is_named():
-    q = np.array([[0., 1., 0., 2.], [0., 0., 1., 0.]])
-    me = np.array([[0, 0], [1, 1], [2, 3]])   # second triangle is flat
-    with pytest.raises(DegenerateSimplexError) as err:
-        compute_volumes(q, me)
-    assert err.value.element == 1
+    for q, me in DEGENERATE.values():
+        with pytest.raises(DegenerateSimplexError) as err:
+            compute_volumes(q, me)
+        assert err.value.element == 1
+        assert compute_volumes(q, me[:, :1])[0] > 0.0
 
 
 def test_validate_catches_tampering():

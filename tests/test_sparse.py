@@ -168,10 +168,11 @@ def test_max_abs_diff():
 
 def test_canonical_form():
     rng = np.random.default_rng(7)
-    for nrows, ncols in ((30, 30), (30, 41)):
-        rows = rng.integers(0, nrows, size=500)
-        cols = rng.integers(0, ncols, size=500)
-        vals = rng.standard_normal(500)
+    # the last batch spans several of the constructor's in-place chunks
+    for nrows, ncols, n in ((30, 30, 500), (30, 41, 500), (30, 41, 3 * 2**15 + 5)):
+        rows = rng.integers(0, nrows, size=n)
+        cols = rng.integers(0, ncols, size=n)
+        vals = rng.standard_normal(n)
         vals[::7] = 0.0
         inputs = [rows, cols, vals]
         copies = [x.copy() for x in inputs]
@@ -286,8 +287,17 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     nrows, ncols, n = 2**21, 2**21 + (bits - 63), 2**20 + 1
     assert packed_bits(nrows, ncols, n) == bits
     rows, cols, vals = tie_heavy(rng, nrows, ncols, n)
+    inputs = [rows, cols, vals]
+    copies = [x.copy() for x in inputs]
     m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
+    # the optv2 engine's route: the constructor overwrites the batch's
+    # values and a spare buffer, both the engine's own, across 32 chunks
+    m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals.copy()),
+                             _spare=np.empty(n))
+    assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
+    for x, before in zip(inputs, copies):
+        assert x.tobytes() == before.tobytes()
     a = sparse_from_triplets(TripletBatch(nrows, ncols, *distinct(rng, nrows, ncols, n)))
     assert a.nnz == n
     assert_csr_bitwise(transpose(a), ncols, nrows, a.col_idx, a.row_indices(), a.vals)
