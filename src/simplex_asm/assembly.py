@@ -94,12 +94,13 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         # element-major stream, each element's block column by column; a
         # copy even where the transpose is contiguous (nme = 1)
         vals = pairs.T.flatten()
+        del pairs  # so that the constructor's keys are the only other buffer
         shape = (nme, size, size)
         rows = np.broadcast_to(table.T[:, None, :], shape)
         cols = np.broadcast_to(table.T[:, :, None], shape)
-        # both full-length buffers are ours, so the constructor reuses them
+        # the values are ours, so the constructor overwrites them in place
         return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals),
-                                    _spare=pairs)
+                                    _owned=True)
 
     if strategy in ("base", "optv1"):
         single = kernel.single

@@ -79,8 +79,6 @@ def _run_bench(args, parser) -> int:
         k=args.order,
         reps=args.reps,
         mode=args.mode,
-        out=args.out,
-        fmt=args.fmt,
     )
     try:
         config.validate()
@@ -89,9 +87,9 @@ def _run_bench(args, parser) -> int:
     result = run_bench(config)
     for line in result.messages:
         print(line)
-    table = emit_table(result.records, config.fmt)
-    if config.out:
-        with open(config.out, "w") as f:
+    table = emit_table(result.records, args.fmt)
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(table)
     else:
         sys.stdout.write(table)
@@ -124,6 +122,8 @@ def _run_assemble(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.order != 1 and args.matrix != "mass-pk":
+        parser.error(f"--order {args.order} applies to --matrix mass-pk only")
     try:
         if args.command == "bench":
             return _run_bench(args, parser)

@@ -7,16 +7,17 @@ each other in order of appearance, and a left-to-right ``bincount`` sums
 them.  The stable order comes from numpy's default (unstable, SIMD) sort
 of words ``key << shift | position``, which are distinct; ``add``, whose
 keys are two presorted runs, sorts the words with timsort, and a stable
-argsort of the keys is used when the words would not fit in 63 bits.  The one-shot ``optv2``
-batch hands the constructor both of its full-length buffers, which the
-sort and the sums then reuse.  Sums that are exactly 0.0 are dropped, so
-no exact zero is ever stored, and results are deterministic.  ``add``
-(keys of ``a`` before those of ``b``), ``transpose``, ``max_abs_diff``
-and the MatrixMarket reader use the same routine.  Shapes whose keys
-overflow int64 raise ``CapacityError`` where they enter: ``TripletBatch``
-and the MatrixMarket size line.  The MatrixMarket reader parses the
-entries with one ``np.loadtxt`` over the open file; the writers format
-their lines in chunks.
+argsort of the keys is used when the words would not fit in 63 bits.  The
+constructor overwrites the keys and values it is given, so each caller
+passes arrays made for the call: ``optv2`` its own values, ``add`` and the
+reader the arrays they built, the others a copy.  Sums that are exactly
+0.0 are dropped, so no exact zero is ever stored, and results are
+deterministic.  ``add`` (keys of ``a`` before those of ``b``),
+``transpose``, ``max_abs_diff`` and the MatrixMarket reader use the same
+routine.  Shapes whose keys overflow int64 raise ``CapacityError`` where
+they enter: ``TripletBatch`` and the MatrixMarket size line.  The
+MatrixMarket reader parses the entries with one ``np.loadtxt`` over the
+open file; the writers format their lines in chunks.
 """
 
 from __future__ import annotations
@@ -134,17 +135,16 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
 _CHUNK = 1 << 15
 
 
-def _from_keys(nrows, ncols, keys, vals, *, _runs=False, _owned=False) -> SparseMatrix:
+def _from_keys(nrows, ncols, keys, vals, *, _runs=False) -> SparseMatrix:
     """Merge triplets given as keys ``row*ncols + col`` into canonical CSR.
 
     The only constructor of canonical matrices.  Assumes indices already
     validated and ``nrows*ncols`` within int64.  Sums duplicates in order
     of appearance and drops sums that are exactly 0.0.  Inputs of exactly
     0.0 change no sum: the running sums start at +0.0 and are never -0.0,
-    and x + 0.0 is x.  ``keys`` must be a new int64 array made for this
-    call, which is overwritten.  ``vals`` is overwritten only when
-    ``_owned`` says that the caller made it for this call too; otherwise
-    one new array of its length is allocated.
+    and x + 0.0 is x.  ``keys`` (int64) and ``vals`` (float64) must be
+    arrays made for this call: both are overwritten, and no other array
+    of their length is allocated.
 
     Each key is packed with its input position into one int64 word,
     ``key << shift | position``, in the keys' own memory.  The words are
@@ -155,8 +155,8 @@ def _from_keys(nrows, ncols, keys, vals, *, _runs=False, _owned=False) -> Sparse
     starts and the unique keys are read off the sorted words, the words
     are masked down to input positions, and the values are gathered into
     the same memory chunk by chunk; the group numbers of the sum then go
-    into the spent ``vals`` (or the one new array).  When the words would
-    not fit in 63 bits, a stable argsort of the keys is used instead.
+    into the spent ``vals``.  When the words would not fit in 63 bits, a
+    stable argsort of the keys is used instead.
     """
     n = len(vals)
     if n == 0:
@@ -190,7 +190,7 @@ def _from_keys(nrows, ncols, keys, vals, *, _runs=False, _owned=False) -> Sparse
         # overwrites only the positions it has just read
         for s in range(0, n, _CHUNK):
             keys.view(np.float64)[s:s + _CHUNK] = vals[keys[s:s + _CHUNK]]
-        groups = vals.view(np.int64) if _owned else np.empty(n, dtype=np.int64)
+        groups = vals.view(np.int64)
         vals = keys.view(np.float64)
     del keys
 
@@ -212,21 +212,20 @@ def _from_keys(nrows, ncols, keys, vals, *, _runs=False, _owned=False) -> Sparse
     return SparseMatrix(nrows, ncols, row_ptr, uniq, sums)
 
 
-def _keys(rows, ncols, cols, out=None) -> np.ndarray:
-    """The keys ``rows*ncols + cols`` as a new int64 array, or in ``out``."""
-    keys = np.multiply(rows, ncols, out=out)
+def _keys(rows, ncols, cols) -> np.ndarray:
+    """New int64 keys ``rows*ncols + cols`` in C order, so ravel copies nothing."""
+    keys = np.multiply(rows, ncols, order="C")
     keys += cols
     return keys
 
 
-def sparse_from_triplets(batch: TripletBatch, *, _spare=None) -> SparseMatrix:
+def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch.
 
-    The batch's arrays are never written.  ``_spare`` is private to the
-    ``optv2`` engine: a C-contiguous float64 array of the batch's size
-    that the engine allocated and no longer reads, passed together with a
-    ``batch.vals`` that it allocated too.  The construction then
-    overwrites both and allocates no other array of that length.
+    The batch's index arrays are never written, and its values are copied
+    for the constructor, which overwrites them.  ``_owned`` is private to
+    the ``optv2`` engine, which made ``batch.vals`` for this call and no
+    longer reads it: the constructor then overwrites it instead of a copy.
     """
     for name, idx, size in (("row", batch.rows, batch.nrows),
                             ("col", batch.cols, batch.ncols)):
@@ -235,10 +234,9 @@ def sparse_from_triplets(batch: TripletBatch, *, _spare=None) -> SparseMatrix:
             raise IndexRangeError(
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
-    out = None if _spare is None else _spare.view(np.int64).reshape(batch.rows.shape)
     return _from_keys(batch.nrows, batch.ncols,
-                      _keys(batch.rows, batch.ncols, batch.cols, out).ravel(),
-                      batch.vals, _owned=_spare is not None)
+                      _keys(batch.rows, batch.ncols, batch.cols).ravel(),
+                      batch.vals if _owned else batch.vals.copy())
 
 
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -254,12 +252,12 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return _from_keys(a.nrows, a.ncols,
                       np.concatenate([_keys(m.row_indices(), m.ncols, m.col_idx)
                                       for m in (a, b)]),
-                      np.concatenate([a.vals, b.vals]), _runs=True, _owned=True)
+                      np.concatenate([a.vals, b.vals]), _runs=True)
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
     return _from_keys(a.ncols, a.nrows,
-                      _keys(a.col_idx, a.nrows, a.row_indices()), a.vals)
+                      _keys(a.col_idx, a.nrows, a.row_indices()), a.vals.copy())
 
 
 def max_abs_diff(a: SparseMatrix, b: SparseMatrix) -> float:

@@ -127,7 +127,7 @@ def test_bench_markdown_to_stdout(capsys):
     assert "| ndof |" in capsys.readouterr().out
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--matrix", "heat", "--dim", "2"])
     assert exc.value.code == 2
@@ -149,3 +149,13 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # --order is the lattice order of mass-pk; no other matrix reads it
+    for argv in (["assemble", "--matrix", "stiffness", "--mesh", "x",
+                  "--order", "3", "--out", "y"],
+                 ["bench", "--matrix", "mass", "--dim", "2", "--order", "4"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--order" in err and "mass-pk" in err

@@ -292,9 +292,9 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
     # the optv2 engine's route: the constructor overwrites the batch's
-    # values and a spare buffer, both the engine's own, across 32 chunks
+    # values, the engine's own, in place across 32 chunks
     m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals.copy()),
-                             _spare=np.empty(n))
+                             _owned=True)
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
     for x, before in zip(inputs, copies):
         assert x.tobytes() == before.tobytes()
