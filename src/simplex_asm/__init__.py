@@ -28,6 +28,7 @@ from .errors import (
     MatrixFormatError,
     MeshFormatError,
     MeshValidationError,
+    NonCanonicalMatrixError,
     NonSymmetricKernelError,
     RangeGuardError,
     ShapeMismatchError,

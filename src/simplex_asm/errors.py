@@ -43,3 +43,8 @@ class NonSymmetricKernelError(SimplexAsmError):
 
 class RangeGuardError(SimplexAsmError):
     """An argument lies outside the supported parameter range."""
+
+
+class NonCanonicalMatrixError(SimplexAsmError):
+    """A sparse operand is not in canonical form (strictly increasing
+    column indices within each row)."""

@@ -1,23 +1,30 @@
 """Triplet-accumulating sparse matrix construction and small CSR algebra.
 
-Every canonical matrix comes from one keyed sort (``_from_keys``): entry
-(row, col) of an nrows-by-ncols matrix gets the int64 key
+Every matrix built from triplets comes from one keyed sort (``_from_keys``):
+entry (row, col) of an nrows-by-ncols matrix gets the int64 key
 ``row*ncols + col``, a stable sort of the keys puts duplicates next to
 each other in order of appearance, and a left-to-right ``bincount`` sums
 them.  The stable order comes from numpy's default (unstable, SIMD) sort
-of words ``key << shift | position``, which are distinct; ``add``, whose
-keys are two presorted runs, sorts the words with timsort, and a stable
-argsort of the keys is used when the words would not fit in 63 bits.  The
+of words ``key << shift | position``, which are distinct; a stable argsort
+of the keys is used when the words would not fit in 63 bits.  The
 constructor overwrites the keys and values it is given, so each caller
-passes arrays made for the call: ``optv2`` its own values, ``add`` and the
-reader the arrays they built, the others a copy.  Sums that are exactly
-0.0 are dropped, so no exact zero is ever stored, and results are
-deterministic.  ``add`` (keys of ``a`` before those of ``b``),
-``transpose``, ``max_abs_diff`` and the MatrixMarket reader use the same
-routine.  Shapes whose keys overflow int64 raise ``CapacityError`` where
-they enter: ``TripletBatch`` and the MatrixMarket size line.  The
-MatrixMarket reader parses the entries with one ``np.loadtxt`` over the
-open file; the writers format their lines in chunks.
+passes arrays made for the call: ``optv2`` its own values, the reader the
+arrays it built, the others a copy.  Sums that are exactly 0.0 are
+dropped, so no exact zero is ever stored, and results are deterministic.
+``transpose`` and the MatrixMarket reader use the same routine.
+
+``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
+canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
+locates the keys of ``b`` among those of ``a`` with one binary search and
+interleaves the two in one pass, adding the values of ``b`` to the equal
+keys of ``a``; the result is bit-identical to constructing the
+concatenated triplets, ``a``'s first.  Operands whose keys do not strictly
+increase raise ``NonCanonicalMatrixError``.
+
+Shapes whose keys overflow int64 raise ``CapacityError`` where they
+enter: ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
+reader parses the entries with one ``np.loadtxt`` over the open file; the
+writers format their lines in chunks.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .errors import (
     CapacityError,
     IndexRangeError,
     MatrixFormatError,
+    NonCanonicalMatrixError,
     ShapeMismatchError,
 )
 
@@ -135,10 +143,11 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
 _CHUNK = 1 << 15
 
 
-def _from_keys(nrows, ncols, keys, vals, *, _runs=False) -> SparseMatrix:
+def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     """Merge triplets given as keys ``row*ncols + col`` into canonical CSR.
 
-    The only constructor of canonical matrices.  Assumes indices already
+    The only constructor of canonical matrices from triplets (``add``
+    merges two canonical matrices without it).  Assumes indices already
     validated and ``nrows*ncols`` within int64.  Sums duplicates in order
     of appearance and drops sums that are exactly 0.0.  Inputs of exactly
     0.0 change no sum: the running sums start at +0.0 and are never -0.0,
@@ -149,13 +158,11 @@ def _from_keys(nrows, ncols, keys, vals, *, _runs=False) -> SparseMatrix:
     Each key is packed with its input position into one int64 word,
     ``key << shift | position``, in the keys' own memory.  The words are
     distinct, so numpy's default (unstable, SIMD) sort of them is exactly
-    the stable order of the keys, on every platform.  When ``_runs`` says
-    that the keys are two presorted runs (``add``), the words are sorted
-    with timsort instead, which merges the runs in linear time.  The run
-    starts and the unique keys are read off the sorted words, the words
-    are masked down to input positions, and the values are gathered into
-    the same memory chunk by chunk; the group numbers of the sum then go
-    into the spent ``vals``.  When the words would not fit in 63 bits, a
+    the stable order of the keys, on every platform.  The run starts and
+    the unique keys are read off the sorted words, the words are masked
+    down to input positions, and the values are gathered into the same
+    memory chunk by chunk; the group numbers of the sum then go into the
+    spent ``vals``.  When the words would not fit in 63 bits, a
     stable argsort of the keys is used instead.
     """
     n = len(vals)
@@ -177,7 +184,7 @@ def _from_keys(nrows, ncols, keys, vals, *, _runs=False) -> SparseMatrix:
         keys <<= shift
         for s in range(0, n, _CHUNK):
             keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, n))
-        keys.sort(kind="stable" if _runs else None)
+        keys.sort()
         # neighbours share a key iff they differ in the position bits only
         for s in range(1, n, _CHUNK):
             e = min(s + _CHUNK, n)
@@ -239,20 +246,78 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
                       batch.vals if _owned else batch.vals.copy())
 
 
+def _canonical_keys(m: SparseMatrix, name: str) -> np.ndarray:
+    """New int64 keys ``row*ncols + col`` of ``m``'s stored entries.
+
+    Raises NonCanonicalMatrixError, naming operand ``name`` and the first
+    stored position, unless the keys strictly increase.
+    """
+    keys = m.row_indices()
+    keys *= m.ncols
+    keys += m.col_idx
+    bad = keys[1:] <= keys[:-1]
+    if bad.any():
+        pos = int(bad.argmax()) + 1
+        raise NonCanonicalMatrixError(
+            f"operand {name}: stored entry {pos} (row {keys[pos] // m.ncols}, "
+            f"col {m.col_idx[pos]}) is out of order or repeated in its row"
+        )
+    return keys
+
+
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Entrywise sum, canonical output, exact-zero results dropped.
 
-    The entries of ``a`` come before those of ``b``.  Both operands are
-    canonical, so their keys form two sorted runs that timsort merges in
-    linear time; repeated accumulation (matrix += batch) stays
-    linear in the result size.
+    A linear merge of two canonical operands: one binary search locates
+    the keys of ``b`` among those of ``a``, the entries of ``a`` fill the
+    slots that ``b``'s new keys leave free, and the values of ``b`` are
+    added to equal keys after ``a``'s are copied.  Each stored sum is
+    ``a_ij + b_ij``, which is what the constructor gives for the
+    concatenated triplets, ``a``'s first, since a canonical operand stores
+    no zero.  Repeated accumulation (matrix += batch) therefore costs
+    time linear in the result size and no sort.  Raises
+    NonCanonicalMatrixError when either operand's keys do not strictly
+    increase.  The result never shares memory with an operand.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
-    return _from_keys(a.nrows, a.ncols,
-                      np.concatenate([_keys(m.row_indices(), m.ncols, m.col_idx)
-                                      for m in (a, b)]),
-                      np.concatenate([a.vals, b.vals]), _runs=True)
+    ka, kb = _canonical_keys(a, "a"), _canonical_keys(b, "b")
+    # each key of b goes after its equal key in a, if any: ka[pos - 1].
+    # Where pos is 0, ka[-1] is larger than the key, so no false match
+    pos = np.searchsorted(ka, kb, side="right")
+    hit = ka[pos - 1] == kb if len(ka) else np.zeros(len(kb), dtype=bool)
+    del ka, kb
+    new = ~hit
+    # the running count of b's new keys, read at b's row starts, shifts
+    # a's row starts; read at b's entries, it shifts their slots
+    count = np.zeros(len(new) + 1, dtype=np.int64)
+    np.cumsum(new, out=count[1:])
+    row_ptr = a.row_ptr + count[b.row_ptr]
+    pos += count[1:]
+    pos -= 1
+    del count
+    new_slots, hit_slots = pos[new], pos[hit]
+    del pos
+
+    n = a.nnz + len(new_slots)
+    from_a = np.ones(n, dtype=bool)
+    from_a[new_slots] = False
+    col_idx = np.empty(n, dtype=np.int64)
+    col_idx[from_a] = a.col_idx
+    col_idx[new_slots] = b.col_idx[new]
+    vals = np.empty(n, dtype=np.float64)
+    vals[from_a] = a.vals
+    del from_a
+    vals[new_slots] = b.vals[new]
+    vals[hit_slots] += b.vals[hit]
+
+    if (vals[hit_slots] == 0.0).any():
+        keep = vals != 0.0
+        dropped = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(~keep, out=dropped[1:])
+        row_ptr -= dropped[row_ptr]
+        col_idx, vals = col_idx[keep], vals[keep]
+    return SparseMatrix(a.nrows, a.ncols, row_ptr, col_idx, vals)
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
@@ -329,14 +394,15 @@ def read_matrixmarket(path) -> SparseMatrix:
                 f"{path}: negative size on size line {line.strip()!r}"
             )
         _check_key_range(nrows, ncols)
-        i, j, v = _loadtxt(f, MatrixFormatError, f"{path}: entries",
+        entries = _loadtxt(f, MatrixFormatError, f"{path}: entries",
                            dtype=[("i", np.int64), ("j", np.int64),
                                   ("v", np.float64)],
-                           comments="%", ndmin=1, unpack=True)
-    if len(v) != nnz:
+                           comments="%", ndmin=1)
+    if len(entries) != nnz:
         raise MatrixFormatError(
-            f"{path}: size line declares {nnz} entries, found {len(v)}"
+            f"{path}: size line declares {nnz} entries, found {len(entries)}"
         )
+    i, j = entries["i"], entries["j"]
     bad = (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
     if bad.any():
         pos = int(np.flatnonzero(bad)[0])
@@ -344,4 +410,9 @@ def read_matrixmarket(path) -> SparseMatrix:
             f"{path}: entry {pos}: one-based index ({i[pos]}, {j[pos]}) "
             f"outside {nrows}x{ncols}"
         )
-    return _from_keys(nrows, ncols, (i - 1) * ncols + (j - 1), v)
+    keys = (i - 1) * ncols + (j - 1)
+    # the values are copied out of the records (24 bytes per entry), so that
+    # the records are freed before the construction
+    vals = entries["v"].copy()
+    del entries, i, j, bad
+    return _from_keys(nrows, ncols, keys, vals)
