@@ -9,7 +9,6 @@ degrees of freedom, and mass matrices on higher-order node lattices.
 from .assembly import (
     SCALAR_DRIVERS,
     VECTOR_DRIVERS,
-    ScalarAsVectorKernel,
     assemble_base,
     assemble_mass_pk,
     assemble_optv,

@@ -1,12 +1,12 @@
 """Global matrix assembly: one engine, five strategies.
 
-Every driver runs the same engine over a vector kernel with ``m`` coupled
-unknowns per node; a scalar kernel enters as the m = 1 case through
-``ScalarAsVectorKernel``.  On an element with ``nloc`` local nodes the
-engine numbers the ``L = m*nloc`` local degrees of freedom component-major,
-``ii = l*nloc + alpha`` for component l of local node alpha, and maps
-them to the interleaved global numbering: component l of node i is row
-``m*i + l``.  At m = 1 the local dof is the local node.
+Every driver runs the same engine.  A kernel with a system size ``m`` is a
+vector kernel, coupling ``m`` unknowns per node, and takes each local dof
+as ``(l, alpha)``; a kernel without ``m`` is scalar (m = 1) and takes it as
+``(alpha,)``.  On an element with ``nloc`` local nodes the engine numbers
+the ``L = m*nloc`` local dofs component-major, ``ii = l*nloc + alpha`` for
+component l of local node alpha, and maps them to the interleaved global
+numbering: component l of node i is row ``m*i + l``.
 
 The five strategies build the same matrix with different loop and storage
 structure:
@@ -25,8 +25,8 @@ structure:
 column (``jj`` outer, ``ii`` inner); ``optvs`` sweeps its triangle row by
 row.  The one-shot strategies hand the constructor an element-major
 triplet stream, so their duplicates are summed in element order and
-``optv1`` and ``optv2`` are bitwise identical.  For m = 1 every strategy
-reproduces the scalar loops of the paper triplet for triplet.
+``optv1`` and ``optv2`` are bitwise identical.  For a scalar kernel every
+strategy reproduces the scalar loops of the paper triplet for triplet.
 """
 
 from __future__ import annotations
@@ -48,35 +48,21 @@ from .sparse import (
 STRATEGIES = ("base", "optv1", "optv2", "optv", "optvs")
 
 
-class ScalarAsVectorKernel:
-    """Present a scalar kernel as an m = 1 vector kernel."""
-
-    m = 1
-
-    def __init__(self, kernel):
-        self._kernel = kernel
-        self.symmetric = kernel.symmetric
-
-    def batched(self, l, alpha, n, beta):
-        return self._kernel.batched(alpha, beta)
-
-    def single(self, l, alpha, n, beta, k):
-        return self._kernel.single(alpha, beta, k)
-
-
 def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     """Assemble ``kernel`` over ``mesh`` (a Mesh or a PkMesh) with one of
     the five strategies."""
-    m = kernel.m
+    vector = hasattr(kernel, "m")
+    m = kernel.m if vector else 1
     nloc, nme = mesh.me.shape
     ndof = m * mesh.nq
     size = m * nloc
-    local = [divmod(ii, nloc) for ii in range(size)]       # ii -> (l, alpha)
+    # ii -> the kernel's index of local dof ii: (l, alpha), or (alpha,)
+    local = [divmod(ii, nloc) if vector else (ii,) for ii in range(size)]
     columns = [(ii, jj) for jj in range(size) for ii in range(size)]
 
     def dofs(ii):
         """Global dof of local dof ii on every element."""
-        l, alpha = local[ii]
+        l, alpha = divmod(ii, nloc)
         return mesh.me[alpha] if m == 1 else m * mesh.me[alpha] + l
 
     def batch(ii, jj) -> TripletBatch:
@@ -127,44 +113,38 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
                     vals.append(single(*lanb, k))
         return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals))
 
-    if strategy == "optv":
-        out = empty_matrix(ndof, ndof)
-        for ii, jj in columns:
-            out = add(out, sparse_from_triplets(batch(ii, jj)))
-        return out
-
-    if strategy == "optvs":
-        if not kernel.symmetric:
+    if strategy in ("optv", "optvs"):
+        symmetric = strategy == "optvs"
+        if symmetric and not kernel.symmetric:
             raise NonSymmetricKernelError(
                 "the symmetrized driver requires a kernel flagged symmetric"
             )
+        pairs = ([(ii, jj) for ii in range(size) for jj in range(ii + 1, size)]
+                 if symmetric else columns)
         out = empty_matrix(ndof, ndof)
-        for ii in range(size):
-            for jj in range(ii + 1, size):
-                out = add(out, sparse_from_triplets(batch(ii, jj)))
-        out = add(out, transpose(out))
-        for ii in range(size):
-            out = add(out, sparse_from_triplets(batch(ii, ii)))
+        for ii, jj in pairs:
+            out = add(out, sparse_from_triplets(batch(ii, jj)))
+        if symmetric:
+            out = add(out, transpose(out))
+            for ii in range(size):
+                out = add(out, sparse_from_triplets(batch(ii, ii)))
         return out
 
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _driver(strategy: str, vector: bool):
+def _driver(strategy: str):
     def drive(mesh: Mesh, kernel) -> SparseMatrix:
-        if not vector:
-            kernel = ScalarAsVectorKernel(kernel)
         return _assemble(mesh, kernel, strategy)
 
-    kind = "vector" if vector else "scalar"
-    drive.__name__ = drive.__qualname__ = (
-        f"assemble_{'vector_' if vector else ''}{strategy}")
-    drive.__doc__ = f"Assemble a {kind} kernel with the {strategy!r} strategy."
+    drive.__name__ = drive.__qualname__ = f"assemble_{strategy}"
+    drive.__doc__ = f"Assemble a kernel with the {strategy!r} strategy."
     return drive
 
 
-SCALAR_DRIVERS = {s: _driver(s, vector=False) for s in STRATEGIES}
-VECTOR_DRIVERS = {s: _driver(s, vector=True) for s in STRATEGIES if s != "optv1"}
+# the paper defines no vector OptV1; every other strategy serves both kinds
+SCALAR_DRIVERS = {s: _driver(s) for s in STRATEGIES}
+VECTOR_DRIVERS = {s: SCALAR_DRIVERS[s] for s in STRATEGIES if s != "optv1"}
 
 assemble_base = SCALAR_DRIVERS["base"]
 assemble_optv1 = SCALAR_DRIVERS["optv1"]

@@ -26,6 +26,9 @@ from .mesh import build_pk_mesh, generate_hypercube_mesh
 from .sparse import max_abs, max_abs_diff
 
 MATRICES = ("mass", "stiffness", "elastic", "mass-pk")
+# the kernel class of every matrix but mass-pk, built from the mesh alone
+KERNELS = {"mass": MassKernel, "stiffness": StiffnessKernel,
+           "elastic": ElasticKernel}
 MODES = ("time", "verify", "memory")
 
 VARIANTS_FOR = {
@@ -123,6 +126,7 @@ class _Problem:
         self.matrix = matrix
         self.d = d
         self.k = k
+        self.m = d if matrix == "elastic" else 1   # unknowns per node
         self.coeffs = pk_mass_coeffs(d, k) if matrix == "mass-pk" else None
 
     def setup(self, n: int):
@@ -132,25 +136,16 @@ class _Problem:
         return mesh
 
     def ndof(self, ctx) -> int:
-        if self.matrix == "elastic":
-            return self.d * ctx.nq
-        return ctx.nq
+        return self.m * ctx.nq
 
-    def local_dofs(self) -> int:
-        if self.matrix == "elastic":
-            return self.d * (self.d + 1)
-        if self.matrix == "mass-pk":
-            return self.coeffs.ndfe
-        return self.d + 1
+    def local_dofs(self, ctx) -> int:
+        return self.m * ctx.me.shape[0]
 
     def assemble(self, ctx, variant: str):
-        if self.matrix == "mass":
-            return SCALAR_DRIVERS[variant](ctx, MassKernel(ctx))
-        if self.matrix == "stiffness":
-            return SCALAR_DRIVERS[variant](ctx, StiffnessKernel(ctx))
-        if self.matrix == "elastic":
-            return VECTOR_DRIVERS[variant](ctx, ElasticKernel(ctx))
-        return assemble_mass_pk(ctx, self.coeffs)
+        if self.matrix == "mass-pk":
+            return assemble_mass_pk(ctx, self.coeffs)
+        # one driver per strategy serves scalar and vector kernels alike
+        return SCALAR_DRIVERS[variant](ctx, KERNELS[self.matrix](ctx))
 
 
 def _reference_variant(variants, medians) -> str:
@@ -177,7 +172,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
     for n in config.refinements:
         ctx = problem.setup(n)
         ndof = problem.ndof(ctx)
-        ldof = problem.local_dofs()
+        ldof = problem.local_dofs(ctx)
 
         if config.mode == "memory":
             for v in config.variants:
@@ -212,11 +207,11 @@ def _time_sweep(result, config, problem) -> None:
             problem.assemble(ctxs[n], v)
             times[n, v].append(time.perf_counter() - t0)
 
-    ldof = problem.local_dofs()
     prev: dict = {}
     for n in config.refinements:
         ctx = ctxs[n]
         ndof = problem.ndof(ctx)
+        ldof = problem.local_dofs(ctx)
         medians: dict = {}
         stats: dict = {}
         for v in config.variants:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .assembly import SCALAR_DRIVERS, VECTOR_DRIVERS, assemble_mass_pk
-from .bench import MATRICES, MODES, VARIANTS_FOR, BenchConfig, emit_table, run_bench
+from .assembly import SCALAR_DRIVERS, assemble_mass_pk
+from .bench import (KERNELS, MATRICES, MODES, VARIANTS_FOR, BenchConfig,
+                    emit_table, run_bench)
 from .errors import SimplexAsmError
-from .kernels import ElasticKernel, MassKernel, StiffnessKernel, pk_mass_coeffs
+from .kernels import pk_mass_coeffs
 from .mesh import build_pk_mesh, read_mesh
 from .sparse import write_matrixmarket
 
@@ -107,12 +108,8 @@ def _run_assemble(args, parser) -> int:
     if args.matrix == "mass-pk":
         lattice = build_pk_mesh(mesh, args.order)
         matrix = assemble_mass_pk(lattice, pk_mass_coeffs(mesh.d, args.order))
-    elif args.matrix == "elastic":
-        matrix = VECTOR_DRIVERS[variant](mesh, ElasticKernel(mesh))
     else:
-        kernel = (MassKernel(mesh) if args.matrix == "mass"
-                  else StiffnessKernel(mesh))
-        matrix = SCALAR_DRIVERS[variant](mesh, kernel)
+        matrix = SCALAR_DRIVERS[variant](mesh, KERNELS[args.matrix](mesh))
     write_matrixmarket(matrix, args.out)
     print(f"wrote {matrix.nrows}x{matrix.ncols} matrix "
           f"({matrix.nnz} entries) to {args.out}")

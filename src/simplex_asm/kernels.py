@@ -271,12 +271,13 @@ def pk_mass_coeffs(d: int, k: int) -> PkCoeffTable:
 #
 # A scalar kernel exposes `batched(alpha, beta) -> (nme,)`,
 # `single(alpha, beta, k) -> float` and a `symmetric` flag; a vector kernel
-# additionally carries the system size `m` and takes (l, alpha, n, beta).
-# Both evaluate the kernel's one entry formula: `batched` through the module
-# function on whole-mesh arrays (gradients as the (d+1, d, nme) view
-# G[a][i] = grads[:, a, i]), `single` on `_flat[k]`, element k's values as
-# Python lists and floats.  Coefficient functions are evaluated at the mesh
-# nodes once, here, so the evaluators are pure array transforms.
+# takes (l, alpha, n, beta) and carries the system size `m`, by which the
+# engine tells the two apart.  Both evaluate the kernel's one entry formula:
+# `batched` through the module function on whole-mesh arrays (gradients as
+# the (d+1, d, nme) view G[a][i] = grads[:, a, i]), `single` on `_flat[k]`,
+# element k's values as Python lists and floats.  Coefficient functions are
+# evaluated at the mesh nodes once, here, so the evaluators are pure array
+# transforms.
 
 
 def _nodal_values(value, q: np.ndarray) -> np.ndarray:

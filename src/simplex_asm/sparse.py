@@ -277,7 +277,9 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     no zero.  Repeated accumulation (matrix += batch) therefore costs
     time linear in the result size and no sort.  Raises
     NonCanonicalMatrixError when either operand's keys do not strictly
-    increase.  The result never shares memory with an operand.
+    increase.  Stored zeros are not checked: an operand must store none,
+    or its 0.0 is carried into the result.  The result never shares
+    memory with an operand.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")

@@ -25,6 +25,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config(matrix="advection").validate()
     with pytest.raises(ValueError):
+        config(d=4).validate()
+    with pytest.raises(ValueError):
         config(matrix="elastic", d=1).validate()
     with pytest.raises(ValueError):
         config(reps=2).validate()
@@ -49,6 +51,8 @@ def test_aux_memory_accounting():
     assert aux_memory_bytes("base", 12, 100) == 144 * 8
     ratio = aux_memory_bytes("optv2", 12, 100) / aux_memory_bytes("optv", 12, 100)
     assert ratio == 144  # (d+1)^2 m^2 for the 3D elastic case
+    with pytest.raises(ValueError):
+        aux_memory_bytes("optv9", 12, 100)
 
 
 def test_time_mode_records():
@@ -75,9 +79,11 @@ def test_time_mode_speedup_reference_without_optvs():
     assert slowest.speedup == 1.0
 
 
-def test_verify_mode_passes():
-    result = run_bench(config(mode="verify",
-                              variants=("base", "optv1", "optv2", "optv", "optvs")))
+@pytest.mark.parametrize("matrix", bench_mod.MATRICES)
+def test_verify_mode_passes(matrix):
+    result = run_bench(config(matrix=matrix, k=2 if matrix == "mass-pk" else 1,
+                              mode="verify",
+                              variants=bench_mod.VARIANTS_FOR[matrix]))
     assert result.ok
     assert any(m.startswith("verify") for m in result.messages)
 

@@ -139,6 +139,9 @@ def test_usage_errors_exit_two(capsys):
               "--variants", "optv9"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["bench", "--matrix", "stiffness", "--dim", "2", "--refine", "8,x"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main(["assemble", "--matrix", "mass-pk", "--mesh", "x",
               "--variant", "optv", "--out", "y"])
     assert exc.value.code == 2

@@ -191,6 +191,8 @@ def test_pk_mesh_order_one_is_identity():
     assert np.array_equal(pk.me, mesh.me)
     assert np.array_equal(pk.q, mesh.q)
     assert np.array_equal(pk.vols, mesh.vols)
+    with pytest.raises(ValueError, match="polynomial order must be >= 1"):
+        build_pk_mesh(mesh, 0)
 
 
 def test_pk_mesh_order_two_on_square():
@@ -270,12 +272,14 @@ def test_mesh_roundtrip_preserves_awkward_floats(tmp_path):
 
 def test_read_mesh_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.mesh"
-    path.write_text("trianglemesh 1 2 3 1\n")
-    with pytest.raises(MeshFormatError):
-        read_mesh(path)
-    path.write_text("simplexmesh 9 2 0 0\n")
-    with pytest.raises(MeshFormatError):
-        read_mesh(path)
+    for text, message in (("trianglemesh 1 2 3 1\n", "malformed header"),
+                          ("simplexmesh 9 2 0 0\n", "unsupported format version 9"),
+                          ("\n \n", "empty mesh file"),
+                          ("simplexmesh 1 two 0 0\n", "non-integer header field"),
+                          ("simplexmesh 1 0 0 0\n", "invalid header sizes d=0")):
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match=message):
+            read_mesh(path)
 
 
 def test_read_mesh_rejects_index_out_of_range(tmp_path):

@@ -504,8 +504,11 @@ MM_HEADER = "%%MatrixMarket matrix coordinate real general\n"
     ("2 2 1\n1 1 x\n", "entries: could not convert string 'x'"),
     ("2 2 1\n1.5 1 1.0\n", "entries: could not convert string '1.5'"),
     ("2 3 2\n1 1 1.0\n2 4 1.0\n", r"entry 1: one-based index \(2, 4\) outside 2x3"),
+    ("% only a comment\n\n", "missing size line"),
+    ("2 1\n1 1 1.0\n", "bad size line"),
 ], ids=["two-fields", "four-fields", "more-entries", "fewer-entries",
-        "non-numeric-value", "fractional-index", "index-range"])
+        "non-numeric-value", "fractional-index", "index-range",
+        "missing-size-line", "short-size-line"])
 def test_matrixmarket_rejects_malformed_entries(tmp_path, body, message):
     path = tmp_path / "bad.mtx"
     path.write_text(MM_HEADER + body)
