@@ -69,26 +69,40 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         return TripletBatch(ndof, ndof, dofs(ii), dofs(jj),
                             kernel.batched(*local[ii], *local[jj]))
 
-    if strategy in ("base", "optv1", "optv2"):
-        # (size, nme) table of every local dof's global dof
-        table = mesh.me if m == 1 else np.stack([dofs(ii) for ii in range(size)])
-
     if strategy == "optv2":
+        # element-major stream, each element's block column by column
+        shape = (nme, nloc, nloc)
+        rows = np.broadcast_to(mesh.me.T[:, None, :], shape)
+        cols = np.broadcast_to(mesh.me.T[:, :, None], shape)
+        if m > 1:
+            # the values of component pair (l, n) in the node stream's
+            # order, so the constructor sorts the node keys only.  Each
+            # pair's block is staged contiguously and copied once, which
+            # is cheaper than nloc*nloc strided writes
+            vals = np.empty((m, m) + shape)
+            block = np.empty((nloc, nloc, nme))
+            for l in range(m):
+                for n in range(m):
+                    for beta in range(nloc):
+                        for alpha in range(nloc):
+                            block[beta, alpha] = kernel.batched(l, alpha, n, beta)
+                    vals[l, n] = block.transpose(2, 0, 1)
+            del block
+            return sparse_from_triplets(
+                TripletBatch(ndof, ndof, rows, cols, vals, m))
         pairs = np.empty((size * size, nme))
         for p, (ii, jj) in enumerate(columns):
             pairs[p] = kernel.batched(*local[ii], *local[jj])
-        # element-major stream, each element's block column by column; a
-        # copy even where the transpose is contiguous (nme = 1)
+        # a copy even where the transpose is contiguous (nme = 1)
         vals = pairs.T.flatten()
         del pairs  # so that the constructor's keys are the only other buffer
-        shape = (nme, size, size)
-        rows = np.broadcast_to(table.T[:, None, :], shape)
-        cols = np.broadcast_to(table.T[:, :, None], shape)
         # the values are ours, so the constructor overwrites them in place
         return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals),
                                     _owned=True)
 
     if strategy in ("base", "optv1"):
+        # (size, nme) table of every local dof's global dof
+        table = mesh.me if m == 1 else np.stack([dofs(ii) for ii in range(size)])
         single = kernel.single
         pairs = [(ii, jj, local[ii] + local[jj]) for ii, jj in columns]
         conn = table.T.tolist()

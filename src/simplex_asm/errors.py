@@ -47,4 +47,4 @@ class RangeGuardError(SimplexAsmError):
 
 class NonCanonicalMatrixError(SimplexAsmError):
     """A sparse operand is not in canonical form (strictly increasing
-    column indices within each row)."""
+    column indices within each row, no stored exact zero)."""

@@ -294,11 +294,11 @@ def build_pk_mesh(mesh: Mesh, k: int) -> PkMesh:
     floating-point coordinate comparison.  A lattice point with integer
     barycentric weights ``alpha`` on an element is keyed by the sorted
     codes ``vertex id*(k+1) + alpha_i`` of its nonzero weights (padded
-    with -1), and one ``np.unique`` over the keys of every (element,
-    lattice point) numbers the nodes.  Corner points keep their vertex
-    ids; the other nodes follow in order of first appearance, element by
-    element, each placed from the element it first appears on.  For k = 1
-    the result is structurally identical to the source mesh.
+    with -1), and one stable lexicographic sort of the keys of every
+    (element, lattice point) numbers the nodes.  Corner points keep their
+    vertex ids; the other nodes follow in order of first appearance,
+    element by element, each placed from the element it first appears on.
+    For k = 1 the result is structurally identical to the source mesh.
     """
     if k < 1:
         raise ValueError(f"polynomial order must be >= 1, got {k}")
@@ -317,8 +317,15 @@ def build_pk_mesh(mesh: Mesh, k: int) -> PkMesh:
     codes = np.where(inner[:, None, :] > 0,
                      mesh.me[:, :, None] * (k + 1) + inner[:, None, :], -1)
     keys = np.sort(codes.transpose(1, 2, 0), axis=-1).reshape(-1, d + 1)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
+    # group equal keys with a stable lexicographic sort; the groups' own
+    # order never reaches the output, which ranks them by first appearance
+    perm = np.lexsort(keys.T[::-1])
+    keys = keys[perm]
+    starts = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=starts[1:])
+    first = perm[starts]
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.cumsum(starts) - 1
     order = np.argsort(first)            # unique keys by first appearance
     rank = np.argsort(order)
     me[~corner] = mesh.nq + rank[inverse].reshape(mesh.nme, ninner).T

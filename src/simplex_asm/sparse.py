@@ -1,17 +1,23 @@
 """Triplet-accumulating sparse matrix construction and small CSR algebra.
 
-Every matrix built from triplets comes from one keyed sort (``_from_keys``):
-entry (row, col) of an nrows-by-ncols matrix gets the int64 key
-``row*ncols + col``, a stable sort of the keys puts duplicates next to
-each other in order of appearance, and a left-to-right ``bincount`` sums
-them.  The stable order comes from numpy's default (unstable, SIMD) sort
-of words ``key << shift | position``, which are distinct; a stable argsort
-of the keys is used when the words would not fit in 63 bits.  The
-constructor overwrites the keys and values it is given, so each caller
-passes arrays made for the call: ``optv2`` its own values, the reader the
-arrays it built, the others a copy.  Sums that are exactly 0.0 are
-dropped, so no exact zero is ever stored, and results are deterministic.
-``transpose`` and the MatrixMarket reader use the same routine.
+Every matrix built from triplets comes from one keyed sort (``_sort``)
+with two readers.  ``_from_keys`` builds a scalar matrix: entry (row, col)
+of an nrows-by-ncols matrix gets the int64 key ``row*ncols + col``, a
+stable sort of the keys puts duplicates next to each other in order of
+appearance, and a left-to-right ``bincount`` sums them.  The stable order
+comes from numpy's default (unstable, SIMD) sort of words
+``key << shift | position``, which are distinct; a stable argsort of the
+keys is used when the words would not fit in 63 bits.  ``_from_keys``
+overwrites the keys and values it is given, so each caller passes arrays
+made for the call: ``optv2`` its own values, the reader the arrays it
+built, the others a copy.  ``_from_blocks`` builds a matrix of m-by-m
+blocks, a ``TripletBatch`` with ``m > 1`` such as the vector ``optv2``
+hands over: it sorts only the node keys, and one ``bincount`` per
+component pair over the node slots gives the block entries, bit-identical
+to ``_from_keys`` on the expanded dof triplets.  Sums that are exactly
+0.0 are dropped, so no exact zero is ever stored, and results are
+deterministic.  ``transpose`` and the MatrixMarket reader use
+``_from_keys``.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -19,7 +25,7 @@ locates the keys of ``b`` among those of ``a`` with one binary search and
 interleaves the two in one pass, adding the values of ``b`` to the equal
 keys of ``a``; the result is bit-identical to constructing the
 concatenated triplets, ``a``'s first.  Operands whose keys do not strictly
-increase raise ``NonCanonicalMatrixError``.
+increase, or that store an exact 0.0, raise ``NonCanonicalMatrixError``.
 
 Shapes whose keys overflow int64 raise ``CapacityError`` where they
 enter: ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
@@ -29,6 +35,7 @@ writers format their lines in chunks.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -71,26 +78,42 @@ def _as_index(idx, name: str) -> np.ndarray:
 
 @dataclass
 class TripletBatch:
-    """Unordered (row, col, value) contributions to an nrows-by-ncols matrix."""
+    """Unordered (row, col, value) contributions to an nrows-by-ncols matrix.
+
+    With ``m > 1`` the batch holds m-by-m blocks: ``rows`` and ``cols`` are
+    node indices in ``[0, nrows // m)`` and ``[0, ncols // m)``, and
+    ``vals`` holds ``m*m`` runs of ``rows.size`` values, one per component
+    pair ``(l, n)`` in order ``l*m + n``, each in the C order of ``rows``;
+    its entries go to dof ``(m*row + l, m*col + n)``.  ``nrows`` and
+    ``ncols`` count dofs and must be multiples of ``m``.
+    """
 
     nrows: int
     ncols: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    m: int = 1
 
     def __post_init__(self):
         _check_key_range(self.nrows, self.ncols)
+        self.m = operator.index(self.m)
+        if self.m < 1 or self.nrows % self.m or self.ncols % self.m:
+            raise ShapeMismatchError(
+                f"a {self.nrows}x{self.ncols} matrix has no {self.m}x{self.m} "
+                "blocks"
+            )
         # rows and cols keep their (common) shape, so broadcast views are
         # not copied; they are read in C order
         self.rows = _as_index(self.rows, "row")
         self.cols = _as_index(self.cols, "col")
         self.vals = np.asarray(self.vals, dtype=np.float64).ravel()
         if not (self.rows.shape == self.cols.shape
-                and self.rows.size == self.vals.size):
+                and self.m * self.m * self.rows.size == self.vals.size):
             raise ShapeMismatchError(
                 f"triplet arrays have shapes {self.rows.shape}, "
                 f"{self.cols.shape}, {self.vals.shape}"
+                + (f" for {self.m}x{self.m} blocks" if self.m > 1 else "")
             )
 
 
@@ -143,10 +166,50 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
 _CHUNK = 1 << 15
 
 
+def _sort(keys, nkeys: int):
+    """Sort int64 ``keys`` in ``[0, nkeys)`` stably, in their own memory.
+
+    Returns ``(order, starts, uniq)``: the input positions in stable sorted
+    order, a bool mask of the first position of each run of equal keys,
+    and the distinct keys in increasing order.
+
+    Each key is packed with its input position into one int64 word,
+    ``key << shift | position``, in the keys' own memory.  The words are
+    distinct, so numpy's default (unstable, SIMD) sort of them is exactly
+    the stable order of the keys, on every platform.  The run starts and
+    the unique keys are read off the sorted words, and the words are
+    masked down to input positions: ``order`` is then ``keys`` itself.
+    When the words would not fit in 63 bits, a stable argsort of the keys
+    is used instead and ``keys`` is left as it was.
+    """
+    n = len(keys)
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    shift = (n - 1).bit_length()
+    if (int(nkeys) - 1).bit_length() + shift > 63:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        return order, starts, keys[starts]
+    keys <<= shift
+    for s in range(0, n, _CHUNK):
+        keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, n))
+    keys.sort()
+    # neighbours share a key iff they differ in the position bits only
+    for s in range(1, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        np.greater_equal(keys[s:e] ^ keys[s - 1:e - 1], 1 << shift,
+                         out=starts[s:e])
+    uniq = keys[starts]
+    uniq >>= shift
+    keys &= (1 << shift) - 1
+    return keys, starts, uniq
+
+
 def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     """Merge triplets given as keys ``row*ncols + col`` into canonical CSR.
 
-    The only constructor of canonical matrices from triplets (``add``
+    The constructor of canonical matrices from scalar triplets (``add``
     merges two canonical matrices without it).  Assumes indices already
     validated and ``nrows*ncols`` within int64.  Sums duplicates in order
     of appearance and drops sums that are exactly 0.0.  Inputs of exactly
@@ -155,51 +218,26 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     arrays made for this call: both are overwritten, and no other array
     of their length is allocated.
 
-    Each key is packed with its input position into one int64 word,
-    ``key << shift | position``, in the keys' own memory.  The words are
-    distinct, so numpy's default (unstable, SIMD) sort of them is exactly
-    the stable order of the keys, on every platform.  The run starts and
-    the unique keys are read off the sorted words, the words are masked
-    down to input positions, and the values are gathered into the same
-    memory chunk by chunk; the group numbers of the sum then go into the
-    spent ``vals``.  When the words would not fit in 63 bits, a
-    stable argsort of the keys is used instead.
+    ``_sort`` leaves the input positions in the keys' memory; the values
+    are gathered into that memory chunk by chunk, and the group numbers
+    of the sum then go into the spent ``vals``.
     """
     n = len(vals)
     if n == 0:
         return empty_matrix(nrows, ncols)
 
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    shift = (n - 1).bit_length()
-    if (int(nrows) * int(ncols) - 1).bit_length() + shift > 63:
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = vals[order]
-        del order  # lowers the peak memory of the sums below
-        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-        uniq = keys[starts]
-        groups = keys
-    else:
-        keys <<= shift
-        for s in range(0, n, _CHUNK):
-            keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, n))
-        keys.sort()
-        # neighbours share a key iff they differ in the position bits only
-        for s in range(1, n, _CHUNK):
-            e = min(s + _CHUNK, n)
-            np.greater_equal(keys[s:e] ^ keys[s - 1:e - 1], 1 << shift,
-                             out=starts[s:e])
-        uniq = keys[starts]
-        uniq >>= shift
-        keys &= (1 << shift) - 1
+    order, starts, uniq = _sort(keys, int(nrows) * int(ncols))
+    if order is keys:
         # the values in sorted order go into the same memory; each chunk
         # overwrites only the positions it has just read
         for s in range(0, n, _CHUNK):
             keys.view(np.float64)[s:s + _CHUNK] = vals[keys[s:s + _CHUNK]]
         groups = vals.view(np.int64)
         vals = keys.view(np.float64)
-    del keys
+    else:
+        vals = vals[order]
+        groups = order
+    del keys, order
 
     # bincount accumulates strictly left-to-right, so duplicates sum in
     # order of appearance with a reproducible association; cumsum numbers
@@ -219,6 +257,79 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     return SparseMatrix(nrows, ncols, row_ptr, uniq, sums)
 
 
+def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
+    """Canonical CSR from m-by-m blocks keyed by node ``row*(ncols//m) + col``.
+
+    ``vals`` holds ``m*m`` runs of ``len(keys)`` values, one per component
+    pair ``p = l*m + c``; its entry ``k`` of run ``p`` goes to dof
+    ``(m*row_k + l, m*col_k + c)``.  Only the node keys are sorted (by
+    ``_sort``, which overwrites ``keys``); ``vals`` is only read.  The sort
+    gives each key the slot of its node entry, and one ``bincount`` per
+    component pair sums that pair's values slot by slot, left to right,
+    so the result is bit-identical to ``_from_keys`` on the expanded
+    scalar triplets, whose duplicates all come from one pair.  Under the
+    interleaved numbering node row ``i`` with ``deg[i]`` stored columns
+    expands to ``m`` dof rows of ``m*deg[i]`` entries each: component pair
+    ``(l, c)`` of the node entry of rank ``r`` in its row goes to position
+    ``m*m*rp[i] + l*m*deg[i] + m*r + c``.  Sums that are exactly 0.0 are
+    dropped afterwards.
+    """
+    n = len(keys)
+    if n == 0:
+        return empty_matrix(nrows, ncols)
+    nr, nc = nrows // m, ncols // m
+    order, starts, uniq = _sort(keys, nr * nc)
+    groups = np.cumsum(starts)
+    groups -= 1
+    slot = np.empty_like(groups)
+    slot[order] = groups
+    del keys, order, starts, groups
+
+    nnz = len(uniq)
+    rows = uniq // nc
+    uniq -= rows * nc
+    uniq *= m  # the first dof column of every node entry
+    rp = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nr), out=rp[1:])
+    deg = np.diff(rp)
+    # node entry u has rank r = u - rp[i] in its row i, so its pair (l, c)
+    # goes to m*(m - 1)*rp[i] + m*u + l*m*deg[i] + c
+    dst = rp[rows]
+    dst *= m * (m - 1)
+    dst += m * np.arange(nnz)
+    step = deg[rows]
+    step *= m  # from one component row to the next
+    del rows
+    out = np.empty(m * m * nnz)
+    col_idx = np.empty(m * m * nnz, dtype=np.int64)
+    for l in range(m):
+        for c in range(m):
+            p = l * m + c
+            at = dst + c
+            out[at] = np.bincount(slot, weights=vals[p * n:(p + 1) * n])
+            col_idx[at] = uniq + c
+        dst += step
+    del slot, dst, step, at, uniq
+    row_ptr = np.empty(nrows + 1, dtype=np.int64)
+    row_ptr[:-1] = (m * m * rp[:-1, None]
+                    + m * deg[:, None] * np.arange(m)).ravel()
+    row_ptr[-1] = m * m * rp[-1]
+
+    if (out == 0.0).any():
+        row_ptr, col_idx, out = _drop_zeros(row_ptr, col_idx, out)
+    return SparseMatrix(nrows, ncols, row_ptr, col_idx, out)
+
+
+def _drop_zeros(row_ptr, col_idx, vals):
+    """CSR arrays without the entries that are exactly 0.0; ``row_ptr``
+    is shifted in place."""
+    keep = vals != 0.0
+    dropped = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(~keep, out=dropped[1:])
+    row_ptr -= dropped[row_ptr]
+    return row_ptr, col_idx[keep], vals[keep]
+
+
 def _keys(rows, ncols, cols) -> np.ndarray:
     """New int64 keys ``rows*ncols + cols`` in C order, so ravel copies nothing."""
     keys = np.multiply(rows, ncols, order="C")
@@ -229,18 +340,27 @@ def _keys(rows, ncols, cols) -> np.ndarray:
 def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch.
 
-    The batch's index arrays are never written, and its values are copied
-    for the constructor, which overwrites them.  ``_owned`` is private to
-    the ``optv2`` engine, which made ``batch.vals`` for this call and no
-    longer reads it: the constructor then overwrites it instead of a copy.
+    The batch's index arrays are never written.  With ``batch.m == 1`` its
+    values are copied for the constructor, which overwrites them;
+    ``_owned`` is private to the scalar ``optv2`` engine, which made
+    ``batch.vals`` for this call and no longer reads it: the constructor
+    then overwrites it instead of a copy.  A block batch (``m > 1``) is
+    built from its node keys by ``_from_blocks``, which only reads the
+    values.
     """
-    for name, idx, size in (("row", batch.rows, batch.nrows),
-                            ("col", batch.cols, batch.ncols)):
+    m = batch.m
+    for name, idx, size in (("row", batch.rows, batch.nrows // m),
+                            ("col", batch.cols, batch.ncols // m)):
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             pos = int(np.flatnonzero((idx < 0) | (idx >= size))[0])
             raise IndexRangeError(
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
+    # the keys are passed on unnamed, so that the constructor can free them
+    if m > 1:
+        return _from_blocks(batch.nrows, batch.ncols, m,
+                            _keys(batch.rows, batch.ncols // m, batch.cols).ravel(),
+                            batch.vals)
     return _from_keys(batch.nrows, batch.ncols,
                       _keys(batch.rows, batch.ncols, batch.cols).ravel(),
                       batch.vals if _owned else batch.vals.copy())
@@ -250,7 +370,7 @@ def _canonical_keys(m: SparseMatrix, name: str) -> np.ndarray:
     """New int64 keys ``row*ncols + col`` of ``m``'s stored entries.
 
     Raises NonCanonicalMatrixError, naming operand ``name`` and the first
-    stored position, unless the keys strictly increase.
+    stored position at fault, unless the keys strictly increase.
     """
     keys = m.row_indices()
     keys *= m.ncols
@@ -265,6 +385,19 @@ def _canonical_keys(m: SparseMatrix, name: str) -> np.ndarray:
     return keys
 
 
+def _check_no_stored_zero(m: SparseMatrix, name: str) -> None:
+    """Raise NonCanonicalMatrixError, naming operand ``name`` and its first
+    stored exact 0.0, if it stores one."""
+    zero = m.vals == 0.0
+    if zero.any():
+        pos = int(zero.argmax())
+        row = int(np.searchsorted(m.row_ptr, pos, side="right")) - 1
+        raise NonCanonicalMatrixError(
+            f"operand {name}: stored entry {pos} (row {row}, "
+            f"col {m.col_idx[pos]}) is an exact zero"
+        )
+
+
 def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Entrywise sum, canonical output, exact-zero results dropped.
 
@@ -277,13 +410,13 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     no zero.  Repeated accumulation (matrix += batch) therefore costs
     time linear in the result size and no sort.  Raises
     NonCanonicalMatrixError when either operand's keys do not strictly
-    increase.  Stored zeros are not checked: an operand must store none,
-    or its 0.0 is carried into the result.  The result never shares
-    memory with an operand.
+    increase or it stores an exact 0.0.  The result never shares memory
+    with an operand.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
     ka, kb = _canonical_keys(a, "a"), _canonical_keys(b, "b")
+    _check_no_stored_zero(b, "b")
     # each key of b goes after its equal key in a, if any: ka[pos - 1].
     # Where pos is 0, ka[-1] is larger than the key, so no false match
     pos = np.searchsorted(ka, kb, side="right")
@@ -310,15 +443,13 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     vals = np.empty(n, dtype=np.float64)
     vals[from_a] = a.vals
     del from_a
+    # a's values are checked where the copy has just brought them to cache
+    _check_no_stored_zero(a, "a")
     vals[new_slots] = b.vals[new]
     vals[hit_slots] += b.vals[hit]
 
     if (vals[hit_slots] == 0.0).any():
-        keep = vals != 0.0
-        dropped = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(~keep, out=dropped[1:])
-        row_ptr -= dropped[row_ptr]
-        col_idx, vals = col_idx[keep], vals[keep]
+        row_ptr, col_idx, vals = _drop_zeros(row_ptr, col_idx, vals)
     return SparseMatrix(a.nrows, a.ncols, row_ptr, col_idx, vals)
 
 

@@ -163,6 +163,26 @@ def test_add_rejects_non_canonical_operands():
             max_abs_diff(good, bad)
 
 
+def test_add_rejects_stored_zeros():
+    # unchecked, the stored 0.0 would be carried into the sum
+    zero = SparseMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 1]),
+                        np.array([0.0, 2.0]))
+    other = sparse_from_triplets(batch([(1, 0, 3.0)], shape=(2, 2)))
+    for operands, name in (((zero, other), "a"), ((other, zero), "b")):
+        with pytest.raises(NonCanonicalMatrixError,
+                           match=rf"operand {name}: stored entry 0 \(row 0, col 0\) "
+                                 "is an exact zero"):
+            add(*operands)
+    with pytest.raises(NonCanonicalMatrixError, match="operand b: "):
+        max_abs_diff(other, zero)
+    # the row is found past an empty one
+    late = SparseMatrix(3, 3, np.array([0, 1, 1, 3]), np.array([0, 0, 2]),
+                        np.array([1.0, 2.0, 0.0]))
+    with pytest.raises(NonCanonicalMatrixError,
+                       match=r"operand a: stored entry 2 \(row 2, col 2\)"):
+        add(late, empty_matrix(3, 3))
+
+
 def test_transpose():
     a = sparse_from_triplets(batch([(0, 1, 5.0)], shape=(2, 2)))
     assert entries_of(transpose(a)) == {(1, 0): 5.0}
@@ -444,6 +464,98 @@ def test_constructed_matrices_are_canonical(case):
         dense[i, j] += v
     assert np.allclose(m.to_dense(), dense, atol=1e-13)
     assert np.array_equal(transpose(m).to_dense(), m.to_dense().T)
+
+
+# ---------------------------------------------------------------------------
+# Block batches (m > 1)
+
+
+def expand(blocks: TripletBatch) -> TripletBatch:
+    """The scalar batch of a block batch's dof triplets, pair after pair."""
+    m = blocks.m
+    rows, cols = blocks.rows.ravel(), blocks.cols.ravel()
+    pairs = [divmod(p, m) for p in range(m * m)]
+    return TripletBatch(blocks.nrows, blocks.ncols,
+                        np.concatenate([m * rows + l for l, _ in pairs]),
+                        np.concatenate([m * cols + n for _, n in pairs]),
+                        blocks.vals.copy())
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for a, b in ((got.row_ptr, want.row_ptr), (got.col_idx, want.col_idx),
+                 (got.vals, want.vals)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def block_batches(draw):
+    """A block batch with m = 2 or 3 on few node keys, so that duplicates
+    abound, with values whose sums depend on the order of addition, exact
+    zeros, triplets cancelled exactly by the next one, and empty batches;
+    the node indices are 1-D or 2-D, whose C order the values follow."""
+    m = draw(st.sampled_from([2, 3]))
+    nr, nc = draw(st.sampled_from([(1, 1), (1, 5), (5, 1), (4, 4), (3, 6)]))
+    node = st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1))
+    nodes = draw(st.lists(node, max_size=24))
+    values = st.lists(ordered_values | st.just(0.0) | floats,
+                      min_size=m * m, max_size=m * m)
+    vals, keys = [], []
+    for key in nodes:
+        vals.append(draw(values))
+        keys.append(key)
+        if draw(st.booleans()):
+            vals.append([-v for v in vals[-1]])
+            keys.append(key)
+    shape = (2, len(keys) // 2) if len(keys) % 2 == 0 and draw(st.booleans()) \
+        else (len(keys),)
+    rows = np.array([k[0] for k in keys], dtype=np.int64).reshape(shape)
+    cols = np.array([k[1] for k in keys], dtype=np.int64).reshape(shape)
+    vals = np.array(vals, dtype=np.float64).reshape(-1, m * m).T.copy()
+    return TripletBatch(m * nr, m * nc, rows, cols, vals, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=block_batches())
+def test_block_batch_is_bitwise_its_scalar_expansion(blocks):
+    inputs = [blocks.rows.copy(), blocks.cols.copy(), blocks.vals.copy()]
+    got = sparse_from_triplets(blocks)
+    assert_same_csr(got, sparse_from_triplets(expand(blocks)))
+    assert np.all(got.vals != 0.0)
+    for x, before in zip((blocks.rows, blocks.cols, blocks.vals), inputs):
+        assert x.tobytes() == before.tobytes()
+
+
+def test_block_batch_with_keys_too_wide_to_pack():
+    # one node row of 2**60 columns and 16 triplets: 60 key and 4 position
+    # bits, so the node keys take the stable argsort
+    rng = np.random.default_rng(5)
+    nc, n = 2**60, 16
+    assert packed_bits(1, nc, n) == 64
+    cols = rng.choice([0, 7, nc - 1], n)
+    vals = rng.choice([1e16, -1e16, 1.0, 0.0], 4 * n)
+    blocks = TripletBatch(2, 2 * nc, np.zeros(n, dtype=np.int64), cols, vals, 2)
+    assert_same_csr(sparse_from_triplets(blocks),
+                    sparse_from_triplets(expand(blocks)))
+
+
+def test_block_batch_rejects_bad_shapes_and_node_indices():
+    rows, cols = np.array([0, 1, 2]), np.array([2, 0, 1])
+    ok = sparse_from_triplets(TripletBatch(6, 6, rows, cols, np.ones(12), 2))
+    assert ok.nnz == 12
+    # one value per triplet instead of m*m
+    with pytest.raises(ShapeMismatchError, match=r"\(3,\) for 2x2 blocks"):
+        TripletBatch(6, 6, rows, cols, np.ones(3), 2)
+    for nrows, ncols, m in ((5, 6, 2), (6, 8, 3), (6, 6, 0)):
+        with pytest.raises(ShapeMismatchError,
+                           match=f"a {nrows}x{ncols} matrix has no {m}x{m} blocks"):
+            TripletBatch(nrows, ncols, rows, cols, np.ones(m * m * 3), m)
+    # 3 is a row of the 6x6 matrix, but not one of its 3 nodes
+    with pytest.raises(IndexRangeError,
+                       match=r"row index 3 at triplet 1 outside \[0, 3\)"):
+        sparse_from_triplets(TripletBatch(6, 6, [0, 3, 1], cols, np.ones(12), 2))
+    with pytest.raises(IndexRangeError, match=r"col index -1 at triplet 2 outside"):
+        sparse_from_triplets(TripletBatch(6, 6, rows, [0, 1, -1], np.ones(12), 2))
 
 
 # ---------------------------------------------------------------------------
