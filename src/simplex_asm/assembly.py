@@ -27,6 +27,16 @@ row.  The one-shot strategies hand the constructor an element-major
 triplet stream, so their duplicates are summed in element order and
 ``optv1`` and ``optv2`` are bitwise identical.  For a scalar kernel every
 strategy reproduces the scalar loops of the paper triplet for triplet.
+
+A vector ``optv2`` reaches the constructor through the scalar node graph.
+It evaluates the local pairs component pair by component pair and puts
+the values of pair ``(l, n)`` in the order of the scalar stream, an
+``(nme, nloc, nloc)`` block indexed by broadcast views of the node
+table; the blocks go to ``sparse_from_triplets`` as one ``TripletBatch``
+with ``m`` set, which sorts the nloc**2*nme node keys instead of the
+L**2*nme dof keys.  Each element adds at most one term to a dof entry,
+so the entries are still summed in element order, and the matrix is
+bitwise that of the dof-key stream and of ``base``.
 """
 
 from __future__ import annotations

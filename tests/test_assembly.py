@@ -273,24 +273,24 @@ def permuted_mesh(mesh, seed):
 
 @pytest.mark.parametrize("d,n", [(2, 6), (3, 2)])
 def test_vector_optv2_is_bitwise_the_element_loop(d, n):
-    # optv2 sums each dof slot's contributions from per-component-pair node
-    # blocks, base in a dictionary element by element: both add them in
-    # element order, starting from 0.0.  The Kuhn mesh's exact zeros are
-    # dropped by both
+    # optv2 sums each dof entry's terms from per-component-pair node blocks,
+    # base in a dictionary element by element: both add them in element
+    # order, starting from 0.0.  Unit Lame parameters on the Kuhn mesh
+    # cancel entries exactly, which both drop
     kuhn = generate_hypercube_mesh(d, n)
-    for mesh in (kuhn, shuffled_mesh(d, n, seed=d), permuted_mesh(
-            shuffled_mesh(d, n, seed=d + 1), seed=d)):
-        kernel = ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1])
+    cases = [(kuhn, ElasticKernel(kuhn))] + [
+        (mesh, ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]))
+        for mesh in (kuhn, shuffled_mesh(d, n, seed=d),
+                     permuted_mesh(shuffled_mesh(d, n, seed=d + 1), seed=d))]
+    for mesh, kernel in cases:
         got = assemble_vector_optv2(mesh, kernel)
         want = assemble_vector_base(mesh, kernel)
         assert got.shape == want.shape == (d * mesh.nq, d * mesh.nq)
         for field in ("row_ptr", "col_idx", "vals"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    # unit Lame parameters on the Kuhn mesh cancel some entries exactly
-    kernel = ElasticKernel(kuhn)
-    assert assemble_vector_optv2(kuhn, kernel).nnz < (
-        d * d * len(np.unique(kuhn.me[:, None, :] * kuhn.nq + kuhn.me[None, :, :])))
+    node_pairs = np.unique(kuhn.me[:, None, :] * kuhn.nq + kuhn.me[None, :, :])
+    assert assemble_vector_optv2(*cases[0]).nnz < d * d * len(node_pairs)
 
 
 def test_vector_optvs_requires_symmetric_kernel():
