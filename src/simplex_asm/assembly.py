@@ -28,15 +28,16 @@ triplet stream, so their duplicates are summed in element order and
 ``optv1`` and ``optv2`` are bitwise identical.  For a scalar kernel every
 strategy reproduces the scalar loops of the paper triplet for triplet.
 
-A vector ``optv2`` reaches the constructor through the scalar node graph.
-It evaluates the local pairs component pair by component pair and puts
-the values of pair ``(l, n)`` in the order of the scalar stream, an
+``optv2`` reaches the constructor through the scalar node graph.  It
+evaluates the local pairs component pair by component pair and puts the
+values of pair ``(l, n)`` in the order of the scalar stream, an
 ``(nme, nloc, nloc)`` block indexed by broadcast views of the node
 table; the blocks go to ``sparse_from_triplets`` as one ``TripletBatch``
-with ``m`` set, which sorts the nloc**2*nme node keys instead of the
-L**2*nme dof keys.  Each element adds at most one term to a dof entry,
-so the entries are still summed in element order, and the matrix is
-bitwise that of the dof-key stream and of ``base``.
+with ``m`` set.  For a scalar kernel that is the paper's stream itself;
+for a vector kernel the constructor sorts the nloc**2*nme node keys
+instead of the L**2*nme dof keys.  Each element adds at most one term to
+a dof entry, so the entries are still summed in element order, and the
+matrix is bitwise that of the dof-key stream and of ``base``.
 """
 
 from __future__ import annotations
@@ -80,35 +81,27 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
                             kernel.batched(*local[ii], *local[jj]))
 
     if strategy == "optv2":
-        # element-major stream, each element's block column by column
+        # element-major node stream, each element's block column by column;
+        # the values of component pair (l, n) follow it, so with m > 1 the
+        # constructor sorts the node keys only.  Each pair's block is staged
+        # contiguously and copied once, which is cheaper than nloc*nloc
+        # strided writes
         shape = (nme, nloc, nloc)
         rows = np.broadcast_to(mesh.me.T[:, None, :], shape)
         cols = np.broadcast_to(mesh.me.T[:, :, None], shape)
-        if m > 1:
-            # the values of component pair (l, n) in the node stream's
-            # order, so the constructor sorts the node keys only.  Each
-            # pair's block is staged contiguously and copied once, which
-            # is cheaper than nloc*nloc strided writes
-            vals = np.empty((m, m) + shape)
-            block = np.empty((nloc, nloc, nme))
-            for l in range(m):
-                for n in range(m):
-                    for beta in range(nloc):
-                        for alpha in range(nloc):
-                            block[beta, alpha] = kernel.batched(l, alpha, n, beta)
-                    vals[l, n] = block.transpose(2, 0, 1)
-            del block
-            return sparse_from_triplets(
-                TripletBatch(ndof, ndof, rows, cols, vals, m))
-        pairs = np.empty((size * size, nme))
-        for p, (ii, jj) in enumerate(columns):
-            pairs[p] = kernel.batched(*local[ii], *local[jj])
-        # a copy even where the transpose is contiguous (nme = 1)
-        vals = pairs.T.flatten()
-        del pairs  # so that the constructor's keys are the only other buffer
-        # the values are ours, so the constructor overwrites them in place
-        return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals),
-                                    _owned=True)
+        vals = np.empty((m, m) + shape)
+        block = np.empty((nloc, nloc, nme))
+        for l in range(m):
+            for n in range(m):
+                for beta in range(nloc):
+                    for alpha in range(nloc):
+                        block[beta, alpha] = kernel.batched(
+                            *local[l * nloc + alpha], *local[n * nloc + beta])
+                vals[l, n] = block.transpose(2, 0, 1)
+        del block  # so that the constructor's keys are the only other buffer
+        # the values are ours, so the constructor may overwrite them in place
+        return sparse_from_triplets(
+            TripletBatch(ndof, ndof, rows, cols, vals, m), _owned=True)
 
     if strategy in ("base", "optv1"):
         # (size, nme) table of every local dof's global dof

@@ -342,9 +342,9 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
 
     The batch's index arrays are never written.  With ``batch.m == 1`` its
     values are copied for the constructor, which overwrites them;
-    ``_owned`` is private to the scalar ``optv2`` engine, which made
-    ``batch.vals`` for this call and no longer reads it: the constructor
-    then overwrites it instead of a copy.  A block batch (``m > 1``) is
+    ``_owned`` is private to the ``optv2`` engine, which made
+    ``batch.vals`` for this call and no longer reads it: the scalar
+    constructor then overwrites it instead of a copy.  A block batch (``m > 1``) is
     built from its node keys by ``_from_blocks``, which only reads the
     values.
     """
