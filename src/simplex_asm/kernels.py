@@ -63,10 +63,12 @@ def _mass_entry(alpha, beta, W, wsum, vol):
 
 def _stiffness_entry(alpha, beta, G, vol):
     """(alpha, beta) entry vol * <grad phi_beta, grad phi_alpha>, with G[a][i]
-    component i of grad phi_a (arrays over the elements, or floats)."""
+    component i of grad phi_a (arrays over the elements, or floats).
+
+    The sum starts at its first product, not at 0.0 (see ``_add_term``)."""
     ga, gb = G[alpha], G[beta]
-    acc = 0.0
-    for i in range(len(ga)):
+    acc = gb[0] * ga[0]
+    for i in range(1, len(ga)):
         acc += gb[i] * ga[i]
     return acc * vol
 
@@ -138,21 +140,42 @@ def build_elastic_tables(d: int) -> ElasticTables:
     return ElasticTables(d, tuple(bls), c0, c1, q, s)
 
 
+def _add_term(acc, c, p):
+    """``acc + c*p``, with no multiplication when ``c`` is 1.0 and no
+    addition when ``acc`` is None (no term yet).
+
+    Against a sum that starts at 0.0 and multiplies every term, this saves
+    whole-mesh array operations and changes no bits except the sign of an
+    exactly zero result, which may now be -0.0.  The sparse constructor's
+    sums start at +0.0 and drop exact zeros, so no assembled matrix
+    changes.
+    """
+    t = p if c == 1.0 else c * p
+    return t if acc is None else acc + t
+
+
 def _elastic_entry(l, alpha, n, beta, Q, S, G, lamb, mu):
     """lamb <grad phi_beta, Q[n][l] grad phi_alpha> + mu (the same with
-    S[n][l]), forming each gradient product once, skipping zero entries."""
+    S[n][l]), forming each gradient product once, skipping zero entries.
+
+    Each of the two sums starts at its first term and a table entry of 1.0
+    multiplies nothing (``_add_term``); in 3D that is 57 whole-mesh array
+    operations per vertex pair instead of 96.  A table with no entry for
+    the pair adds nothing, as the zero S table of ``dot_mat_vec_g``.
+    """
     qmat, smat = Q[n][l], S[n][l]
-    acc_q = acc_s = 0.0
+    acc_q = acc_s = None
     for i, ga_i in enumerate(G[alpha]):
         for j, gb_j in enumerate(G[beta]):
             qji, sji = qmat[j][i], smat[j][i]
             if qji or sji:
                 p = ga_i * gb_j
                 if qji:
-                    acc_q += qji * p
+                    acc_q = _add_term(acc_q, qji, p)
                 if sji:
-                    acc_s += sji * p
-    return lamb * acc_q + mu * acc_s
+                    acc_s = _add_term(acc_s, sji, p)
+    out = 0.0 * lamb if acc_q is None else lamb * acc_q
+    return out if acc_s is None else out + mu * acc_s
 
 
 def dot_mat_vec_g(A: np.ndarray, grads: np.ndarray,

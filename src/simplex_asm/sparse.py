@@ -30,7 +30,10 @@ increase, or that store an exact 0.0, raise ``NonCanonicalMatrixError``.
 Shapes whose keys overflow int64 raise ``CapacityError`` where they
 enter: ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
 reader parses the entries with one ``np.loadtxt`` over the open file; the
-writers format their lines in chunks.
+writers format their lines in chunks.  A square matrix that equals its
+transpose bit for bit is written ``symmetric``, its lower triangle only,
+and the reader mirrors such a file's off-diagonal entries before the
+construction; any other matrix is written ``general``.
 """
 
 from __future__ import annotations
@@ -279,7 +282,8 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
         return empty_matrix(nrows, ncols)
     nr, nc = nrows // m, ncols // m
     order, starts, uniq = _sort(keys, nr * nc)
-    groups = np.cumsum(starts)
+    groups = starts.astype(np.int64)  # cumsum of a bool array is slower
+    np.cumsum(groups, out=groups)
     groups -= 1
     slot = np.empty_like(groups)
     slot[order] = groups
@@ -470,16 +474,68 @@ def max_abs(a: SparseMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# MatrixMarket coordinate I/O (real general, one-based indices on disk)
+# MatrixMarket coordinate I/O (real general or symmetric, one-based indices
+# on disk)
 
-_MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+_MM_HEADER = "%%MatrixMarket matrix coordinate real "
+
+
+def _lower_if_symmetric(a: SparseMatrix) -> np.ndarray | None:
+    """Mask of the entries with row >= col if ``a`` is square and equals its
+    transpose bit for bit (same pattern, same value bits), else None.
+
+    No transpose is built: the mirror ``(col, row)`` of each entry is
+    looked up among ``a``'s increasing row-major keys ``row*n + col`` by
+    binary search, chunk by chunk, and its value bits compared.  Besides
+    the keys, only chunk-sized temporaries are held; a first chunk that
+    fails ends the check.
+    """
+    n = a.ncols
+    if a.nrows != n:
+        return None
+    keys = a.row_indices()
+    keys *= n
+    keys += a.col_idx
+    bits = a.vals.view(np.int64)
+    lower = np.empty(a.nnz, dtype=bool)
+    for s in range(0, a.nnz, _CHUNK):
+        cols = a.col_idx[s:s + _CHUNK]
+        rows = keys[s:s + _CHUNK] // n
+        mirror = cols * n
+        mirror += rows
+        at = np.searchsorted(keys, mirror)
+        np.minimum(at, a.nnz - 1, out=at)
+        if not (np.array_equal(keys[at], mirror)
+                and np.array_equal(bits[at], bits[s:s + _CHUNK])):
+            return None
+        np.greater_equal(rows, cols, out=lower[s:s + _CHUNK])
+    return lower
 
 
 def write_matrixmarket(a: SparseMatrix, path) -> None:
+    """Write ``a`` as a MatrixMarket coordinate file, one ``%d %d %.17g``
+    line per entry in row-major order, so that reading it back is exact.
+
+    A square matrix that equals its transpose bit for bit is written
+    ``symmetric``: only its entries with row >= col are stored, and the
+    size line counts those.  Any other matrix is written ``general``, with
+    every entry.  The symmetry check's temporaries are freed before the
+    lines are formatted.
+    """
+    lower = _lower_if_symmetric(a)
+    rows = a.row_indices()
+    if lower is None:
+        kind, cols, vals = "general", a.col_idx + 1, a.vals
+    else:
+        kind, rows = "symmetric", rows[lower]
+        cols, vals = a.col_idx[lower], a.vals[lower]
+        cols += 1
+        del lower
+    rows += 1
     with open(path, "w") as f:
-        f.write(_MM_HEADER + "\n")
-        f.write(f"{a.nrows} {a.ncols} {a.nnz}\n")
-        _write_lines(f, "%d %d %.17g\n", a.row_indices() + 1, a.col_idx + 1, a.vals)
+        f.write(_MM_HEADER + kind + "\n")
+        f.write(f"{a.nrows} {a.ncols} {len(vals)}\n")
+        _write_lines(f, "%d %d %.17g\n", rows, cols, vals)
 
 
 # Lines per string that the writers format: the per-chunk overhead is
@@ -508,10 +564,23 @@ def _loadtxt(source, error, where, **kwargs):
 
 
 def read_matrixmarket(path) -> SparseMatrix:
+    """Read a MatrixMarket ``coordinate real`` file, ``general`` or
+    ``symmetric``, as written by ``write_matrixmarket``.
+
+    ``%`` comment lines and blank lines may sit anywhere after the header.
+    A ``symmetric`` file must have a square size line and store no entry
+    above the diagonal; each off-diagonal entry is mirrored, with the same
+    value bits.  Duplicates are summed in order of appearance, a symmetric
+    file's mirrored entries after the stored ones.  A malformed file raises
+    MatrixFormatError naming the path, and the entry where there is one.
+    """
     with open(path) as f:
         header = f.readline().strip()
-        if header.split() != _MM_HEADER.split():
+        fields = header.split()
+        if fields[:-1] != _MM_HEADER.split() or fields[-1] not in (
+                "general", "symmetric"):
             raise MatrixFormatError(f"{path}: unsupported header {header!r}")
+        symmetric = fields[-1] == "symmetric"
         for line in f:
             size_line = line.split()
             if size_line and not size_line[0].startswith("%"):
@@ -525,6 +594,11 @@ def read_matrixmarket(path) -> SparseMatrix:
         if min(nrows, ncols, nnz) < 0:
             raise MatrixFormatError(
                 f"{path}: negative size on size line {line.strip()!r}"
+            )
+        if symmetric and nrows != ncols:
+            raise MatrixFormatError(
+                f"{path}: symmetric matrix with non-square size line "
+                f"{line.strip()!r}"
             )
         _check_key_range(nrows, ncols)
         entries = _loadtxt(f, MatrixFormatError, f"{path}: entries",
@@ -547,5 +621,17 @@ def read_matrixmarket(path) -> SparseMatrix:
     # the values are copied out of the records (24 bytes per entry), so that
     # the records are freed before the construction
     vals = entries["v"].copy()
+    if symmetric:
+        above = i < j
+        if above.any():
+            pos = int(np.flatnonzero(above)[0])
+            raise MatrixFormatError(
+                f"{path}: entry {pos}: one-based index ({i[pos]}, {j[pos]}) "
+                "above the diagonal of a symmetric matrix"
+            )
+        off = i != j
+        keys = np.concatenate([keys, (j[off] - 1) * ncols + (i[off] - 1)])
+        vals = np.concatenate([vals, vals[off]])
+        del above, off
     del entries, i, j, bad
     return _from_keys(nrows, ncols, keys, vals)

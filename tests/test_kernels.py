@@ -280,6 +280,56 @@ def test_batched_matches_single(kind, d, shuffled):
         assert kern.batched(*index).tolist() == single, index
 
 
+def zero_started_stiffness(alpha, beta, G, vol):
+    """The stiffness entry as a sum that starts at 0.0."""
+    acc = 0.0
+    for i in range(len(G[alpha])):
+        acc += G[beta][i] * G[alpha][i]
+    return acc * vol
+
+
+def zero_started_elastic(l, alpha, n, beta, Q, S, G, lamb, mu):
+    """The elastic entry as two sums that start at 0.0 and multiply every
+    nonzero table entry, 1.0 included."""
+    qmat, smat = Q[n][l], S[n][l]
+    acc_q = acc_s = 0.0
+    for i, ga_i in enumerate(G[alpha]):
+        for j, gb_j in enumerate(G[beta]):
+            if qmat[j][i] or smat[j][i]:
+                p = ga_i * gb_j
+                if qmat[j][i]:
+                    acc_q += qmat[j][i] * p
+                if smat[j][i]:
+                    acc_s += smat[j][i] * p
+    return lamb * acc_q + mu * acc_s
+
+
+@pytest.mark.parametrize("d,shuffled", [(2, False), (2, True), (3, False),
+                                        (3, True)])
+def test_entries_match_zero_started_sums_up_to_the_sign_of_zero(d, shuffled):
+    # the kernels start each sum at its first term and multiply by no table
+    # entry of 1.0; that may turn an exact 0.0 into -0.0 and changes no
+    # other bit (x + 0.0 maps -0.0 to 0.0 and leaves every other x alone)
+    n = {2: 3, 3: 2}[d]
+    mesh = shuffled_mesh(d, n, seed=d) if shuffled else generate_hypercube_mesh(d, n)
+    G = compute_gradients(mesh).transpose(1, 2, 0)
+    stiff = StiffnessKernel(mesh)
+    elastic = ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1])
+    t = elastic.tables
+    zeros = 0
+    for alpha, beta in itertools.product(range(d + 1), repeat=2):
+        got = stiff.batched(alpha, beta)
+        want = zero_started_stiffness(alpha, beta, G, mesh.vols)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        for l, m in itertools.product(range(d), repeat=2):
+            got = elastic.batched(l, alpha, m, beta)
+            want = zero_started_elastic(l, alpha, m, beta, t.Q, t.S, G,
+                                        elastic.lambs, elastic.mus)
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+            zeros += np.count_nonzero(want == 0.0)
+    assert zeros > 0 or shuffled
+
+
 # ---------------------------------------------------------------------------
 # Elastic tables and kernel
 

@@ -7,21 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplex_asm import (
+    SCALAR_DRIVERS,
+    VECTOR_DRIVERS,
     CapacityError,
+    ElasticKernel,
     IndexRangeError,
+    MassKernel,
     MatrixFormatError,
     NonCanonicalMatrixError,
     ShapeMismatchError,
     SparseMatrix,
+    StiffnessKernel,
     TripletBatch,
     add,
+    assemble_mass_pk,
+    build_pk_mesh,
     empty_matrix,
     max_abs_diff,
+    pk_mass_coeffs,
     read_matrixmarket,
     sparse_from_triplets,
     transpose,
     write_matrixmarket,
 )
+from test_assembly import shuffled_mesh
 
 
 def batch(entries, shape=(4, 4)):
@@ -659,27 +668,198 @@ def test_matrixmarket_reader_frees_the_records_before_the_construction(tmp_path)
     assert peak < 52 * a.nnz, peak / a.nnz
 
 
+def general_file(a) -> str:
+    """``a``'s ``general`` MatrixMarket file from a line-by-line writer."""
+    return (f"%%MatrixMarket matrix coordinate real general\n"
+            f"{a.nrows} {a.ncols} {a.nnz}\n" + "".join(
+                f"{i + 1} {j + 1} {v:.17g}\n" for i, j, v in
+                zip(a.row_indices().tolist(), a.col_idx.tolist(), a.vals.tolist())))
+
+
+def is_bitwise_symmetric(a) -> bool:
+    t = transpose(a)
+    return a.nrows == a.ncols and all(
+        getattr(a, f).tobytes() == getattr(t, f).tobytes()
+        for f in ("row_ptr", "col_idx", "vals"))
+
+
+def assert_written_as_expected(a, path):
+    """The file at ``path`` is ``a``'s ``symmetric`` file when ``a`` equals
+    its transpose bit for bit, the lines of the general file with row >= col
+    in the same order; else the general file, byte for byte."""
+    text = path.read_text()
+    if not is_bitwise_symmetric(a):
+        assert text == general_file(a)
+        return
+    _, _, *lines = general_file(a).splitlines(keepends=True)
+    lower = [ln for ln in lines if int(ln.split()[0]) >= int(ln.split()[1])]
+    ndiag = int(np.count_nonzero(a.row_indices() == a.col_idx))
+    assert len(lower) == (a.nnz + ndiag) // 2
+    assert text == (f"%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"{a.nrows} {a.ncols} {len(lower)}\n" + "".join(lower))
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    for field in ("row_ptr", "col_idx", "vals"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 # every finite double, by bit pattern
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=100, deadline=None)
-@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), data=st.data())
-def test_matrixmarket_roundtrip_is_bitwise(tmp_path_factory, shape, data):
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       mirrored=st.booleans(), data=st.data())
+def test_matrixmarket_roundtrip_is_bitwise(tmp_path_factory, shape, mirrored, data):
     nrows, ncols = shape
     entry = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
                       finite_doubles)
-    a = sparse_from_triplets(batch(data.draw(st.lists(entry, max_size=40)), shape))
+    entries = data.draw(st.lists(entry, max_size=40))
+    if mirrored:
+        # each entry moved to the lower triangle of a square shape and
+        # repeated at its mirror, in the same order, so that the sums are
+        # equal bit for bit
+        shape = (nrows, nrows)
+        entries = [(max(i, j % nrows), min(i, j % nrows), v)
+                   for i, j, v in entries]
+        entries += [(j, i, v) for i, j, v in entries if i != j]
+    a = sparse_from_triplets(batch(entries, shape))
+    if mirrored:
+        assert is_bitwise_symmetric(a)
     path = tmp_path_factory.mktemp("mm") / "a.mtx"
     write_matrixmarket(a, path)
+    assert_written_as_expected(a, path)
     header, size, *lines = path.read_text().splitlines(keepends=True)
     # comment and blank lines between the entries are skipped
     for pos in sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=4)),
                       reverse=True):
         lines.insert(pos, data.draw(st.sampled_from(["% note\n", "\n", "  \n"])))
     path.write_text(header + size + "".join(lines))
-    back = read_matrixmarket(path)
-    assert back.shape == a.shape
-    for field in ("row_ptr", "col_idx", "vals"):
-        got, want = getattr(back, field), getattr(a, field)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert_bitwise_equal(read_matrixmarket(path), a)
+
+
+# ---------------------------------------------------------------------------
+# Symmetric MatrixMarket files
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["mass", "stiffness", "elastic", "mass-pk"])
+def test_assembled_matrices_roundtrip_bitwise(tmp_path, kind, d):
+    mesh = shuffled_mesh(d, 4 if d == 2 else 2, seed=d)
+    if kind == "mass-pk":
+        mats = {"optv2": assemble_mass_pk(build_pk_mesh(mesh, 3),
+                                          pk_mass_coeffs(d, 3))}
+    else:
+        kernel = {"mass": lambda: MassKernel(mesh, lambda q: 1 + q[0] * q[-1]),
+                  "stiffness": lambda: StiffnessKernel(mesh),
+                  "elastic": lambda: ElasticKernel(mesh, lambda q: 1 + q[0],
+                                                   lambda q: 2 + q[-1])}[kind]()
+        drivers = VECTOR_DRIVERS if kind == "elastic" else SCALAR_DRIVERS
+        mats = {name: driver(mesh, kernel) for name, driver in drivers.items()}
+    # optvs adds each local matrix's transpose, so its result is symmetric
+    # bit for bit; so is the lattice mass
+    assert is_bitwise_symmetric(mats["optvs" if "optvs" in mats else "optv2"])
+    for name, a in mats.items():
+        path = tmp_path / f"{name}.mtx"
+        write_matrixmarket(a, path)
+        assert_written_as_expected(a, path)
+        assert_bitwise_equal(read_matrixmarket(path), a)
+
+
+def one_ulp_off(a, pos):
+    vals = a.vals.copy()
+    vals[pos] = np.nextafter(vals[pos], np.inf)
+    return SparseMatrix(a.nrows, a.ncols, a.row_ptr, a.col_idx, vals)
+
+
+def test_matrixmarket_writes_general_unless_exactly_symmetric(tmp_path):
+    sym = sparse_from_triplets(batch([(0, 0, 2.0), (1, 0, 1 / 3), (0, 1, 1 / 3),
+                                      (3, 2, -7.5), (2, 3, -7.5), (3, 3, 1e-300)]))
+    cases = {
+        "symmetric": sym,
+        "one-by-one": sparse_from_triplets(batch([(0, 0, 0.1)], (1, 1))),
+        "empty-square": empty_matrix(3, 3),
+        "non-square": sparse_from_triplets(batch([(0, 0, 2.0), (1, 0, 1.0),
+                                                  (0, 1, 1.0)], (2, 3))),
+        "non-symmetric-pattern": sparse_from_triplets(batch([(0, 0, 2.0),
+                                                             (1, 0, 1.0)])),
+        "upper-only": sparse_from_triplets(batch([(0, 3, 1.0)])),
+        "one-ulp-off-lower": one_ulp_off(sym, 1),
+        "one-ulp-off-upper": one_ulp_off(sym, 2),
+        "one-ulp-off-last": one_ulp_off(sym, sym.nnz - 2),
+        "one-ulp-off-diagonal": one_ulp_off(sym, sym.nnz - 1),
+    }
+    for name, a in cases.items():
+        path = tmp_path / f"{name}.mtx"
+        write_matrixmarket(a, path)
+        header = path.read_text().splitlines()[0].split()[-1]
+        assert header == ("symmetric" if name in (
+            "symmetric", "one-by-one", "empty-square", "one-ulp-off-diagonal")
+            else "general"), name
+        assert_written_as_expected(a, path)
+        assert_bitwise_equal(read_matrixmarket(path), a)
+
+
+SYM_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("3 3 2\n1 1 1.0\n2 3 1.0\n",
+     r"entry 1: one-based index \(2, 3\) above the diagonal of a symmetric matrix"),
+    ("2 3 1\n1 1 1.0\n", "symmetric matrix with non-square size line '2 3 1'"),
+    ("2 2 1\n3 1 1.0\n", r"entry 0: one-based index \(3, 1\) outside 2x2"),
+], ids=["above-diagonal", "non-square", "index-range"])
+def test_symmetric_matrixmarket_rejects_malformed_files(tmp_path, body, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(SYM_HEADER + body)
+    with pytest.raises(MatrixFormatError, match=f"{re.escape(str(path))}: {message}"):
+        read_matrixmarket(path)
+
+
+def test_symmetric_matrixmarket_mirrors_duplicates_in_order(tmp_path):
+    # 1e16 + 1.0 rounds back to 1e16, so 1.0 survives only when it is added
+    # last; the mirror of each entry gets the same sum, and an exact zero
+    # is dropped on both sides of the diagonal
+    path = tmp_path / "dup.mtx"
+    path.write_text(SYM_HEADER + "3 3 5\n2 1 1e16\n3 3 0.5\n% note\n"
+                    "2 1 -1e16\n2 1 1.0\n3 2 -0.0\n")
+    assert entries_of(read_matrixmarket(path)) == {(1, 0): 1.0, (0, 1): 1.0,
+                                                   (2, 2): 0.5}
+
+
+def test_symmetric_matrixmarket_file_read_by_scipy(tmp_path):
+    scipy_io = pytest.importorskip("scipy.io")
+    mesh = shuffled_mesh(3, 2, seed=4)
+    a = VECTOR_DRIVERS["optvs"](mesh, ElasticKernel(mesh, lambda q: 1 + q[0]))
+    path = tmp_path / "elastic.mtx"
+    write_matrixmarket(a, path)
+    assert path.read_text().startswith(SYM_HEADER)
+    b = scipy_io.mmread(path).tocsr()
+    b.sort_indices()
+    assert b.shape == a.shape
+    assert np.array_equal(b.indptr, a.row_ptr)
+    assert np.array_equal(b.indices, a.col_idx)
+    assert b.data.tobytes() == a.vals.tobytes()
+
+
+def test_symmetric_writer_peak_is_at_most_the_general_writers(tmp_path):
+    a = assemble_mass_pk(build_pk_mesh(shuffled_mesh(2, 16, seed=3), 3),
+                         pk_mass_coeffs(2, 3))
+    # the last off-diagonal entry one ulp off: the symmetry check runs to
+    # its last chunk and the whole matrix is written general
+    b = one_ulp_off(a, np.flatnonzero(a.row_indices() != a.col_idx)[-1])
+    peaks = []
+    for m in (a, b):
+        path = tmp_path / "m.mtx"
+        write_matrixmarket(m, path)  # warm-up
+        tracemalloc.start()
+        try:
+            write_matrixmarket(m, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert is_bitwise_symmetric(a) and not is_bitwise_symmetric(b)
+    assert peaks[0] <= peaks[1], peaks
