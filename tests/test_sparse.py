@@ -787,8 +787,9 @@ def test_matrixmarket_writes_general_unless_exactly_symmetric(tmp_path):
         "non-symmetric-pattern": sparse_from_triplets(batch([(0, 0, 2.0),
                                                              (1, 0, 1.0)])),
         "upper-only": sparse_from_triplets(batch([(0, 3, 1.0)])),
-        "one-ulp-off-lower": one_ulp_off(sym, 1),
-        "one-ulp-off-upper": one_ulp_off(sym, 2),
+        # stored in the order (0, 0), (0, 1), (1, 0), (2, 3), (3, 2), (3, 3)
+        "one-ulp-off-upper": one_ulp_off(sym, 1),
+        "one-ulp-off-lower": one_ulp_off(sym, 2),
         "one-ulp-off-last": one_ulp_off(sym, sym.nnz - 2),
         "one-ulp-off-diagonal": one_ulp_off(sym, sym.nnz - 1),
     }
