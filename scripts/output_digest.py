@@ -1,0 +1,101 @@
+"""Print a SHA-256 of every matrix and MatrixMarket file the package makes
+on a fixed set of small inputs, and one over all of them.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/output_digest.py
+
+Two checkouts produce the same bits exactly where their lines agree.  The
+cases are every strategy on unit-weight and variable-weight mass and
+stiffness (d = 1, 2, 3) and on variable-Lame elastic (d = 2, 3), on
+jittered Kuhn meshes with their vertices and elements permuted; the
+order-k lattice (``build_pk_mesh``) and its mass (``assemble_mass_pk``)
+for k = 1, 2, 3 (d = 2, 3); and the bytes of each matrix's MatrixMarket
+file.  Standard library and numpy only; the package is imported from this
+checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import simplex_asm as sa  # noqa: E402
+
+SIZES = {1: 64, 2: 8, 3: 3}  # cells per axis: 64, 128 and 162 simplices
+
+
+def mesh(d: int) -> sa.Mesh:
+    """Kuhn mesh of [0, 1]^d with seeded interior jitter, vertex
+    permutation and element permutation."""
+    rng = np.random.default_rng(d)
+    n = SIZES[d]
+    grid = sa.generate_hypercube_mesh(d, n)
+    q = grid.q.copy()
+    interior = np.all((q > 0.0) & (q < 1.0), axis=0)
+    q[:, interior] += (0.2 / n) * rng.uniform(-1.0, 1.0,
+                                              (d, int(interior.sum())))
+    vperm = rng.permutation(grid.nq)
+    permuted = np.empty_like(q)
+    permuted[:, vperm] = q
+    return sa.Mesh.from_arrays(permuted,
+                               vperm[grid.me][:, rng.permutation(grid.nme)])
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def matrix(name: str, a: sa.SparseMatrix, path: Path):
+    """The digests of ``a`` and of its MatrixMarket file at ``path``."""
+    yield name, digest(np.array(a.shape), a.row_ptr, a.col_idx, a.vals)
+    sa.write_matrixmarket(a, path)
+    yield f"{name} mtx", hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def cases(path: Path):
+    """(case name, SHA-256) for every case; ``path`` is a scratch file."""
+    for d in (1, 2, 3):
+        m = mesh(d)
+        kernels = {"mass-unit": sa.MassKernel(m),
+                   "mass-variable": sa.MassKernel(m, lambda q: 1 + q[0] * q[-1]),
+                   "stiffness": sa.StiffnessKernel(m)}
+        if d > 1:
+            kernels["elastic"] = sa.ElasticKernel(m, lambda q: 1 + q[0],
+                                                  lambda q: 2 + q[-1])
+        for kind, kernel in kernels.items():
+            drivers = sa.VECTOR_DRIVERS if kind == "elastic" else sa.SCALAR_DRIVERS
+            for strategy, driver in drivers.items():
+                yield from matrix(f"{kind} d={d} {strategy}", driver(m, kernel),
+                                  path)
+        for k in (1, 2, 3) if d > 1 else ():
+            pk = sa.build_pk_mesh(m, k)
+            yield f"pk-mesh d={d} k={k}", digest(pk.q, pk.me, pk.vols)
+            yield from matrix(f"mass-pk d={d} k={k}",
+                              sa.assemble_mass_pk(pk, sa.pk_mass_coeffs(d, k)),
+                              path)
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, sha in cases(Path(tmp) / "a.mtx"):
+            line = f"{sha}  {case}"
+            total.update(line.encode() + b"\n")
+            print(line)
+    print(f"{total.hexdigest()}  total")
+
+
+if __name__ == "__main__":
+    main()

@@ -61,7 +61,7 @@ STRATEGIES = ("base", "optv1", "optv2", "optv", "optvs")
 
 def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     """Assemble ``kernel`` over ``mesh`` (a Mesh or a PkMesh) with one of
-    the five strategies."""
+    the five strategies; ``strategy`` is a name from ``STRATEGIES``."""
     vector = hasattr(kernel, "m")
     m = kernel.m if vector else 1
     nloc, nme = mesh.me.shape
@@ -130,24 +130,22 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
                     vals.append(single(*lanb, k))
         return sparse_from_triplets(TripletBatch(ndof, ndof, rows, cols, vals))
 
-    if strategy in ("optv", "optvs"):
-        symmetric = strategy == "optvs"
-        if symmetric and not kernel.symmetric:
-            raise NonSymmetricKernelError(
-                "the symmetrized driver requires a kernel flagged symmetric"
-            )
-        pairs = ([(ii, jj) for ii in range(size) for jj in range(ii + 1, size)]
-                 if symmetric else columns)
-        out = empty_matrix(ndof, ndof)
-        for ii, jj in pairs:
-            out = add(out, sparse_from_triplets(batch(ii, jj)))
-        if symmetric:
-            out = add(out, transpose(out))
-            for ii in range(size):
-                out = add(out, sparse_from_triplets(batch(ii, ii)))
-        return out
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    # optv or optvs
+    symmetric = strategy == "optvs"
+    if symmetric and not kernel.symmetric:
+        raise NonSymmetricKernelError(
+            "the symmetrized driver requires a kernel flagged symmetric"
+        )
+    pairs = ([(ii, jj) for ii in range(size) for jj in range(ii + 1, size)]
+             if symmetric else columns)
+    out = empty_matrix(ndof, ndof)
+    for ii, jj in pairs:
+        out = add(out, sparse_from_triplets(batch(ii, jj)))
+    if symmetric:
+        out = add(out, transpose(out))
+        for ii in range(size):
+            out = add(out, sparse_from_triplets(batch(ii, ii)))
+    return out
 
 
 def _driver(strategy: str):

@@ -55,10 +55,14 @@ def compute_gradients(mesh: Mesh) -> np.ndarray:
 
 def _mass_entry(alpha, beta, W, wsum, vol):
     """(alpha, beta) entry of the local weighted mass matrix, with W[a] the
-    weight at local vertex a (d + 1 of them) and wsum their sum."""
+    weight at local vertex a (d + 1 of them) and wsum their sum.
+
+    ``W[alpha] + W[beta]`` is added to ``wsum`` as one term, so that the
+    (alpha, beta) and (beta, alpha) entries round alike and the matrix is
+    exactly symmetric."""
     nv = len(W)
     coef = (2.0 if alpha == beta else 1.0) / (nv * (nv + 1) * (nv + 2))
-    return coef * vol * (wsum + W[alpha] + W[beta])
+    return coef * vol * (wsum + (W[alpha] + W[beta]))
 
 
 def _stiffness_entry(alpha, beta, G, vol):

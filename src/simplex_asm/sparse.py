@@ -6,18 +6,20 @@ of an nrows-by-ncols matrix gets the int64 key ``row*ncols + col``, a
 stable sort of the keys puts duplicates next to each other in order of
 appearance, and a left-to-right ``bincount`` sums them.  The stable order
 comes from numpy's default (unstable, SIMD) sort of words
-``key << shift | position``, which are distinct; a stable argsort of the
-keys is used when the words would not fit in 63 bits.  ``_from_keys``
-overwrites the keys and values it is given, so each caller passes arrays
-made for the call: ``optv2`` its own values, the reader the arrays it
-built, the others a copy.  ``_from_blocks`` builds a matrix of m-by-m
-blocks, a ``TripletBatch`` with ``m > 1`` such as the vector ``optv2``
-hands over: it sorts only the node keys, and one ``bincount`` per
-component pair over the node slots gives the block entries, bit-identical
-to ``_from_keys`` on the expanded dof triplets.  Sums that are exactly
-0.0 are dropped, so no exact zero is ever stored, and results are
-deterministic.  ``transpose`` and the MatrixMarket reader use
-``_from_keys``.
+``key << shift | position``, which are distinct, or from a stable argsort
+of the keys when the words would not fit in 63 bits; either way the sort
+returns the run starts and the unique keys and leaves the stable order in
+the keys' memory.  ``_from_keys`` overwrites the keys and values it is
+given, so each caller passes arrays made for the call: ``optv2`` its own
+values, the reader the arrays it built, the others a copy.
+``_from_blocks`` builds a matrix of m-by-m blocks, a ``TripletBatch``
+with ``m > 1`` such as the vector ``optv2`` hands over: it sorts only the
+node keys, and one ``bincount`` per component pair over the node slots
+gives the block entries, bit-identical to ``_from_keys`` on the expanded
+dof triplets.  Sums that are exactly 0.0 are dropped, by ``_drop_zeros``
+in ``_from_keys``, ``_from_blocks`` and ``add``, so no exact zero is ever
+stored, and results are deterministic.  ``transpose`` and the
+MatrixMarket reader use ``_from_keys``.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -31,7 +33,8 @@ Shapes whose keys overflow int64 raise ``CapacityError`` where they
 enter: ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
 reader parses the entries with one ``np.loadtxt`` over the open file; the
 writers format their lines in chunks.  A square matrix that equals its
-transpose bit for bit is written ``symmetric``, its lower triangle only,
+transpose bit for bit is written ``symmetric``, its lower triangle only
+(the check binary-searches the mirror of each entry above the diagonal),
 and the reader mirrors such a file's off-diagonal entries before the
 construction; any other matrix is written ``general``.
 """
@@ -172,18 +175,19 @@ _CHUNK = 1 << 15
 def _sort(keys, nkeys: int):
     """Sort int64 ``keys`` in ``[0, nkeys)`` stably, in their own memory.
 
-    Returns ``(order, starts, uniq)``: the input positions in stable sorted
-    order, a bool mask of the first position of each run of equal keys,
-    and the distinct keys in increasing order.
+    Returns ``(starts, uniq)``: a bool mask of the first position of each
+    run of equal keys in sorted order, and the distinct keys in increasing
+    order.  ``keys`` is left holding the input positions in stable sorted
+    order.
 
     Each key is packed with its input position into one int64 word,
     ``key << shift | position``, in the keys' own memory.  The words are
     distinct, so numpy's default (unstable, SIMD) sort of them is exactly
     the stable order of the keys, on every platform.  The run starts and
     the unique keys are read off the sorted words, and the words are
-    masked down to input positions: ``order`` is then ``keys`` itself.
-    When the words would not fit in 63 bits, a stable argsort of the keys
-    is used instead and ``keys`` is left as it was.
+    masked down to input positions.  When the words would not fit in 63
+    bits, the run starts and the unique keys are read off a sorted copy
+    instead, and a stable argsort of the keys is written into ``keys``.
     """
     n = len(keys)
     starts = np.empty(n, dtype=bool)
@@ -191,9 +195,10 @@ def _sort(keys, nkeys: int):
     shift = (n - 1).bit_length()
     if (int(nkeys) - 1).bit_length() + shift > 63:
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-        return order, starts, keys[starts]
+        ordered = keys[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        keys[...] = order
+        return starts, ordered[starts]
     keys <<= shift
     for s in range(0, n, _CHUNK):
         keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, n))
@@ -206,7 +211,7 @@ def _sort(keys, nkeys: int):
     uniq = keys[starts]
     uniq >>= shift
     keys &= (1 << shift) - 1
-    return keys, starts, uniq
+    return starts, uniq
 
 
 def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
@@ -223,24 +228,21 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
 
     ``_sort`` leaves the input positions in the keys' memory; the values
     are gathered into that memory chunk by chunk, and the group numbers
-    of the sum then go into the spent ``vals``.
+    of the sum then go into the spent ``vals``.  The row pointer is built
+    before ``_drop_zeros`` drops the zero sums.
     """
     n = len(vals)
     if n == 0:
         return empty_matrix(nrows, ncols)
 
-    order, starts, uniq = _sort(keys, int(nrows) * int(ncols))
-    if order is keys:
-        # the values in sorted order go into the same memory; each chunk
-        # overwrites only the positions it has just read
-        for s in range(0, n, _CHUNK):
-            keys.view(np.float64)[s:s + _CHUNK] = vals[keys[s:s + _CHUNK]]
-        groups = vals.view(np.int64)
-        vals = keys.view(np.float64)
-    else:
-        vals = vals[order]
-        groups = order
-    del keys, order
+    starts, uniq = _sort(keys, int(nrows) * int(ncols))
+    # the values in sorted order go into the same memory; each chunk
+    # overwrites only the positions it has just read
+    for s in range(0, n, _CHUNK):
+        keys.view(np.float64)[s:s + _CHUNK] = vals[keys[s:s + _CHUNK]]
+    groups = vals.view(np.int64)
+    vals = keys.view(np.float64)
+    del keys
 
     # bincount accumulates strictly left-to-right, so duplicates sum in
     # order of appearance with a reproducible association; cumsum numbers
@@ -250,13 +252,14 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     sums = np.bincount(groups, weights=vals)[1:]
     del groups, vals, starts  # lowers the peak memory of the CSR below
 
-    keep = sums != 0.0
-    if not keep.all():
-        uniq, sums = uniq[keep], sums[keep]
     rows = uniq // ncols  # a division by one scalar, faster than divmod
-    uniq -= rows * ncols  # now the column indices
     row_ptr = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+    rows *= ncols
+    uniq -= rows  # now the column indices
+    del rows
+    if (sums == 0.0).any():
+        row_ptr, uniq, sums = _drop_zeros(row_ptr, uniq, sums)
     return SparseMatrix(nrows, ncols, row_ptr, uniq, sums)
 
 
@@ -281,13 +284,13 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     if n == 0:
         return empty_matrix(nrows, ncols)
     nr, nc = nrows // m, ncols // m
-    order, starts, uniq = _sort(keys, nr * nc)
+    starts, uniq = _sort(keys, nr * nc)
     groups = starts.astype(np.int64)  # cumsum of a bool array is slower
     np.cumsum(groups, out=groups)
     groups -= 1
     slot = np.empty_like(groups)
-    slot[order] = groups
-    del keys, order, starts, groups
+    slot[keys] = groups
+    del keys, starts, groups
 
     nnz = len(uniq)
     rows = uniq // nc
@@ -326,11 +329,16 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
 
 def _drop_zeros(row_ptr, col_idx, vals):
     """CSR arrays without the entries that are exactly 0.0; ``row_ptr``
-    is shifted in place."""
+    is shifted in place by the number of zeros before each row start.
+
+    Each zero is counted in its row, found by binary search in
+    ``row_ptr``, so that no int64 array of the entries' length is made.
+    """
     keep = vals != 0.0
-    dropped = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(~keep, out=dropped[1:])
-    row_ptr -= dropped[row_ptr]
+    # a zero at position p in row r is counted at r + 1
+    row_ptr -= np.bincount(
+        np.searchsorted(row_ptr, np.flatnonzero(~keep), side="right"),
+        minlength=len(row_ptr)).cumsum()
     return row_ptr, col_idx[keep], vals[keep]
 
 
@@ -484,31 +492,36 @@ def _lower_if_symmetric(a: SparseMatrix) -> np.ndarray | None:
     """Mask of the entries with row >= col if ``a`` is square and equals its
     transpose bit for bit (same pattern, same value bits), else None.
 
-    No transpose is built: the mirror ``(col, row)`` of each entry is
-    looked up among ``a``'s increasing row-major keys ``row*n + col`` by
-    binary search, chunk by chunk, and its value bits compared.  Besides
-    the keys, only chunk-sized temporaries are held; a first chunk that
-    fails ends the check.
+    No transpose is built.  The entries strictly above the diagonal must
+    be as many as those strictly below, and the mirror ``(col, row)`` of
+    each one above is looked up among ``a``'s increasing row-major keys
+    ``row*n + col`` by binary search, chunk by chunk, and its value bits
+    compared.  Distinct entries have distinct mirrors, so when every
+    mirror is found the mirrors are exactly the entries below, and each
+    mirror pair is searched once.  Besides the keys, the mask and the
+    positions above, only chunk-sized temporaries are held; a first chunk
+    that fails ends the check.
     """
     n = a.ncols
     if a.nrows != n:
         return None
-    keys = a.row_indices()
+    keys = a.row_indices()  # the rows, until the keys are built in place
+    lower = keys >= a.col_idx
+    upper = np.flatnonzero(~lower)
+    if np.count_nonzero(keys > a.col_idx) != len(upper):
+        return None
     keys *= n
     keys += a.col_idx
     bits = a.vals.view(np.int64)
-    lower = np.empty(a.nnz, dtype=bool)
-    for s in range(0, a.nnz, _CHUNK):
-        cols = a.col_idx[s:s + _CHUNK]
-        rows = keys[s:s + _CHUNK] // n
-        mirror = cols * n
-        mirror += rows
-        at = np.searchsorted(keys, mirror)
-        np.minimum(at, a.nnz - 1, out=at)
-        if not (np.array_equal(keys[at], mirror)
-                and np.array_equal(bits[at], bits[s:s + _CHUNK])):
+    for s in range(0, len(upper), _CHUNK):
+        at = upper[s:s + _CHUNK]
+        mirror = a.col_idx[at] * n
+        mirror += keys[at] // n
+        found = np.searchsorted(keys, mirror)
+        np.minimum(found, a.nnz - 1, out=found)
+        if not (np.array_equal(keys[found], mirror)
+                and np.array_equal(bits[found], bits[at])):
             return None
-        np.greater_equal(rows, cols, out=lower[s:s + _CHUNK])
     return lower
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -109,6 +110,10 @@ def test_validate_catches_tampering():
                         mesh.vols)
     with pytest.raises(IndexRangeError):
         out_of_range.validate()
+    short = Mesh(mesh.q, mesh.me, mesh.vols[:-1])
+    with pytest.raises(MeshValidationError,
+                       match=r"volume array shape \(7,\) does not match"):
+        short.validate()
 
 
 TRI_Q = np.array([[0., 1., 0.], [0., 0., 1.]])
@@ -193,6 +198,10 @@ def test_pk_mesh_order_one_is_identity():
     assert np.array_equal(pk.vols, mesh.vols)
     with pytest.raises(ValueError, match="polynomial order must be >= 1"):
         build_pk_mesh(mesh, 0)
+    # 3 * 2**62 node slots: the check comes before any allocation
+    huge = types.SimpleNamespace(d=2, nme=2**62, nq=3)
+    with pytest.raises(CapacityError, match="order-1 lattice exceeds"):
+        build_pk_mesh(huge, 1)
 
 
 def test_pk_mesh_order_two_on_square():

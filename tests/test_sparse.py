@@ -30,6 +30,7 @@ from simplex_asm import (
     transpose,
     write_matrixmarket,
 )
+from simplex_asm.sparse import _CHUNK, _sort
 from test_assembly import shuffled_mesh
 
 
@@ -352,6 +353,24 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     a = sparse_from_triplets(TripletBatch(nrows, ncols, *distinct(rng, nrows, ncols, n)))
     assert a.nnz == n
     assert_csr_bitwise(transpose(a), ncols, nrows, a.col_idx, a.row_indices(), a.vals)
+
+
+def test_sort_branches_agree_on_ties():
+    # three chunks of keys from few values; nkeys = 2**62 leaves no room
+    # for the position bits, so the second call takes the stable argsort
+    keys = np.random.default_rng(7).integers(0, 50, 2 * _CHUNK + 5)
+    want = np.argsort(keys, kind="stable")
+    results = []
+    for nkeys in (50, 2**62):
+        order = keys.copy()
+        starts, uniq = _sort(order, nkeys)
+        assert np.array_equal(order, want)
+        results.append((starts, uniq))
+    (packed, packed_uniq), (argsorted, argsorted_uniq) = results
+    assert np.array_equal(packed, argsorted)
+    assert np.array_equal(packed, np.diff(keys[want], prepend=-1) != 0)
+    assert np.array_equal(packed_uniq, argsorted_uniq)
+    assert np.array_equal(packed_uniq, np.unique(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +786,23 @@ def test_assembled_matrices_roundtrip_bitwise(tmp_path, kind, d):
         write_matrixmarket(a, path)
         assert_written_as_expected(a, path)
         assert_bitwise_equal(read_matrixmarket(path), a)
+
+
+@pytest.mark.parametrize("d,n", [(1, 12), (2, 4), (3, 2)])
+def test_variable_weight_mass_is_bitwise_symmetric(tmp_path, d, n):
+    # W[alpha] + W[beta] is one term of the entry, so (alpha, beta) and
+    # (beta, alpha) round alike.  optv merges its local pairs column by
+    # column, so in 3D, where an edge lies in many elements, (i, j) and
+    # (j, i) sum their terms in different orders
+    mesh = shuffled_mesh(d, n, seed=d)
+    kernel = MassKernel(mesh, lambda q: 1 + q[0] * q[-1])
+    for name, driver in SCALAR_DRIVERS.items():
+        a = driver(mesh, kernel)
+        if d < 3 or name != "optv":
+            assert is_bitwise_symmetric(a), name
+        path = tmp_path / f"{name}.mtx"
+        write_matrixmarket(a, path)
+        assert path.read_text().startswith(SYM_HEADER) == is_bitwise_symmetric(a)
 
 
 def one_ulp_off(a, pos):
