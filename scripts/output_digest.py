@@ -10,9 +10,11 @@ cases are every strategy on unit-weight and variable-weight mass and
 stiffness (d = 1, 2, 3) and on variable-Lame elastic (d = 2, 3), on
 jittered Kuhn meshes with their vertices and elements permuted; the
 order-k lattice (``build_pk_mesh``) and its mass (``assemble_mass_pk``)
-for k = 1, 2, 3 (d = 2, 3); and the bytes of each matrix's MatrixMarket
-file.  Standard library and numpy only; the package is imported from this
-checkout's ``src``.
+for k = 1, 2, 3 (d = 2, 3); the bytes of each matrix's MatrixMarket
+file; and, for d = 1 to 4, the ``q``, ``me`` and ``vols`` of
+``generate_hypercube_mesh`` and ``compute_gradients`` on it and on the
+permuted jittered mesh.  Standard library and numpy only; the package is
+imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import simplex_asm as sa  # noqa: E402
 
-SIZES = {1: 64, 2: 8, 3: 3}  # cells per axis: 64, 128 and 162 simplices
+# cells per axis: 64, 128, 162 and 384 simplices
+SIZES = {1: 64, 2: 8, 3: 3, 4: 2}
 
 
 def mesh(d: int) -> sa.Mesh:
@@ -85,6 +88,12 @@ def cases(path: Path):
             yield from matrix(f"mass-pk d={d} k={k}",
                               sa.assemble_mass_pk(pk, sa.pk_mass_coeffs(d, k)),
                               path)
+    for d in (1, 2, 3, 4):
+        grid = sa.generate_hypercube_mesh(d, SIZES[d])
+        yield f"kuhn-mesh d={d}", digest(grid.q, grid.me, grid.vols)
+        yield f"gradients kuhn d={d}", digest(sa.compute_gradients(grid))
+        m = mesh(d)
+        yield f"gradients d={d}", digest(m.vols, sa.compute_gradients(m))
 
 
 def main() -> None:

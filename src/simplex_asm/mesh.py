@@ -75,8 +75,13 @@ def simplex_geometry(q: np.ndarray, me: np.ndarray, gradients: bool = False):
     """
     d = q.shape[0]
     _check_connectivity_shape(d, me)
-    # edges[i, j, k] = coord i of (vertex j+1 minus vertex 0) on simplex k
-    edges = q[:, me[1:]] - q[:, me[0]][:, None, :]
+    # edges[i, j, k] = coord i of (vertex j+1 minus vertex 0) on simplex k,
+    # gathered one coordinate at a time so every pass runs along the elements
+    edges = np.empty((d, d, me.shape[1]))
+    for i in range(d):
+        coord = q[i].take(me)
+        np.subtract(coord[1:], coord[0], out=edges[i])
+    del coord
     if d <= 3:
         cof = _cofactors(edges)
         dets = edges[0, 0] * cof[0][0]
@@ -219,20 +224,22 @@ def generate_hypercube_mesh(d: int, n: int) -> Mesh:
     q = grid / float(n)
 
     strides = (n + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    cells = np.indices((n,) * d).reshape(d, -1)   # (d, n**d) cell corners
+    # the grid point at the low corner of each of the n**d cells
+    corner = strides @ np.indices((n,) * d).reshape(d, -1)
 
-    per_perm = []
-    for perm in itertools.permutations(range(d)):
-        offset = np.zeros(d, dtype=np.int64)
-        verts = [strides @ cells]
-        for axis in perm:
-            offset[axis] += 1
-            verts.append(strides @ (cells + offset[:, None]))
-        per_perm.append(np.stack(verts))          # (d+1, n**d)
-    # interleave so elements of one cell are consecutive
-    me = np.stack(per_perm)                       # (d!, d+1, n**d)
-    me = me.transpose(2, 0, 1).reshape(nme, d + 1).T
-    return Mesh(q, np.ascontiguousarray(me), compute_volumes(q, me))
+    # vertex j of a cell's simplex for one axis permutation is the cell
+    # corner plus the strides of the first j axes the permutation visits;
+    # element cell*d! + p belongs to permutation p, so those of one cell
+    # are consecutive
+    me = np.empty((d + 1, nme), dtype=np.int64)
+    slots = me.reshape(d + 1, n**d, math.factorial(d))
+    for p, perm in enumerate(itertools.permutations(range(d))):
+        slots[0, :, p] = corner
+        offset = 0
+        for j, axis in enumerate(perm, 1):
+            offset += int(strides[axis])
+            np.add(corner, offset, out=slots[j, :, p])
+    return Mesh(q, me, compute_volumes(q, me))
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,12 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
     m = batch.m
     for name, idx, size in (("row", batch.rows, batch.nrows // m),
                             ("col", batch.cols, batch.ncols // m)):
-        if idx.size and (idx.min() < 0 or idx.max() >= size):
+        # a broadcast view is checked over the elements it stores: every
+        # zero-stride axis taken at 0 leaves the same values
+        stored = idx
+        if idx.size and 0 in idx.strides:
+            stored = idx[tuple(0 if s == 0 else slice(None) for s in idx.strides)]
+        if stored.size and (stored.min() < 0 or stored.max() >= size):
             pos = int(np.flatnonzero((idx < 0) | (idx >= size))[0])
             raise IndexRangeError(
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"

@@ -20,8 +20,10 @@ from simplex_asm import (
     generate_hypercube_mesh,
     multi_index_lattice,
     read_mesh,
+    reference_gradients,
     write_mesh,
 )
+from simplex_asm.mesh import _cofactors, simplex_geometry
 
 from test_assembly import shuffled_mesh
 
@@ -53,6 +55,39 @@ def test_hypercube_is_deterministic():
     b = generate_hypercube_mesh(3, 2)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.me, b.me)
+
+
+def kuhn_oracle(d, n):
+    """Connectivity of the Kuhn mesh walked vertex by vertex: in every cell,
+    in row-major order, each axis permutation steps from the cell corner
+    along its axes in turn, one element per permutation."""
+    strides = [(n + 1) ** (d - 1 - i) for i in range(d)]
+    columns = []
+    for cell in itertools.product(range(n), repeat=d):
+        for perm in itertools.permutations(range(d)):
+            point = list(cell)
+            verts = [sum(c * s for c, s in zip(point, strides))]
+            for axis in perm:
+                point[axis] += 1
+                verts.append(sum(c * s for c, s in zip(point, strides)))
+            columns.append(verts)
+    return np.array(columns, dtype=np.int64).T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hypercube_numbering_matches_walked_permutations(d, n):
+    mesh = generate_hypercube_mesh(d, n)
+    want = kuhn_oracle(d, n)
+    assert mesh.me.dtype == np.int64
+    assert mesh.me.flags.c_contiguous
+    assert np.array_equal(mesh.me, want)
+    grid = np.indices((n + 1,) * d).reshape(d, -1)
+    assert mesh.q.tobytes() == (grid / float(n)).tobytes()
+    # the volumes of the same connectivity, whatever its memory layout
+    assert mesh.vols.tobytes() == compute_volumes(mesh.q, want).tobytes()
+    assert mesh.vols.tobytes() == compute_volumes(
+        mesh.q, np.asfortranarray(want)).tobytes()
 
 
 def test_hypercube_rejects_bad_args():
@@ -95,6 +130,83 @@ def test_degenerate_simplex_is_named():
             compute_volumes(q, me)
         assert err.value.element == 1
         assert compute_volumes(q, me[:, :1])[0] > 0.0
+
+
+def fancy_index_geometry(q, me, gradients=True):
+    """Determinants and, if ``gradients``, gradients from edges gathered by
+    one fancy index, ``q[:, me[1:]] - q[:, me[0]][:, None, :]``, then the
+    closed form for d <= 3 and the LU determinant and solve beyond."""
+    d = q.shape[0]
+    edges = q[:, me[1:]] - q[:, me[0]][:, None, :]
+    if d <= 3:
+        cof = _cofactors(edges)
+        dets = edges[0, 0] * cof[0][0]
+        for i in range(1, d):
+            dets += edges[i, 0] * cof[0][i]
+    else:
+        bmats = np.moveaxis(edges, 2, 0)
+        dets = np.linalg.det(bmats)
+    if not gradients:
+        return dets, None
+    grads = np.empty((d + 1, d, me.shape[1]))
+    if d <= 3:
+        for j in range(d):
+            for i in range(d):
+                np.divide(cof[j][i], dets, out=grads[j + 1, i])
+        np.sum(grads[1:], axis=0, out=grads[0])
+        np.negative(grads[0], out=grads[0])
+    else:
+        rhs = np.broadcast_to(reference_gradients(d), (len(dets), d, d + 1))
+        grads[...] = np.linalg.solve(bmats.transpose(0, 2, 1),
+                                     rhs).transpose(2, 1, 0)
+    return dets, grads
+
+
+def permuted_geometry_input(d, n, seed):
+    """Coordinates and connectivity of a jittered Kuhn mesh with its
+    vertices, each element's local vertices and the elements permuted."""
+    rng = np.random.default_rng(seed)
+    mesh = shuffled_mesh(d, n, seed)
+    vperm = rng.permutation(mesh.nq)
+    q = np.empty_like(mesh.q)
+    q[:, vperm] = mesh.q
+    return q, vperm[mesh.me][:, rng.permutation(mesh.nme)]
+
+
+def layouts(me):
+    """``me`` C-ordered, Fortran-ordered and as a strided slice."""
+    return {"C": np.ascontiguousarray(me), "F": np.asfortranarray(me),
+            "strided": np.repeat(me, 2, axis=1)[:, ::2]}
+
+
+@pytest.mark.parametrize("d,n", [(1, 9), (2, 4), (3, 3), (4, 2)])
+def test_simplex_geometry_matches_fancy_index_gather(d, n):
+    q, me = permuted_geometry_input(d, n, seed=10 + d)
+    want_dets, want_grads = fancy_index_geometry(q, me)
+    for layout, arr in layouts(me).items():
+        assert np.array_equal(arr, me), layout
+        dets, grads = simplex_geometry(q, arr, gradients=True)
+        assert dets.view(np.int64).tolist() == want_dets.view(np.int64).tolist()
+        assert np.array_equal(grads.view(np.int64), want_grads.view(np.int64))
+        only_dets, none = simplex_geometry(q, arr)
+        assert none is None
+        assert np.array_equal(only_dets.view(np.int64), want_dets.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_degenerate_simplex_named_in_every_layout(d):
+    q, me = permuted_geometry_input(d, 8 if d == 1 else 2, seed=20 + d)
+    flat = me.copy()
+    # a repeated vertex makes an edge zero, so the determinant is exactly 0
+    for elem in (me.shape[1] - 2, me.shape[1] // 3):
+        flat[d, elem] = flat[0, elem]
+    dets, _ = fancy_index_geometry(q, flat, gradients=False)
+    assert np.flatnonzero(dets == 0.0).tolist() == [me.shape[1] // 3,
+                                                    me.shape[1] - 2]
+    for layout, arr in layouts(flat).items():
+        with pytest.raises(DegenerateSimplexError) as err:
+            simplex_geometry(q, arr, gradients=True)
+        assert err.value.element == me.shape[1] // 3, layout
 
 
 def test_validate_catches_tampering():

@@ -98,6 +98,42 @@ def test_out_of_range_triplet_reports_position():
         sparse_from_triplets(TripletBatch(5, 5, rows, cols, vals)).to_dense(), dense)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name", ["row", "col"])
+@pytest.mark.parametrize("bad", ["below", "bound"])
+def test_range_check_on_broadcast_views_names_flat_position(m, name, bad):
+    # the optv2 layout: each element's table row repeated along a
+    # zero-stride middle axis, read through a transposed (d+1, nme) table
+    nodes, nloc, nme = 7, 3, 5
+    me = np.random.default_rng(3).integers(0, nodes, (nloc, nme))
+    value = -1 if bad == "below" else nodes
+    me[1, 3] = value                    # one stored element out of range
+    view = np.broadcast_to(me.T[:, None, :], (nme, nloc, nloc))
+    good = np.broadcast_to(np.arange(nloc), (nme, nloc, nloc))
+    assert 0 in view.strides and view.base is not None
+    rows, cols = (view, good) if name == "row" else (good, view)
+    triplets = TripletBatch(m * nodes, m * nodes, rows, cols,
+                            np.ones(m * m * view.size), m)
+    assert np.shares_memory(getattr(triplets, name + "s"), me)
+    flat = np.ascontiguousarray(view).ravel()
+    pos = int(np.flatnonzero((flat < 0) | (flat >= nodes))[0])
+    assert (pos, flat[pos]) == (3 * nloc * nloc + 1, value)
+    with pytest.raises(IndexRangeError, match=re.escape(
+            f"{name} index {value} at triplet {pos} outside [0, {nodes})")):
+        sparse_from_triplets(triplets)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_zero_size_broadcast_batch_builds_empty_matrix(m):
+    for idx in (np.broadcast_to(np.zeros((0, 1, 3), dtype=np.int64), (0, 3, 3)),
+                np.broadcast_to(np.arange(3), (0, 3))):
+        assert 0 in idx.strides and idx.size == 0
+        a = sparse_from_triplets(TripletBatch(2 * m, 2 * m, idx, idx,
+                                              np.empty(0), m))
+        assert (a.shape, a.nnz) == ((2 * m, 2 * m), 0)
+        assert np.array_equal(a.row_ptr, np.zeros(2 * m + 1, dtype=np.int64))
+
+
 def test_triplet_length_mismatch():
     with pytest.raises(ShapeMismatchError):
         TripletBatch(2, 2, np.array([0]), np.array([0, 1]), np.array([1.0]))
