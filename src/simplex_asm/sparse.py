@@ -367,12 +367,13 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
         # zero-stride axis taken at 0 leaves the same values
         stored = idx
         if idx.size and 0 in idx.strides:
-            stored = idx[tuple(0 if s == 0 else slice(None) for s in idx.strides)]
+            stored = idx[tuple([0 if s == 0 else slice(None) for s in idx.strides])]
         if stored.size and (stored.min() < 0 or stored.max() >= size):
             pos = int(np.flatnonzero((idx < 0) | (idx >= size))[0])
             raise IndexRangeError(
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
+    del stored  # a view object, not to be held through the construction
     # the keys are passed on unnamed, so that the constructor can free them
     if m > 1:
         return _from_blocks(batch.nrows, batch.ncols, m,
