@@ -81,7 +81,7 @@ def simplex_geometry(q: np.ndarray, me: np.ndarray, gradients: bool = False):
     for i in range(d):
         coord = q[i].take(me)
         np.subtract(coord[1:], coord[0], out=edges[i])
-    del coord
+        del coord  # not held through the determinants
     if d <= 3:
         cof = _cofactors(edges)
         dets = edges[0, 0] * cof[0][0]
