@@ -11,10 +11,13 @@ stiffness (d = 1, 2, 3) and on variable-Lame elastic (d = 2, 3), on
 jittered Kuhn meshes with their vertices and elements permuted; the
 order-k lattice (``build_pk_mesh``) and its mass (``assemble_mass_pk``)
 for k = 1, 2, 3 (d = 2, 3); the bytes of each matrix's MatrixMarket
-file; and, for d = 1 to 4, the ``q``, ``me`` and ``vols`` of
+file; for d = 1 to 4, the ``q``, ``me`` and ``vols`` of
 ``generate_hypercube_mesh`` and ``compute_gradients`` on it and on the
-permuted jittered mesh.  Standard library and numpy only; the package is
-imported from this checkout's ``src``.
+permuted jittered mesh; and ``sparse_from_triplets`` on one set of
+tie-heavy triplets of the 3D mesh, m = 1 and 3, given as a 1-D batch, as
+an ``(nloc, nloc, nme)`` batch of broadcast views and as an ``(nme, L)``
+batch.  Standard library and numpy only; the package is imported from
+this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -94,6 +97,33 @@ def cases(path: Path):
         yield f"gradients kuhn d={d}", digest(sa.compute_gradients(grid))
         m = mesh(d)
         yield f"gradients d={d}", digest(m.vols, sa.compute_gradients(m))
+    yield from batches(mesh(3))
+
+
+def batches(tets: sa.Mesh):
+    """(case name, SHA-256) of the matrices of one set of triplets with
+    values 1e16, -1e16, 1.0 and 0.0, whose sums depend on their order,
+    given in three layouts: the last axis of the index arrays is the
+    stream axis."""
+    nloc, nme = tets.me.shape
+    shape = (nloc, nloc, nme)
+    rows = np.broadcast_to(tets.me[None, :, :], shape)
+    cols = np.broadcast_to(tets.me[:, None, :], shape)
+    for m in (1, 3):
+        rng = np.random.default_rng(m)
+        vals = rng.choice([1e16, -1e16, 1.0, 0.0], (m * m,) + shape)
+        layouts = {
+            "1-D": (rows.transpose(2, 0, 1).ravel(), cols.transpose(2, 0, 1).ravel(),
+                    vals.transpose(0, 3, 1, 2)),
+            "(nloc, nloc, nme)": (rows, cols, vals),
+            "(nme, L)": (rows.reshape(-1, nme).T, cols.reshape(-1, nme).T,
+                         vals.reshape(m * m, -1, nme).transpose(0, 2, 1)),
+        }
+        for layout, (r, c, v) in layouts.items():
+            a = sa.sparse_from_triplets(
+                sa.TripletBatch(m * tets.nq, m * tets.nq, r, c, v, m))
+            yield (f"sparse_from_triplets m={m} {layout}",
+                   digest(np.array(a.shape), a.row_ptr, a.col_idx, a.vals))
 
 
 def main() -> None:

@@ -3,15 +3,20 @@
 Every matrix built from triplets comes from one keyed sort (``_sort``)
 with two readers.  ``_from_keys`` builds a scalar matrix: entry (row, col)
 of an nrows-by-ncols matrix gets the int64 key ``row*ncols + col``, a
-stable sort of the keys puts duplicates next to each other in order of
-appearance, and a left-to-right ``bincount`` sums them.  The stable order
-comes from numpy's default (unstable, SIMD) sort of words
-``key << shift | position``, which are distinct, or from a stable argsort
-of the keys when the words would not fit in 63 bits; either way the sort
-returns the run starts and the unique keys and leaves the stable order in
-the keys' memory.  ``_from_keys`` overwrites the keys and values it is
-given, so each caller passes arrays made for the call: ``optv2`` its own
-values, the reader the arrays it built, the others a copy.
+stable sort of the keys puts duplicates next to each other in stream
+order, and a left-to-right ``bincount`` sums them.  The keys keep the
+shape of the batch's index arrays, whose last axis is the stream axis
+(see ``TripletBatch``): the triplet at leading position ``r`` (C order)
+and stream position ``k`` comes at stream position ``(k, r)``.  The
+stable order comes from numpy's default (unstable, SIMD) sort of words
+``key << shift | k << pb | r``, which are distinct, or from a stable
+argsort of the keys in stream order when the words would not fit in 63
+bits; either way the sort returns the run starts and the unique keys and
+leaves the packed stream positions, in stable order, in the keys'
+memory, and each reader decodes them where it reads the values.
+``_from_keys`` overwrites the keys and values it is given, so each caller
+passes arrays made for the call: ``optv2`` its own values, the reader the
+arrays it built, the others a copy.
 ``_from_blocks`` builds a matrix of m-by-m blocks, a ``TripletBatch``
 with ``m > 1`` such as the vector ``optv2`` hands over: it sorts only the
 node keys, and one ``bincount`` per component pair over the node slots
@@ -27,7 +32,8 @@ locates the keys of ``b`` among those of ``a`` with one binary search and
 interleaves the two in one pass, adding the values of ``b`` to the equal
 keys of ``a``; the result is bit-identical to constructing the
 concatenated triplets, ``a``'s first.  Operands whose keys do not strictly
-increase, or that store an exact 0.0, raise ``NonCanonicalMatrixError``.
+increase raise ``NonCanonicalMatrixError``, and so does an operand that
+stores an exact 0.0 when the sum holds one.
 
 Shapes whose keys overflow int64 raise ``CapacityError`` where they
 enter: ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
@@ -84,7 +90,16 @@ def _as_index(idx, name: str) -> np.ndarray:
 
 @dataclass
 class TripletBatch:
-    """Unordered (row, col, value) contributions to an nrows-by-ncols matrix.
+    """(row, col, value) contributions to an nrows-by-ncols matrix.
+
+    ``rows`` and ``cols`` have one shape, and ``vals`` holds the values in
+    their C order.  The last axis of ``rows`` and ``cols`` is the stream
+    axis: contributions to one entry are summed in order of their index
+    along it, and those with the same index in C order over the leading
+    axes.  So a batch sums as the 1-D batch of its triplets in the order
+    of ``np.moveaxis(rows, -1, 0).ravel()``; a 1-D batch sums in input
+    order.  The ``optv2`` engine passes broadcast views of shape
+    ``(nloc, nloc, nme)``, whose stream axis is the element axis.
 
     With ``m > 1`` the batch holds m-by-m blocks: ``rows`` and ``cols`` are
     node indices in ``[0, nrows // m)`` and ``[0, ncols // m)``, and
@@ -110,7 +125,7 @@ class TripletBatch:
                 "blocks"
             )
         # rows and cols keep their (common) shape, so broadcast views are
-        # not copied; they are read in C order
+        # not copied, and their last axis stays the stream axis
         self.rows = _as_index(self.rows, "row")
         self.cols = _as_index(self.cols, "col")
         self.vals = np.asarray(self.vals, dtype=np.float64).ravel()
@@ -172,45 +187,97 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
 _CHUNK = 1 << 15
 
 
-def _sort(keys, nkeys: int):
-    """Sort int64 ``keys`` in ``[0, nkeys)`` stably, in their own memory.
+def _stream(keys):
+    """``(lead, width, pb)`` of a C-ordered key array whose last axis is the
+    stream axis: ``width`` positions along it, ``lead`` positions over the
+    leading axes, and ``pb`` bits for a leading position."""
+    width = keys.shape[-1] if keys.ndim else 1
+    lead = keys.size // width
+    return lead, width, (lead - 1).bit_length()
 
-    Returns ``(starts, uniq)``: a bool mask of the first position of each
-    run of equal keys in sorted order, and the distinct keys in increasing
-    order.  ``keys`` is left holding the input positions in stable sorted
-    order.
 
-    Each key is packed with its input position into one int64 word,
-    ``key << shift | position``, in the keys' own memory.  The words are
-    distinct, so numpy's default (unstable, SIMD) sort of them is exactly
-    the stable order of the keys, on every platform.  The run starts and
-    the unique keys are read off the sorted words, and the words are
-    masked down to input positions.  When the words would not fit in 63
-    bits, the run starts and the unique keys are read off a sorted copy
-    instead, and a stable argsort of the keys is written into ``keys``.
+def _heads(starts, a) -> np.ndarray:
+    """New array ``a[starts]``.
+
+    A boolean index copies each run of set positions whole: it is the
+    fastest where nearly all of them are set, as in the batches of
+    ``optv`` and ``optvs``, whose keys seldom repeat.  Where the runs are
+    short, as in the ``optv2`` stream, ``np.compress`` is about 3 times
+    faster; it is called chunk by chunk with ``out=``, since one call
+    would allocate an index array as long as its result.
     """
-    n = len(keys)
+    count = np.count_nonzero(starts)
+    if 8 * count > 7 * len(a):
+        return a[starts]
+    out = np.empty(count, dtype=a.dtype)
+    at = 0
+    for s in range(0, len(a), _CHUNK):
+        mask = starts[s:s + _CHUNK]
+        count = np.count_nonzero(mask)
+        np.compress(mask, a[s:s + _CHUNK], out=out[at:at + count])
+        at += count
+    return out
+
+
+def _sort(keys, nkeys: int):
+    """Sort int64 ``keys`` in ``[0, nkeys)`` stably in stream order, in place.
+
+    ``keys`` is C-contiguous and its last axis is the stream axis: the key
+    at leading position ``r`` (C order over the leading axes) and stream
+    position ``k`` has the stream position ``(k, r)``, ``k`` first.  For
+    a 1-D array that is the input position.  Returns ``(starts, uniq)``:
+    a bool mask of the first position of each run of equal keys in sorted
+    order, and the distinct keys in increasing order.  ``keys`` is left
+    holding, in sorted order, the packed stream positions
+    ``k << pb | r`` (``pb`` from ``_stream``) of a sort that is stable in
+    stream order.
+
+    Each key is packed with its stream position into one int64 word,
+    ``key << shift | k << pb | r``, in the keys' own memory, one chunk of
+    stream positions at a time.  The words are distinct, so numpy's
+    default (unstable, SIMD) sort of them is exactly the stable order of
+    the keys, on every platform.  The run starts and the unique keys are
+    read off the sorted words, and the words are masked down to stream
+    positions.  When the words would not fit in 63 bits, the run starts
+    and the unique keys are read off a sorted copy instead, from a stable
+    argsort of the keys in stream order, whose positions are packed into
+    ``keys``.
+    """
+    n = keys.size
+    lead, width, pb = _stream(keys)
+    flat = keys.reshape(-1)
+    by_lead = keys.reshape(lead, width)
     starts = np.empty(n, dtype=bool)
     starts[0] = True
-    shift = (n - 1).bit_length()
+    shift = pb + (width - 1).bit_length()
     if (int(nkeys) - 1).bit_length() + shift > 63:
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
+        stream = by_lead.T.ravel()
+        order = np.argsort(stream, kind="stable")
+        ordered = stream[order]
+        del stream
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        keys[...] = order
-        return starts, ordered[starts]
-    keys <<= shift
-    for s in range(0, n, _CHUNK):
-        keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, n))
-    keys.sort()
+        k, r = np.divmod(order, lead)
+        k <<= pb
+        k |= r
+        flat[...] = k
+        return starts, _heads(starts, ordered)
+    step = max(1, _CHUNK // lead)
+    for s in range(0, width, step):
+        e = min(s + step, width)
+        words = by_lead[:, s:e]
+        words <<= shift
+        words |= np.arange(s << pb, e << pb, 1 << pb)
+        if pb:  # a single leading position is 0
+            words |= np.arange(lead)[:, None]
+    flat.sort()
     # neighbours share a key iff they differ in the position bits only
     for s in range(1, n, _CHUNK):
         e = min(s + _CHUNK, n)
-        np.greater_equal(keys[s:e] ^ keys[s - 1:e - 1], 1 << shift,
+        np.greater_equal(flat[s:e] ^ flat[s - 1:e - 1], 1 << shift,
                          out=starts[s:e])
-    uniq = keys[starts]
+    uniq = _heads(starts, flat)
     uniq >>= shift
-    keys &= (1 << shift) - 1
+    flat &= (1 << shift) - 1
     return starts, uniq
 
 
@@ -219,15 +286,18 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
 
     The constructor of canonical matrices from scalar triplets (``add``
     merges two canonical matrices without it).  Assumes indices already
-    validated and ``nrows*ncols`` within int64.  Sums duplicates in order
-    of appearance and drops sums that are exactly 0.0.  Inputs of exactly
-    0.0 change no sum: the running sums start at +0.0 and are never -0.0,
-    and x + 0.0 is x.  ``keys`` (int64) and ``vals`` (float64) must be
-    arrays made for this call: both are overwritten, and no other array
-    of their length is allocated.
+    validated and ``nrows*ncols`` within int64.  ``keys`` is C-contiguous
+    with the stream axis last (see ``_sort``), and ``vals`` holds the
+    values in the keys' C order.  Sums duplicates in stream order and
+    drops sums that are exactly 0.0.  Inputs of exactly 0.0 change no
+    sum: the running sums start at +0.0 and are never -0.0, and x + 0.0
+    is x.  ``keys`` (int64) and ``vals`` (float64) must be arrays made for
+    this call: both are overwritten, and no other array of their length
+    is allocated.
 
-    ``_sort`` leaves the input positions in the keys' memory; the values
-    are gathered into that memory chunk by chunk, and the group numbers
+    ``_sort`` leaves the packed stream positions in the keys' memory; the
+    values are gathered into that memory chunk by chunk, each position
+    decoded to the C-order index ``r*width + k``, and the group numbers
     of the sum then go into the spent ``vals``.  The row pointer is built
     before ``_drop_zeros`` drops the zero sums.
     """
@@ -236,16 +306,33 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
         return empty_matrix(nrows, ncols)
 
     starts, uniq = _sort(keys, int(nrows) * int(ncols))
+    _, width, pb = _stream(keys)
+    keys = keys.reshape(-1)
     # the values in sorted order go into the same memory; each chunk
-    # overwrites only the positions it has just read
+    # overwrites only the positions it has just read.  With leading axes a
+    # chunk's C-order indices r*width + k go into one reused buffer, from
+    # which take writes straight into the keys' memory: the indices are in
+    # range, and mode "clip", unlike "raise", needs no temporary
+    at = np.empty(min(n, _CHUNK), dtype=np.int64) if pb else None
     for s in range(0, n, _CHUNK):
-        keys.view(np.float64)[s:s + _CHUNK] = vals[keys[s:s + _CHUNK]]
+        e = keys[s:s + _CHUNK]
+        out = keys.view(np.float64)[s:s + _CHUNK]
+        if pb:
+            index = at[:len(e)]
+            np.right_shift(e, pb, out=index)
+            e &= (1 << pb) - 1
+            e *= width
+            index += e
+            np.take(vals, index, out=out, mode="clip")
+            del index
+        else:  # one leading position: the stream positions are the indices
+            out[...] = vals[e]
     groups = vals.view(np.int64)
     vals = keys.view(np.float64)
-    del keys
+    del keys, e, out, at
 
     # bincount accumulates strictly left-to-right, so duplicates sum in
-    # order of appearance with a reproducible association; cumsum numbers
+    # stream order with a reproducible association; cumsum numbers
     # the groups from 1, so slot 0 stays empty
     groups[...] = starts
     np.cumsum(groups, out=groups)
@@ -266,31 +353,46 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
 def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     """Canonical CSR from m-by-m blocks keyed by node ``row*(ncols//m) + col``.
 
-    ``vals`` holds ``m*m`` runs of ``len(keys)`` values, one per component
-    pair ``p = l*m + c``; its entry ``k`` of run ``p`` goes to dof
-    ``(m*row_k + l, m*col_k + c)``.  Only the node keys are sorted (by
+    ``keys`` is C-contiguous with the stream axis last (see ``_sort``);
+    ``vals`` holds ``m*m`` runs of ``keys.size`` values, one per component
+    pair ``p = l*m + c``, each in the keys' C order; the value of pair
+    ``(l, c)`` at key ``row*(ncols//m) + col`` goes to dof
+    ``(m*row + l, m*col + c)``.  Only the node keys are sorted (by
     ``_sort``, which overwrites ``keys``); ``vals`` is only read.  The sort
-    gives each key the slot of its node entry, and one ``bincount`` per
-    component pair sums that pair's values slot by slot, left to right,
-    so the result is bit-identical to ``_from_keys`` on the expanded
-    scalar triplets, whose duplicates all come from one pair.  Under the
-    interleaved numbering node row ``i`` with ``deg[i]`` stored columns
-    expands to ``m`` dof rows of ``m*deg[i]`` entries each: component pair
-    ``(l, c)`` of the node entry of rank ``r`` in its row goes to position
-    ``m*m*rp[i] + l*m*deg[i] + m*r + c``.  Sums that are exactly 0.0 are
-    dropped afterwards.
+    gives each key, in stream order, the slot of its node entry, and one
+    ``bincount`` per component pair sums that pair's run, copied into
+    stream order, slot by slot, left to right, so the result is
+    bit-identical to ``_from_keys`` on the expanded scalar triplets, whose
+    duplicates all come from one pair.  Under the interleaved numbering
+    node row ``i`` with ``deg[i]`` stored columns expands to ``m`` dof rows
+    of ``m*deg[i]`` entries each: component pair ``(l, c)`` of the node
+    entry of rank ``r`` in its row goes to position
+    ``m*m*rp[i] + l*m*deg[i] + m*r + c``.  The column indices are written
+    after the sums, once the slots and the run are freed.  Sums that are
+    exactly 0.0 are dropped afterwards.
     """
-    n = len(keys)
+    n = keys.size
     if n == 0:
         return empty_matrix(nrows, ncols)
     nr, nc = nrows // m, ncols // m
     starts, uniq = _sort(keys, nr * nc)
+    lead, width, pb = _stream(keys)
+    keys = keys.reshape(-1)
+    # each packed position k << pb | r becomes the stream index k*lead + r
+    for s in range(0, n, _CHUNK):
+        e = keys[s:s + _CHUNK]
+        k = e >> pb
+        k *= lead
+        e &= (1 << pb) - 1
+        e += k
     groups = starts.astype(np.int64)  # cumsum of a bool array is slower
     np.cumsum(groups, out=groups)
     groups -= 1
     slot = np.empty_like(groups)
     slot[keys] = groups
-    del keys, starts, groups
+    # each component run is copied into stream order in the spent groups
+    run = groups.view(np.float64)
+    del keys, e, k, starts, groups
 
     nnz = len(uniq)
     rows = uniq // nc
@@ -308,15 +410,21 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     step *= m  # from one component row to the next
     del rows
     out = np.empty(m * m * nnz)
-    col_idx = np.empty(m * m * nnz, dtype=np.int64)
     for l in range(m):
         for c in range(m):
             p = l * m + c
-            at = dst + c
-            out[at] = np.bincount(slot, weights=vals[p * n:(p + 1) * n])
-            col_idx[at] = uniq + c
+            run.reshape(width, lead)[...] = vals[p * n:(p + 1) * n].reshape(
+                lead, width).T
+            out[dst + c] = np.bincount(slot, weights=run)
         dst += step
-    del slot, dst, step, at, uniq
+    del slot, run
+    # the m component rows of a node entry have the same columns
+    col_idx = np.empty(m * m * nnz, dtype=np.int64)
+    for _ in range(m):
+        dst -= step
+        for c in range(m):
+            col_idx[dst + c] = uniq + c
+    del dst, step, uniq
     row_ptr = np.empty(nrows + 1, dtype=np.int64)
     row_ptr[:-1] = (m * m * rp[:-1, None]
                     + m * deg[:, None] * np.arange(m)).ravel()
@@ -343,7 +451,8 @@ def _drop_zeros(row_ptr, col_idx, vals):
 
 
 def _keys(rows, ncols, cols) -> np.ndarray:
-    """New int64 keys ``rows*ncols + cols`` in C order, so ravel copies nothing."""
+    """New int64 keys ``rows*ncols + cols``, C-contiguous in the shape of
+    ``rows``, whose last axis stays the stream axis."""
     keys = np.multiply(rows, ncols, order="C")
     keys += cols
     return keys
@@ -377,10 +486,10 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
     # the keys are passed on unnamed, so that the constructor can free them
     if m > 1:
         return _from_blocks(batch.nrows, batch.ncols, m,
-                            _keys(batch.rows, batch.ncols // m, batch.cols).ravel(),
+                            _keys(batch.rows, batch.ncols // m, batch.cols),
                             batch.vals)
     return _from_keys(batch.nrows, batch.ncols,
-                      _keys(batch.rows, batch.ncols, batch.cols).ravel(),
+                      _keys(batch.rows, batch.ncols, batch.cols),
                       batch.vals if _owned else batch.vals.copy())
 
 
@@ -428,13 +537,17 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     no zero.  Repeated accumulation (matrix += batch) therefore costs
     time linear in the result size and no sort.  Raises
     NonCanonicalMatrixError when either operand's keys do not strictly
-    increase or it stores an exact 0.0.  The result never shares memory
-    with an operand.
+    increase.  The merged values are checked for exact zeros in one pass;
+    when they hold one, an operand that stores an exact 0.0 raises
+    NonCanonicalMatrixError (``b`` checked first) and the cancelled sums
+    are dropped.  A stored 0.0 that meets a nonzero value of the other
+    operand leaves no zero in the sum and, with no other zero there,
+    passes: that sum is the other operand's value, exactly.  The result
+    never shares memory with an operand.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
     ka, kb = _canonical_keys(a, "a"), _canonical_keys(b, "b")
-    _check_no_stored_zero(b, "b")
     # each key of b goes after its equal key in a, if any: ka[pos - 1].
     # Where pos is 0, ka[-1] is larger than the key, so no false match
     pos = np.searchsorted(ka, kb, side="right")
@@ -461,12 +574,14 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     vals = np.empty(n, dtype=np.float64)
     vals[from_a] = a.vals
     del from_a
-    # a's values are checked where the copy has just brought them to cache
-    _check_no_stored_zero(a, "a")
     vals[new_slots] = b.vals[new]
     vals[hit_slots] += b.vals[hit]
 
-    if (vals[hit_slots] == 0.0).any():
+    # one pass finds every zero of the sum; only then are stored zeros told
+    # from cancellations
+    if (vals == 0.0).any():
+        _check_no_stored_zero(b, "b")
+        _check_no_stored_zero(a, "a")
         row_ptr, col_idx, vals = _drop_zeros(row_ptr, col_idx, vals)
     return SparseMatrix(a.nrows, a.ncols, row_ptr, col_idx, vals)
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simplex_asm.assembly
 from simplex_asm import (
@@ -13,6 +15,7 @@ from simplex_asm import (
     NonSymmetricKernelError,
     SCALAR_DRIVERS,
     StiffnessKernel,
+    TripletBatch,
     VECTOR_DRIVERS,
     assemble_base,
     assemble_mass_pk,
@@ -29,6 +32,7 @@ from simplex_asm import (
     max_abs,
     max_abs_diff,
     pk_mass_coeffs,
+    sparse_from_triplets,
     transpose,
 )
 
@@ -128,7 +132,8 @@ def test_scalar_variants_agree(d, n, make):
 
 
 def test_optv1_and_optv2_are_bitwise_identical():
-    # both produce the same element-major triplet stream; optv2 hands the
+    # both produce the same element-major triplet stream, optv2 as a
+    # batch whose stream axis is the element axis; optv2 hands the
     # constructor its own buffers, optv1 new lists.  The shuffled mesh's
     # 73,728 triplets span several of the constructor's in-place chunks.
     for mesh in (generate_hypercube_mesh(2, 5), shuffled_mesh(2, 64, seed=3)):
@@ -412,15 +417,77 @@ def test_optv2_is_deterministic_and_matches_scipy(d, n):
         assert np.all(np.abs(first.vals - want.data) <= bound)
 
 
+# ---------------------------------------------------------------------------
+# Invariance under renumbering
+
+
+def property_mesh(d):
+    """A jittered 2D or 3D Kuhn mesh of 18 or 48 elements whose local
+    vertex order is shuffled."""
+    return shuffled_mesh(d, 3 if d == 2 else 2, seed=40 + d)
+
+
+def kernel_and_drivers(mesh, vector):
+    """Stiffness and the scalar drivers, or variable-Lame elasticity and the
+    vector drivers, on ``mesh``."""
+    if vector:
+        return (ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]),
+                VECTOR_DRIVERS)
+    return StiffnessKernel(mesh), SCALAR_DRIVERS
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), vector=st.booleans(), data=st.data())
+def test_relabelling_the_vertices_permutes_the_matrix_bitwise(d, vector, data):
+    # every element keeps its place and its local order, so each entry
+    # sums the same terms in the same order
+    mesh = property_mesh(d)
+    new_id = np.array(data.draw(st.permutations(range(mesh.nq))))
+    q = np.empty_like(mesh.q)
+    q[:, new_id] = mesh.q
+    relabelled = Mesh.from_arrays(q, new_id[mesh.me])
+    m = d if vector else 1
+    new_dof = (m * new_id[:, None] + np.arange(m)).ravel()
+    kernel, drivers = kernel_and_drivers(mesh, vector)
+    new_kernel, _ = kernel_and_drivers(relabelled, vector)
+    for name in ("base", "optv1", "optv2"):
+        if name not in drivers:
+            continue
+        a = drivers[name](mesh, kernel)
+        # distinct keys, so each entry is its one value
+        want = sparse_from_triplets(TripletBatch(
+            a.nrows, a.ncols, new_dof[a.row_indices()], new_dof[a.col_idx], a.vals))
+        got = drivers[name](relabelled, new_kernel)
+        for field in ("row_ptr", "col_idx", "vals"):
+            x, y = getattr(got, field), getattr(want, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, field)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), vector=st.booleans(), data=st.data())
+def test_reordering_the_elements_changes_entries_by_roundoff_only(d, vector, data):
+    mesh = property_mesh(d)
+    order = np.array(data.draw(st.permutations(range(mesh.nme))))
+    reordered = Mesh.from_arrays(mesh.q, mesh.me[:, order])
+    kernel, drivers = kernel_and_drivers(mesh, vector)
+    new_kernel, _ = kernel_and_drivers(reordered, vector)
+    for name, driver in drivers.items():
+        a, b = driver(mesh, kernel), driver(reordered, new_kernel)
+        assert max_abs_diff(a, b) <= 1e-12 * max_abs(a), name
+
+
 def test_optv2_peak_memory_is_two_full_length_buffers():
-    # scalar optv2 holds its element-major values and the constructor's
-    # keys, and no third array of that length: the peak measured 2.97
-    # L^2*nme float64 buffers, and keeping the pair-major values alive
-    # through the construction takes it to about 4.  Vector optv2 holds its
-    # block values, and the constructor sorts only the nloc^2*nme node keys:
-    # the elastic peak measured 2.56 buffers (3.08 when the dof keys were
-    # sorted, 3.01 with the block constructor's sums, scatter positions and
-    # staging buffer alive together)
+    # scalar optv2 holds its pair-major values and the constructor's keys,
+    # and no third array of that length: the peak measured 2.97 L^2*nme
+    # float64 buffers (3.41 when the gather's chunk temporaries were not
+    # reused; a chunk is 0.44 buffers here), and keeping a second copy of
+    # the values alive through the construction takes it to about 4.
+    # Vector optv2 holds its block values, and the constructor sorts only
+    # the nloc^2*nme node keys: the elastic peak measured 2.42 buffers
+    # (3.08 when the dof keys were sorted, 3.01 with the block
+    # constructor's sums, scatter positions and staging buffer alive
+    # together, 2.56 with the staging buffer and the column indices
+    # written beside the sums)
     mesh = shuffled_mesh(2, 64, seed=1)
     for driver, kernel, bound in (
             (assemble_optv2, StiffnessKernel(mesh), 3.3),

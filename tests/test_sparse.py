@@ -229,6 +229,22 @@ def test_add_rejects_stored_zeros():
         add(late, empty_matrix(3, 3))
 
 
+def test_add_rejects_a_stored_zero_beside_a_cancellation():
+    # the sum holds a zero at (1, 1), where 1.0 and -1.0 cancel, and one at
+    # (0, 0), stored by a: dropping both would hide a's
+    a = SparseMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 1]),
+                     np.array([0.0, 1.0]))
+    b = SparseMatrix(2, 2, np.array([0, 0, 1]), np.array([1]), np.array([-1.0]))
+    with pytest.raises(NonCanonicalMatrixError,
+                       match=r"operand a: stored entry 0 \(row 0, col 0\) "
+                             "is an exact zero"):
+        add(a, b)
+    # a stored zero that meets a nonzero value leaves none in the sum: the
+    # sum is that value, as without the zero
+    c = SparseMatrix(2, 2, np.array([0, 1, 1]), np.array([0]), np.array([2.0]))
+    assert entries_of(add(c, a)) == {(0, 0): 2.0, (1, 1): 1.0}
+
+
 def test_transpose():
     a = sparse_from_triplets(batch([(0, 1, 5.0)], shape=(2, 2)))
     assert entries_of(transpose(a)) == {(1, 0): 5.0}
@@ -534,15 +550,23 @@ def test_constructed_matrices_are_canonical(case):
 # Block batches (m > 1)
 
 
+def in_stream_order(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 1-D array in stream order: its last axis outermost, then
+    its leading axes in C order."""
+    return np.moveaxis(a, -1, 0).ravel()
+
+
 def expand(blocks: TripletBatch) -> TripletBatch:
-    """The scalar batch of a block batch's dof triplets, pair after pair."""
+    """The 1-D scalar batch of a block batch's dof triplets, pair after
+    pair, each pair's triplets in stream order."""
     m = blocks.m
-    rows, cols = blocks.rows.ravel(), blocks.cols.ravel()
+    rows, cols = in_stream_order(blocks.rows), in_stream_order(blocks.cols)
+    runs = blocks.vals.reshape((m * m,) + blocks.rows.shape)
     pairs = [divmod(p, m) for p in range(m * m)]
     return TripletBatch(blocks.nrows, blocks.ncols,
                         np.concatenate([m * rows + l for l, _ in pairs]),
                         np.concatenate([m * cols + n for _, n in pairs]),
-                        blocks.vals.copy())
+                        np.concatenate([in_stream_order(run) for run in runs]))
 
 
 def assert_same_csr(got, want):
@@ -620,6 +644,70 @@ def test_block_batch_rejects_bad_shapes_and_node_indices():
         sparse_from_triplets(TripletBatch(6, 6, [0, 3, 1], cols, np.ones(12), 2))
     with pytest.raises(IndexRangeError, match=r"col index -1 at triplet 2 outside"):
         sparse_from_triplets(TripletBatch(6, 6, rows, [0, 1, -1], np.ones(12), 2))
+
+
+# ---------------------------------------------------------------------------
+# The stream axis: duplicates sum in order of their index along the last
+# axis of the index arrays, ties broken by C order over the leading axes
+
+
+@st.composite
+def stream_batches(draw):
+    """A batch whose index arrays have 1 to 3 leading axes, m = 1, 2 or 3.
+
+    Few node keys, so that ties abound across elements and within one,
+    and values from 1e16, -1e16, 1.0 and 0.0, whose sums depend on the
+    order of addition and cancel exactly.  The index arrays are
+    C-ordered, Fortran-ordered, or broadcast views with zero strides on
+    some leading axes.  ``wide`` batches key their nodes on 60 to 63 bits
+    and have at least 4 position bits, so that the sort words do not fit
+    in 63 bits and the sort takes the stable argsort; the others pack.
+    """
+    m = draw(st.sampled_from([1, 2, 3]))
+    wide = draw(st.booleans())
+    lead = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if wide:
+        lead[0] = draw(st.integers(3, 4))
+    shape = (*lead, draw(st.integers(4, 6) if wide else st.integers(1, 6)))
+    nr, nc = (1, (2**63 - 1) // (m * m)) if wide else (2, 3)
+    layout = draw(st.sampled_from(["C", "F", "broadcast"]))
+
+    def indices(pool):
+        stored = shape
+        if layout == "broadcast":
+            stored = tuple(1 if draw(st.booleans()) else n for n in shape[:-1]) \
+                + shape[-1:]
+        size = int(np.prod(stored))
+        idx = np.array(draw(st.lists(st.sampled_from(pool), min_size=size,
+                                     max_size=size)), dtype=np.int64)
+        idx = np.broadcast_to(idx.reshape(stored), shape)
+        return np.asfortranarray(idx) if layout == "F" else idx
+
+    rows, cols = indices(range(nr)), indices([0, 1, nc - 1])
+    size = m * m * rows.size
+    vals = np.array(draw(st.lists(st.sampled_from([1e16, -1e16, 1.0, 0.0]),
+                                  min_size=size, max_size=size)))
+    vals = vals.reshape((m * m,) + shape)
+    if layout == "F":
+        vals = np.asfortranarray(vals)
+    packed = (nr * nc - 1).bit_length() + sum(
+        (n - 1).bit_length() for n in (rows.size // shape[-1], shape[-1]))
+    assert (packed > 63) == wide
+    return TripletBatch(m * nr, m * nc, rows, cols, vals, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=stream_batches())
+def test_batch_sums_in_stream_order(batch):
+    m = batch.m
+    inputs = [batch.rows.copy(), batch.cols.copy(), batch.vals.copy()]
+    runs = batch.vals.reshape((m * m,) + batch.rows.shape)
+    stream = TripletBatch(batch.nrows, batch.ncols, in_stream_order(batch.rows),
+                          in_stream_order(batch.cols),
+                          np.concatenate([in_stream_order(run) for run in runs]), m)
+    assert_same_csr(sparse_from_triplets(batch), sparse_from_triplets(stream))
+    for x, before in zip((batch.rows, batch.cols, batch.vals), inputs):
+        assert x.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
