@@ -262,9 +262,10 @@ def _sort(keys, nkeys: int):
         k |= r
         flat[...] = k
         return starts, _heads(starts, ordered)
-    step = max(1, _CHUNK // lead)
-    for s in range(0, width, step):
-        e = min(s + step, width)
+    # chunks along the stream axis only: each op then runs along whole
+    # rows, and the one temporary, the chunk's positions, stays short
+    for s in range(0, width, _CHUNK):
+        e = min(s + _CHUNK, width)
         words = by_lead[:, s:e]
         words <<= shift
         words |= np.arange(s << pb, e << pb, 1 << pb)
