@@ -11,13 +11,18 @@ stiffness (d = 1, 2, 3) and on variable-Lame elastic (d = 2, 3), on
 jittered Kuhn meshes with their vertices and elements permuted; the
 order-k lattice (``build_pk_mesh``) and its mass (``assemble_mass_pk``)
 for k = 1, 2, 3 (d = 2, 3); the bytes of each matrix's MatrixMarket
-file; for d = 1 to 4, the ``q``, ``me`` and ``vols`` of
+file and the matrix ``read_matrixmarket`` reads back from it; for d = 1
+to 4, the ``q``, ``me`` and ``vols`` of
 ``generate_hypercube_mesh`` and ``compute_gradients`` on it and on the
 permuted jittered mesh; and ``sparse_from_triplets`` on one set of
 tie-heavy triplets of the 3D mesh, m = 1 and 3, given as a 1-D batch, as
 an ``(nloc, nloc, nme)`` batch of broadcast views and as an ``(nme, L)``
 batch.  Standard library and numpy only; the package is imported from
 this checkout's ``src``.
+
+``tests/data/output_digest.txt`` holds this script's output, and
+``tests/test_output_digest.py`` compares every case line but the d = 4
+ones, whose geometry goes through LAPACK, with it.
 """
 
 from __future__ import annotations
@@ -63,11 +68,17 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def matrix_digest(a: sa.SparseMatrix) -> str:
+    return digest(np.array(a.shape), a.row_ptr, a.col_idx, a.vals)
+
+
 def matrix(name: str, a: sa.SparseMatrix, path: Path):
-    """The digests of ``a`` and of its MatrixMarket file at ``path``."""
-    yield name, digest(np.array(a.shape), a.row_ptr, a.col_idx, a.vals)
+    """The digests of ``a``, of its MatrixMarket file at ``path`` and of the
+    matrix read back from that file."""
+    yield name, matrix_digest(a)
     sa.write_matrixmarket(a, path)
     yield f"{name} mtx", hashlib.sha256(path.read_bytes()).hexdigest()
+    yield f"{name} mtx read", matrix_digest(sa.read_matrixmarket(path))
 
 
 def cases(path: Path):
@@ -122,8 +133,7 @@ def batches(tets: sa.Mesh):
         for layout, (r, c, v) in layouts.items():
             a = sa.sparse_from_triplets(
                 sa.TripletBatch(m * tets.nq, m * tets.nq, r, c, v, m))
-            yield (f"sparse_from_triplets m={m} {layout}",
-                   digest(np.array(a.shape), a.row_ptr, a.col_idx, a.vals))
+            yield f"sparse_from_triplets m={m} {layout}", matrix_digest(a)
 
 
 def main() -> None:

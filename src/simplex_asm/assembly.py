@@ -15,7 +15,8 @@ structure:
 * ``optv1``  - per-element fill of full-length triplet arrays, one
   constructor call at the end;
 * ``optv2``  - one batched kernel call per local pair fills full-length
-  triplet arrays, one constructor call at the end;
+  triplet arrays, one constructor call at the end; with a scalar kernel
+  flagged symmetric, one per strict upper pair and one per diagonal pair;
 * ``optv``   - one element-length triplet batch per local pair, added into
   the result as it goes;
 * ``optvs``  - like ``optv`` over the strict upper triangle ``ii < jj``
@@ -41,6 +42,21 @@ kernel the constructor sorts the nloc**2*nme node keys instead of the
 L**2*nme dof keys.  Each element adds at most one term to a dof entry,
 so the entries are still summed in element order, and the matrix is
 bitwise that of the dof-key stream and of ``base``.
+
+A scalar kernel flagged ``symmetric`` promises that ``batched(a, b)`` is
+``batched(b, a)`` bit for bit (see ``kernels``), and ``optv2`` reads the
+flag to stream only the ``nloc*(nloc - 1)/2`` strict upper pairs, as an
+``(npair, nme)`` batch indexed by ``me[a]`` and ``me[b]``, and the diagonal
+terms, element-major, through ``sparse_from_triplets``' private
+``_diagonal`` keyword, in the same one call.  The constructor keys each
+pair by its entry in the upper triangle, sums the diagonal with one
+``bincount`` over the elements in order and mirrors the upper triangle.
+The result stays bitwise that of ``optv1``: an element adds at most one
+term to an entry, so entry (i, j), its mirror (j, i) and the full
+stream's (i, j) all sum, in element order, the element's value for the
+pair or, for the swapped pair, the same bits, and a diagonal entry sums
+its terms in element order too.  Vector kernels, and scalar kernels not
+flagged symmetric, keep the full stream.
 """
 
 from __future__ import annotations
@@ -82,6 +98,21 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     def batch(ii, jj) -> TripletBatch:
         return TripletBatch(ndof, ndof, dofs(ii), dofs(jj),
                             kernel.batched(*local[ii], *local[jj]))
+
+    if strategy == "optv2" and m == 1 and kernel.symmetric:
+        # batched(a, b) is batched(b, a) bit for bit: the strict upper pairs
+        # stream along the element axis, the diagonal terms element-major,
+        # and the constructor mirrors the upper triangle.  The buffers are
+        # passed on unnamed, so that the constructor can free them
+        rows, cols = np.triu_indices(nloc, 1)  # the local pairs a < b
+        return sparse_from_triplets(
+            TripletBatch(ndof, ndof, mesh.me[rows], mesh.me[cols],
+                         _evaluate(kernel, zip(rows.tolist(), cols.tolist()),
+                                   np.empty((len(rows), nme)))),
+            _owned=True,
+            _diagonal=(mesh.me, _evaluate(kernel,
+                                          [(a, a) for a in range(nloc)],
+                                          np.empty((nme, nloc)).T).T))
 
     if strategy == "optv2":
         # every local pair is one whole-mesh vector along the last axis, the
@@ -145,6 +176,13 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         out = add(out, transpose(out))
         for ii in range(size):
             out = add(out, sparse_from_triplets(batch(ii, ii)))
+    return out
+
+
+def _evaluate(kernel, pairs, out: np.ndarray) -> np.ndarray:
+    """``out``, its row p set to ``kernel.batched(*pairs[p])``."""
+    for p, pair in enumerate(pairs):
+        out[p] = kernel.batched(*pair)
     return out
 
 

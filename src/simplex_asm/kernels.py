@@ -305,6 +305,14 @@ def pk_mass_coeffs(d: int, k: int) -> PkCoeffTable:
 # element k's values as Python lists and floats.  Coefficient functions are
 # evaluated at the mesh nodes once, here, so the evaluators are pure array
 # transforms.
+#
+# `symmetric = True` promises bitwise swap symmetry: `batched(a, b)` equals
+# `batched(b, a)` bit for bit, and for a vector kernel `batched(l, a, n, b)`
+# equals `batched(n, b, l, a)`.  `optvs` needs the flag, and scalar `optv2`
+# reads it to evaluate and sort the strict upper local pairs only, which
+# gives the full stream's bits only under this promise.  Every kernel here
+# keeps it (the mass adds `W[alpha] + W[beta]` as one term for this), as
+# the swap-symmetry test in `tests/test_kernels.py` checks.
 
 
 def _nodal_values(value, q: np.ndarray) -> np.ndarray:

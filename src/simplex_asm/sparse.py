@@ -25,6 +25,15 @@ dof triplets.  Sums that are exactly 0.0 are dropped, by ``_drop_zeros``
 in ``_from_keys``, ``_from_blocks`` and ``add``, so no exact zero is ever
 stored, and results are deterministic.  ``transpose`` and the
 MatrixMarket reader use ``_from_keys``.
+``sparse_from_triplets``' private ``_diagonal`` keyword serves scalar
+``optv2`` with a swap-symmetric kernel: the batch then holds the strict
+upper local pairs, keyed by their entry in the upper triangle and summed
+by ``_from_keys``, the diagonal terms are summed by one ``bincount`` over
+the elements in order, and ``_mirror`` lays out each row's lower part
+(the upper triangle's column, from one sort of the stored entries), its
+nonzero diagonal entry and its upper part.  Each mirror pair and the
+diagonal sum the same terms in the same order as the full stream would,
+so the result is bitwise the same.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -460,7 +469,81 @@ def _keys(rows, ncols, cols) -> np.ndarray:
     return keys
 
 
-def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
+def _upper_keys(rows, n, cols) -> np.ndarray:
+    """New int64 keys ``min(rows, cols)*n + max(rows, cols)`` of an n-by-n
+    matrix: each triplet keyed by its entry in the upper triangle,
+    C-contiguous in the shape of ``rows``."""
+    keys = np.minimum(rows, cols, order="C")
+    keys *= n
+    keys += np.maximum(rows, cols)
+    return keys
+
+
+def _mirror(upper: SparseMatrix, diag: np.ndarray) -> SparseMatrix:
+    """The symmetric matrix with strict upper triangle ``upper`` and
+    diagonal ``diag``, in canonical CSR.
+
+    ``upper`` is a canonical n-by-n matrix with no entry on or below the
+    diagonal, and ``diag`` holds n values, of which the exact zeros are not
+    stored.  Row i of the result is column i of ``upper`` (its lower part,
+    by the transpose), then ``diag[i]``, then row i of ``upper``, each
+    value with its bits, placed by a row pointer from the three counts of
+    each row.  The column order of ``upper``'s entries comes from one
+    default sort of the distinct words ``col << pb | p`` over their
+    positions ``p``, which are in row order, so each column lists its rows
+    in increasing order; a stable argsort of the columns takes its place
+    when the words would not fit in 63 bits.  Besides the result, the
+    rows and the order of ``upper``'s entries are the only temporaries of
+    their length; the scatters run chunk by chunk.
+    """
+    n, nnz, cols = upper.nrows, upper.nnz, upper.col_idx
+    on = diag != 0.0
+    # before[i]: the entries of the lower parts and diagonals of the rows
+    # before row i, so row i's upper part starts at before[i + 1] + p
+    before = np.zeros(n + 1, dtype=np.int64)
+    np.add(np.bincount(cols, minlength=n), on, out=before[1:])
+    np.cumsum(before, out=before)
+    row_ptr = before + upper.row_ptr
+    col_idx = np.empty(row_ptr[-1], dtype=np.int64)
+    vals = np.empty(row_ptr[-1])
+    # a nonzero diagonal entry closes the before[i + 1] of row i
+    at = before[1:] + upper.row_ptr[:-1]
+    at -= 1
+    at = at[on]
+    col_idx[at] = np.flatnonzero(on)
+    vals[at] = diag[on]
+    del at
+
+    rows = upper.row_indices()
+    pb = (nnz - 1).bit_length()
+    if (n - 1).bit_length() + pb <= 63:
+        order = cols << pb
+        order |= np.arange(nnz)
+        order.sort()
+        order &= (1 << pb) - 1
+    else:
+        order = np.argsort(cols, kind="stable")
+    # the t-th entry in column order, of column c, goes to t + (row_ptr[c]
+    # minus the entries of the columns before c)
+    lower = np.cumsum(on)
+    lower -= on
+    lower += upper.row_ptr[:-1]
+    for s in range(0, nnz, _CHUNK):
+        e = min(s + _CHUNK, nnz)
+        dst = before[1:][rows[s:e]]
+        dst += np.arange(s, e)
+        col_idx[dst] = cols[s:e]
+        vals[dst] = upper.vals[s:e]
+        p = order[s:e]
+        dst = lower[cols[p]]
+        dst += np.arange(s, e)
+        col_idx[dst] = rows[p]
+        vals[dst] = upper.vals[p]
+    return SparseMatrix(n, n, row_ptr, col_idx, vals)
+
+
+def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
+                         _diagonal=None) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch.
 
     The batch's index arrays are never written.  With ``batch.m == 1`` its
@@ -470,6 +553,19 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
     constructor then overwrites it instead of a copy.  A block batch (``m > 1``) is
     built from its node keys by ``_from_blocks``, which only reads the
     values.
+
+    ``_diagonal=(me, diag)`` is also private to the ``optv2`` engine, for
+    a swap-symmetric scalar kernel: the batch then holds the strict upper
+    local pairs of a square matrix, each triplet standing for itself and
+    its mirror, and ``diag`` the ``(nme, nloc)`` diagonal terms of the
+    ``(nloc, nme)`` node table ``me``, element-major.  The triplets are
+    keyed by their entry in the upper triangle and summed in stream order
+    by ``_from_keys``; the diagonal is one ``bincount`` over the elements
+    in order, each adding at most one term to a diagonal entry; and
+    ``_mirror`` lays out the lower part, the diagonal and the upper part
+    of every row.  When each pair's value equals its swap's bit for bit,
+    the result is bitwise that of the full stream of both triangles and
+    the diagonal.
     """
     m = batch.m
     for name, idx, size in (("row", batch.rows, batch.nrows // m),
@@ -484,8 +580,18 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False) -> SparseMatrix:
             raise IndexRangeError(
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
-    del stored  # a view object, not to be held through the construction
+    del stored, idx  # views, not to be held through the construction
     # the keys are passed on unnamed, so that the constructor can free them
+    if _diagonal is not None:
+        n = batch.nrows
+        diag = np.bincount(_diagonal[0].T.ravel(), weights=_diagonal[1].ravel(),
+                           minlength=n)
+        del _diagonal
+        upper = _from_keys(n, n, _upper_keys(batch.rows, n, batch.cols),
+                           batch.vals if _owned else batch.vals.copy())
+        # the batch's arrays are freed here when the caller holds none
+        del batch
+        return _mirror(upper, diag)
     if m > 1:
         return _from_blocks(batch.nrows, batch.ncols, m,
                             _keys(batch.rows, batch.ncols // m, batch.cols),

@@ -28,6 +28,8 @@ from simplex_asm import (
     assemble_vector_optv2,
     assemble_vector_optvs,
     build_pk_mesh,
+    compute_gradients,
+    dot_mat_vec_g,
     generate_hypercube_mesh,
     max_abs,
     max_abs_diff,
@@ -145,6 +147,77 @@ def test_optv1_and_optv2_are_bitwise_identical():
         assert np.array_equal(a.row_ptr, b.row_ptr)
 
 
+class TableKernel:
+    """Scalar kernel whose local entry (a, b) on element k is table[a, b, k]."""
+
+    def __init__(self, table, symmetric):
+        self.table = table
+        self.symmetric = symmetric
+
+    def batched(self, alpha, beta):
+        return self.table[alpha, beta].copy()
+
+    def single(self, alpha, beta, k):
+        return float(self.table[alpha, beta, k])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and all(
+        getattr(a, f).dtype == getattr(b, f).dtype
+        and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("row_ptr", "col_idx", "vals"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), extra=st.integers(0, 3),
+       nme=st.integers(1, 24), data=st.data())
+def test_symmetric_optv2_is_bitwise_the_full_stream(d, extra, nme, data):
+    # few vertices and many elements, so vertex pairs and diagonal entries
+    # take terms from several elements; values 1e16, -1e16, 1.0, 0.0 and
+    # -0.0 make the sums depend on their order and cancel exactly
+    nq = d + 1 + extra
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    me = np.stack([rng.permutation(nq)[:d + 1] for _ in range(nme)], axis=1)
+    mesh = Mesh.from_arrays(rng.random((d, nq)), me)
+    nloc = d + 1
+    table = np.array(data.draw(st.lists(
+        st.sampled_from([1e16, -1e16, 1.0, 0.0, -0.0]),
+        min_size=nloc * nloc * nme, max_size=nloc * nloc * nme))).reshape(
+            nloc, nloc, nme)
+    upper = np.triu(np.ones((nloc, nloc), dtype=bool), 1)
+    table.transpose(1, 0, 2)[upper] = table[upper]  # swap-symmetric
+    got = assemble_optv2(mesh, TableKernel(table, True))
+    full = assemble_optv2(mesh, TableKernel(table, False))
+    loop = assemble_optv1(mesh, TableKernel(table, True))
+    assert same_bits(got, full)
+    assert same_bits(got, loop)
+
+
+def test_non_symmetric_scalar_optv2_is_bitwise_the_element_loop():
+    # a kernel flagged non-symmetric keeps the full stream of every local pair
+    class Anisotropic:
+        symmetric = False
+
+        def __init__(self, mesh, A):
+            self.A, self.vols = A, mesh.vols
+            self.grads = compute_gradients(mesh)
+
+        def batched(self, alpha, beta):
+            return dot_mat_vec_g(self.A, self.grads, alpha, beta) * self.vols
+
+        def single(self, alpha, beta, k):
+            return float(self.batched(alpha, beta)[k])
+
+    for d in (2, 3):
+        mesh = shuffled_mesh(d, 3 if d == 2 else 2, seed=d)
+        A = np.arange(1.0, d * d + 1).reshape(d, d) + np.eye(d) * d * d
+        kernel = Anisotropic(mesh, A)
+        got = assemble_optv2(mesh, kernel)
+        assert max_abs_diff(got, transpose(got)) > 1e-3 * max_abs(got)
+        assert same_bits(got, assemble_base(mesh, kernel))
+
+
 def test_optvs_requires_symmetric_kernel():
     mesh = generate_hypercube_mesh(2, 1)
     kernel = StiffnessKernel(mesh)
@@ -222,7 +295,10 @@ def test_batch_counts_per_strategy(monkeypatch):
         expected = {
             "base": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
             "optv1": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
-            "optv2": ({"sparse_from_triplets": 1}, {"batched": pairs}),
+            # a scalar symmetric kernel streams the strict upper pairs and
+            # the diagonal only
+            "optv2": ({"sparse_from_triplets": 1},
+                      {"batched": pairs if drivers is VECTOR_DRIVERS else half}),
             "optv": ({"sparse_from_triplets": pairs, "add": pairs},
                      {"batched": pairs}),
             "optvs": ({"sparse_from_triplets": half, "add": half + 1,
@@ -477,11 +553,13 @@ def test_reordering_the_elements_changes_entries_by_roundoff_only(d, vector, dat
 
 
 def test_optv2_peak_memory_is_two_full_length_buffers():
-    # scalar optv2 holds its pair-major values and the constructor's keys,
-    # and no third array of that length: the peak measured 2.97 L^2*nme
-    # float64 buffers (3.41 when the gather's chunk temporaries were not
-    # reused; a chunk is 0.44 buffers here), and keeping a second copy of
-    # the values alive through the construction takes it to about 4.
+    # scalar optv2 with a symmetric kernel holds its strict upper values,
+    # their index arrays and the diagonal terms (each a third of an
+    # L^2*nme float64 buffer in 2D), and the constructor frees them once
+    # the upper triangle is summed, before the mirror: the peak measured
+    # 2.27 buffers (3.60 with those arrays alive through the mirror; 2.97
+    # for the full stream of every local pair, whose values and keys are
+    # two buffers).
     # Vector optv2 holds its block values, and the constructor sorts only
     # the nloc^2*nme node keys: the elastic peak measured 2.42 buffers
     # (3.08 when the dof keys were sorted, 3.01 with the block
@@ -490,7 +568,7 @@ def test_optv2_peak_memory_is_two_full_length_buffers():
     # written beside the sums)
     mesh = shuffled_mesh(2, 64, seed=1)
     for driver, kernel, bound in (
-            (assemble_optv2, StiffnessKernel(mesh), 3.3),
+            (assemble_optv2, StiffnessKernel(mesh), 2.6),
             (assemble_vector_optv2,
              ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]), 2.8)):
         size = getattr(kernel, "m", 1) * (mesh.d + 1)

@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplex_asm import (
     ElasticKernel,
     MassKernel,
     Mesh,
     MeshValidationError,
+    PkMassKernel,
     RangeGuardError,
     StiffnessKernel,
     barycentric_moment,
     build_elastic_tables,
+    build_pk_mesh,
     compute_gradients,
     dot_mat_vec_g,
     elastic_kernel,
@@ -425,6 +429,48 @@ def test_elastic_kernel_swap_symmetry():
                                                range(3), range(4)):
         assert np.array_equal(kern.batched(l, alpha, n, beta),
                               kern.batched(n, beta, l, alpha))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_symmetric_kernels_are_bitwise_swap_symmetric(d, seed):
+    # symmetric = True promises batched(a, b) == batched(b, a) bit for bit,
+    # (l, a, n, b) <-> (n, b, l, a) for a vector kernel: scalar optv2
+    # evaluates and sorts only the strict upper local pairs on it.  The mesh
+    # is jittered, its local vertex order shuffled per element, and its
+    # vertices and elements permuted
+    rng = np.random.default_rng(seed)
+    shuffled = shuffled_mesh(d, 3 if d == 2 else 2, seed=seed)
+    new_id = rng.permutation(shuffled.nq)
+    q = np.empty_like(shuffled.q)
+    q[:, new_id] = shuffled.q
+    mesh = Mesh.from_arrays(
+        q, new_id[shuffled.me][:, rng.permutation(shuffled.nme)])
+    c = rng.uniform(0.5, 2.0, 3)
+    kernels = [
+        MassKernel(mesh),
+        MassKernel(mesh, lambda x: c[0] + c[1] * x[0] * x[-1] + np.sin(c[2] * x[1])),
+        StiffnessKernel(mesh),
+        ElasticKernel(mesh, lambda x: c[0] + x[0] * c[2],
+                      lambda x: c[1] + np.cos(x[-1] * c[2])),
+    ] + [PkMassKernel(build_pk_mesh(mesh, k), pk_mass_coeffs(d, k))
+         for k in (2, 3)]
+    for kernel in kernels:
+        assert kernel.symmetric
+        nloc = kernel.scaled.shape[0] if isinstance(kernel, PkMassKernel) else d + 1
+        if hasattr(kernel, "m"):
+            for l, alpha, n, beta in itertools.product(
+                    range(kernel.m), range(nloc), range(kernel.m), range(nloc)):
+                assert np.array_equal(bits(kernel.batched(l, alpha, n, beta)),
+                                      bits(kernel.batched(n, beta, l, alpha)))
+        else:
+            for alpha, beta in itertools.combinations(range(nloc), 2):
+                assert np.array_equal(bits(kernel.batched(alpha, beta)),
+                                      bits(kernel.batched(beta, alpha)))
 
 
 def test_elastic_kernel_local_matrix_against_voigt_oracle():
