@@ -565,7 +565,9 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
     ``_mirror`` lays out the lower part, the diagonal and the upper part
     of every row.  When each pair's value equals its swap's bit for bit,
     the result is bitwise that of the full stream of both triangles and
-    the diagonal.
+    the diagonal.  The diagonal terms are dropped once summed, and the
+    batch once the upper triangle is, so a caller that passes them
+    unnamed, as the engine does, has them freed before the mirror.
     """
     m = batch.m
     for name, idx, size in (("row", batch.rows, batch.nrows // m),
