@@ -15,8 +15,8 @@ structure:
 * ``optv1``  - per-element fill of full-length triplet arrays, one
   constructor call at the end;
 * ``optv2``  - one batched kernel call per local pair fills full-length
-  triplet arrays, one constructor call at the end; with a scalar kernel
-  flagged symmetric, one per strict upper pair and one per diagonal pair;
+  triplet arrays, one constructor call at the end; with a kernel flagged
+  symmetric, only the upper vertex pairs and the diagonal ones;
 * ``optv``   - one element-length triplet batch per local pair, added into
   the result as it goes;
 * ``optvs``  - like ``optv`` over the strict upper triangle ``ii < jj``
@@ -43,20 +43,29 @@ L**2*nme dof keys.  Each element adds at most one term to a dof entry,
 so the entries are still summed in element order, and the matrix is
 bitwise that of the dof-key stream and of ``base``.
 
-A scalar kernel flagged ``symmetric`` promises that ``batched(a, b)`` is
-``batched(b, a)`` bit for bit (see ``kernels``), and ``optv2`` reads the
-flag to stream only the ``nloc*(nloc - 1)/2`` strict upper pairs, as an
+A kernel flagged ``symmetric`` promises that ``batched(a, b)`` is
+``batched(b, a)`` bit for bit, and for a vector kernel that
+``batched(l, a, n, b)`` is ``batched(n, b, l, a)`` (see ``kernels``), and
+``optv2`` reads the flag to stream only the upper local vertex pairs.  A
+scalar kernel streams the ``nloc*(nloc - 1)/2`` strict upper pairs, as an
 ``(npair, nme)`` batch indexed by ``me[a]`` and ``me[b]``, and the diagonal
 terms, element-major, through ``sparse_from_triplets``' private
 ``_diagonal`` keyword, in the same one call.  The constructor keys each
 pair by its entry in the upper triangle, sums the diagonal with one
 ``bincount`` over the elements in order and mirrors the upper triangle.
-The result stays bitwise that of ``optv1``: an element adds at most one
-term to an entry, so entry (i, j), its mirror (j, i) and the full
-stream's (i, j) all sum, in element order, the element's value for the
-pair or, for the swapped pair, the same bits, and a diagonal entry sums
-its terms in element order too.  Vector kernels, and scalar kernels not
-flagged symmetric, keep the full stream.
+A vector kernel streams all ``m*m`` component pairs of each vertex pair
+a < b as one block batch, and the component pairs ``l <= n`` of each
+vertex pair (a, a) element-major through ``_diagonal``: 78 kernel calls
+instead of 144 for 3D elasticity.  The constructor keys each block by
+its upper node entry, transposing the blocks of the elements where
+``me[a] > me[b]``, sums each diagonal node block's component pairs by
+``bincount`` and lays out each node row's lower blocks (the transposed
+upper ones), diagonal block and upper blocks.  The result stays bitwise
+that of the full stream: an element adds at most one term to an entry,
+so entry (i, j), its mirror (j, i) and the full stream's (i, j) all sum,
+in element order, the element's value for the pair or, for the swapped
+pair, the same bits, and a diagonal entry sums its terms in element order
+too.  Kernels not flagged symmetric keep the full stream.
 """
 
 from __future__ import annotations
@@ -113,6 +122,25 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
             _diagonal=(mesh.me, _evaluate(kernel,
                                           [(a, a) for a in range(nloc)],
                                           np.empty((nme, nloc)).T).T))
+
+    if strategy == "optv2" and kernel.symmetric:
+        # batched(l, a, n, b) is batched(n, b, l, a) bit for bit: every
+        # component pair of the vertex pairs a < b streams along the element
+        # axis as one block batch, each component pair l <= n of the vertex
+        # pairs (a, a) element-major, and the constructor mirrors the upper
+        # node blocks.  The diagonal terms are passed on unnamed, so that
+        # the constructor can free them
+        rows, cols = np.triu_indices(nloc, 1)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        return sparse_from_triplets(
+            TripletBatch(ndof, ndof, mesh.me[rows], mesh.me[cols],
+                         _evaluate(kernel, [(l, a, n, b) for l in range(m)
+                                            for n in range(m) for a, b in pairs],
+                                   np.empty((m * m * len(pairs), nme))), m),
+            _diagonal=(mesh.me, [
+                _evaluate(kernel, [(l, a, n, a) for a in range(nloc)],
+                          np.empty((nme, nloc)).T).T
+                for l in range(m) for n in range(l, m)]))
 
     if strategy == "optv2":
         # every local pair is one whole-mesh vector along the last axis, the

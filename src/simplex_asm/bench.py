@@ -105,12 +105,12 @@ def aux_memory_bytes(variant: str, local_dofs: int, nme: int) -> int:
     once: local_dofs^2 * nme triplets for the full-length strategies, nme
     per step for the incremental ones; the classical one holds the values
     of a single local matrix.  It is not what ``optv2`` allocates: its
-    row and column arrays are broadcast views, and with a symmetric scalar
-    kernel it holds the strict upper pairs and the diagonal only.  Its
-    measured tracemalloc peak, warm and with the kernel built, is 2.27
-    (stiffness) and 2.42 (elastic) float64 arrays of local_dofs^2 * nme on
-    a 2D mesh of 8,192 triangles, which ``tests/test_assembly.py`` bounds
-    by 2.6 and 2.8.
+    row and column arrays are broadcast views, and with a symmetric kernel
+    it holds the upper vertex pairs and the diagonal only.  Its measured
+    tracemalloc peak, warm and with the kernel built, is 2.27 (stiffness)
+    and 1.38 (elastic) float64 arrays of local_dofs^2 * nme on a 2D mesh
+    of 8,192 triangles, which ``tests/test_assembly.py`` bounds by 2.6 and
+    1.6.
     """
     if variant in ("optv1", "optv2"):
         return 3 * local_dofs * local_dofs * nme * 8

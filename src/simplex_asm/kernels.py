@@ -308,9 +308,9 @@ def pk_mass_coeffs(d: int, k: int) -> PkCoeffTable:
 #
 # `symmetric = True` promises bitwise swap symmetry: `batched(a, b)` equals
 # `batched(b, a)` bit for bit, and for a vector kernel `batched(l, a, n, b)`
-# equals `batched(n, b, l, a)`.  `optvs` needs the flag, and scalar `optv2`
-# reads it to evaluate and sort the strict upper local pairs only, which
-# gives the full stream's bits only under this promise.  Every kernel here
+# equals `batched(n, b, l, a)`.  `optvs` needs the flag, and `optv2` reads
+# it to evaluate and sort the upper local vertex pairs only, which gives
+# the full stream's bits only under this promise.  Every kernel here
 # keeps it (the mass adds `W[alpha] + W[beta]` as one term for this), as
 # the swap-symmetry test in `tests/test_kernels.py` checks.
 

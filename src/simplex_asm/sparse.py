@@ -18,22 +18,28 @@ memory, and each reader decodes them where it reads the values.
 passes arrays made for the call: ``optv2`` its own values, the reader the
 arrays it built, the others a copy.
 ``_from_blocks`` builds a matrix of m-by-m blocks, a ``TripletBatch``
-with ``m > 1`` such as the vector ``optv2`` hands over: it sorts only the
-node keys, and one ``bincount`` per component pair over the node slots
-gives the block entries, bit-identical to ``_from_keys`` on the expanded
-dof triplets.  Sums that are exactly 0.0 are dropped, by ``_drop_zeros``
-in ``_from_keys``, ``_from_blocks`` and ``add``, so no exact zero is ever
-stored, and results are deterministic.  ``transpose`` and the
-MatrixMarket reader use ``_from_keys``.
-``sparse_from_triplets``' private ``_diagonal`` keyword serves scalar
-``optv2`` with a swap-symmetric kernel: the batch then holds the strict
-upper local pairs, keyed by their entry in the upper triangle and summed
-by ``_from_keys``, the diagonal terms are summed by one ``bincount`` over
-the elements in order, and ``_mirror`` lays out each row's lower part
-(the upper triangle's column, from one sort of the stored entries), its
-nonzero diagonal entry and its upper part.  Each mirror pair and the
-diagonal sum the same terms in the same order as the full stream would,
-so the result is bitwise the same.
+with ``m > 1`` such as the vector ``optv2`` hands over: ``_block_sums``
+sorts only the node keys, and one ``bincount`` per component pair over
+the node slots gives the block entries, bit-identical to ``_from_keys``
+on the expanded dof triplets; ``_put_blocks`` lays each node entry out
+under the interleaved numbering.  Sums that are exactly 0.0 are dropped,
+by ``_drop_zeros`` in ``_from_keys``, the block builders and ``add``, so
+no exact zero is ever stored, and results are deterministic.
+``transpose`` and the MatrixMarket reader use ``_from_keys``.
+``sparse_from_triplets``' private ``_diagonal`` keyword serves ``optv2``
+with a swap-symmetric kernel: the batch then holds the strict upper local
+vertex pairs, keyed by their entry in the upper triangle, and the
+diagonal terms are summed by one ``bincount`` over the elements in order
+(one per component pair ``l <= c`` for blocks).  A scalar batch is summed
+by ``_from_keys``, and ``_mirror`` lays out each row's lower part (the
+upper triangle's column, from one sort of the stored entries), its
+nonzero diagonal entry and its upper part.  A block batch is summed by
+``_block_sums``, each block whose row node is the larger transposed to
+its upper node entry, and ``_mirror_blocks`` lays out each node row's
+lower blocks (the transposed upper blocks of its column), its diagonal
+block and its upper blocks.  Each mirror pair and the diagonal sum the
+same terms in the same order as the full stream would, so the result is
+bitwise the same.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -368,25 +374,52 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     ``vals`` holds ``m*m`` runs of ``keys.size`` values, one per component
     pair ``p = l*m + c``, each in the keys' C order; the value of pair
     ``(l, c)`` at key ``row*(ncols//m) + col`` goes to dof
-    ``(m*row + l, m*col + c)``.  Only the node keys are sorted (by
-    ``_sort``, which overwrites ``keys``); ``vals`` is only read.  The sort
-    gives each key, in stream order, the slot of its node entry, and one
-    ``bincount`` per component pair sums that pair's run, copied into
-    stream order, slot by slot, left to right, so the result is
-    bit-identical to ``_from_keys`` on the expanded scalar triplets, whose
-    duplicates all come from one pair.  Under the interleaved numbering
-    node row ``i`` with ``deg[i]`` stored columns expands to ``m`` dof rows
-    of ``m*deg[i]`` entries each: component pair ``(l, c)`` of the node
-    entry of rank ``r`` in its row goes to position
-    ``m*m*rp[i] + l*m*deg[i] + m*r + c``.  The column indices are written
-    after the sums, once the slots and the run are freed.  Sums that are
-    exactly 0.0 are dropped afterwards.
+    ``(m*row + l, m*col + c)``.  ``_block_sums`` sorts the node keys only
+    and sums each component pair per node entry in stream order, so the
+    result is bit-identical to ``_from_keys`` on the expanded scalar
+    triplets, whose duplicates all come from one pair; ``_put_blocks``
+    lays the node entries out.  Sums that are exactly 0.0 are dropped
+    afterwards.
+    """
+    nr, nc = nrows // m, ncols // m
+    uniq, sums = _block_sums(m, keys, nr * nc, vals)
+    del keys
+    rows = uniq // nc
+    uniq -= rows * nc  # now the node columns
+    rp = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nr), out=rp[1:])
+    rank = np.arange(len(uniq))
+    rank -= rp[rows]
+    out = np.empty(m * m * rp[-1])
+    col_idx = np.empty(len(out), dtype=np.int64)
+    _put_blocks(out, col_idx, m, rp, rows, rank, uniq, sums)
+    del rows, rank, uniq, sums
+    row_ptr = _block_row_ptr(m, rp)
+    if (out == 0.0).any():
+        row_ptr, col_idx, out = _drop_zeros(row_ptr, col_idx, out)
+    return SparseMatrix(nrows, ncols, row_ptr, col_idx, out)
+
+
+def _block_sums(m, keys, nkeys, vals, swap=None):
+    """``(uniq, sums)`` of a block batch: its distinct node keys in
+    increasing order, and the ``(m, m, len(uniq))`` sums of every
+    component pair at each of them.
+
+    ``keys`` (int64 in ``[0, nkeys)``) and ``vals`` are as in
+    ``_from_blocks``.  Only the node keys are sorted (by ``_sort``, which
+    overwrites ``keys``); ``vals`` is only read.  The sort gives each key,
+    in stream order, the slot of its node entry, and one ``bincount`` per
+    component pair sums that pair's run, copied into stream order, slot by
+    slot, left to right.  With ``swap`` (bool, the keys' shape, C order)
+    the blocks where it is True are transposed: pair ``(l, c)`` takes
+    their values from the run of pair ``(c, l)``, by a bitwise blend of the
+    two runs, ``a ^ ((a ^ b) & mask)``, which moves each value's bits
+    unchanged and, unlike a masked copy, does not branch.
     """
     n = keys.size
     if n == 0:
-        return empty_matrix(nrows, ncols)
-    nr, nc = nrows // m, ncols // m
-    starts, uniq = _sort(keys, nr * nc)
+        return np.empty(0, dtype=np.int64), np.empty((m, m, 0))
+    starts, uniq = _sort(keys, nkeys)
     lead, width, pb = _stream(keys)
     keys = keys.reshape(-1)
     # each packed position k << pb | r becomes the stream index k*lead + r
@@ -403,47 +436,118 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     slot[keys] = groups
     # each component run is copied into stream order in the spent groups
     run = groups.view(np.float64)
+    stream = run.reshape(width, lead)
     del keys, e, k, starts, groups
+    if swap is not None:  # all bits set where a block is transposed
+        swap = swap.astype(np.int64).reshape(-1)
+        np.negative(swap, out=swap)
 
-    nnz = len(uniq)
-    rows = uniq // nc
-    uniq -= rows * nc
-    uniq *= m  # the first dof column of every node entry
-    rp = np.zeros(nr + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nr), out=rp[1:])
-    deg = np.diff(rp)
-    # node entry u has rank r = u - rp[i] in its row i, so its pair (l, c)
-    # goes to m*(m - 1)*rp[i] + m*u + l*m*deg[i] + c
-    dst = rp[rows]
-    dst *= m * (m - 1)
-    dst += m * np.arange(nnz)
-    step = deg[rows]
-    step *= m  # from one component row to the next
-    del rows
-    out = np.empty(m * m * nnz)
+    def bits(l, c):
+        return vals[(l * m + c) * n:(l * m + c + 1) * n].view(np.int64)
+
+    sums = np.empty((m, m, len(uniq)))
     for l in range(m):
         for c in range(m):
-            p = l * m + c
-            run.reshape(width, lead)[...] = vals[p * n:(p + 1) * n].reshape(
-                lead, width).T
-            out[dst + c] = np.bincount(slot, weights=run)
-        dst += step
-    del slot, run
-    # the m component rows of a node entry have the same columns
-    col_idx = np.empty(m * m * nnz, dtype=np.int64)
-    for _ in range(m):
-        dst -= step
+            run_lc = bits(l, c)
+            if swap is not None and l != c:
+                blend = run_lc ^ bits(c, l)
+                blend &= swap
+                blend ^= run_lc
+                run_lc = blend
+            stream[...] = run_lc.view(np.float64).reshape(lead, width).T
+            sums[l, c] = np.bincount(slot, weights=run)
+    return uniq, sums
+
+
+def _put_blocks(out, col_idx, m, rp, rows, rank, cols, sums):
+    """Write node entries into the CSR arrays of a matrix of m-by-m blocks.
+
+    ``rp`` is the node row pointer: node row ``i`` holds ``deg[i] =
+    rp[i + 1] - rp[i]`` node entries, and under the interleaved numbering
+    it expands to ``m`` dof rows of ``m*deg[i]`` entries each.  So
+    component pair ``(l, c)`` of the node entry of rank ``r`` in node row
+    ``i`` goes to position ``m*m*rp[i] + l*m*deg[i] + m*r + c``, with dof
+    column ``m*col + c``.  The entries are given by their node ``rows``,
+    ``rank``, node ``cols`` and ``(m, m, count)`` component ``sums``.
+    """
+    at = rp[rows]
+    step = rp[rows + 1]
+    step -= at  # the degree of each entry's row
+    step *= m   # from one component row to the next
+    at *= m * m
+    at += m * rank
+    cols = m * cols
+    for l in range(m):
         for c in range(m):
-            col_idx[dst + c] = uniq + c
-    del dst, step, uniq
-    row_ptr = np.empty(nrows + 1, dtype=np.int64)
+            dst = at + c
+            out[dst] = sums[l, c]
+            col_idx[dst] = cols + c
+        at += step
+
+
+def _block_row_ptr(m, rp) -> np.ndarray:
+    """The dof row pointer of ``_put_blocks``' layout: dof row ``m*i + l``
+    starts at ``m*m*rp[i] + l*m*deg[i]``."""
+    deg = np.diff(rp)
+    row_ptr = np.empty(m * len(deg) + 1, dtype=np.int64)
     row_ptr[:-1] = (m * m * rp[:-1, None]
                     + m * deg[:, None] * np.arange(m)).ravel()
     row_ptr[-1] = m * m * rp[-1]
+    return row_ptr
 
+
+def _mirror_blocks(n, m, uniq, sums, diag) -> SparseMatrix:
+    """The symmetric n-by-n matrix of m-by-m blocks with strict upper node
+    triangle ``(uniq, sums)`` and diagonal blocks ``diag``, in canonical
+    CSR.
+
+    ``uniq`` holds the upper node entries' keys ``row*(n//m) + col``,
+    ``row < col``, in increasing order, and ``sums`` their ``(m, m,
+    len(uniq))`` component sums, as ``_block_sums`` returns them; ``uniq``
+    is overwritten.  ``diag`` holds the diagonal blocks' sums of the
+    component pairs ``l <= c``, in the order of ``np.triu_indices(m)``, one
+    array of ``n//m`` per pair; pair ``(c, l)`` of a diagonal block is pair
+    ``(l, c)``.  Node row ``i`` of the result lists its lower entries (the
+    upper entries of column ``i`` in increasing row order, from one stable
+    sort of the columns, each block transposed), its diagonal block and
+    its upper entries, each placed by ``_put_blocks``.  Sums that are
+    exactly 0.0, such as the diagonal blocks of nodes in no element, are
+    dropped afterwards.
+    """
+    nr = n // m
+    nnz = len(uniq)
+    rows = uniq // nr
+    uniq -= rows * nr
+    cols = uniq
+    # node row i holds lo[i] lower entries, its diagonal block and up[i]
+    # upper entries
+    lo = np.bincount(cols, minlength=nr)
+    up = np.bincount(rows, minlength=nr)
+    rp = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(lo + up + 1, out=rp[1:])
+    out = np.empty(m * m * rp[-1])
+    col_idx = np.empty(len(out), dtype=np.int64)
+    # the upper entries of row i follow lo[i] + 1 entries
+    rank = np.arange(nnz)
+    rank += (lo + 1 - np.cumsum(up) + up)[rows]
+    _put_blocks(out, col_idx, m, rp, rows, rank, cols, sums)
+    # the t-th upper entry in column order, of column c, is the lower entry
+    # of rank t minus the upper entries of the columns before c in row c
+    order = _stable_order(cols, nr)
+    rank[order] = np.arange(nnz) - (np.cumsum(lo) - lo)[cols[order]]
+    del order
+    _put_blocks(out, col_idx, m, rp, cols, rank, rows, sums.transpose(1, 0, 2))
+    del rows, cols, rank, sums
+    blocks = np.empty((m, m, nr))
+    for l, c, d in zip(*np.triu_indices(m), diag):
+        blocks[l, c] = blocks[c, l] = d
+    nodes = np.arange(nr)
+    _put_blocks(out, col_idx, m, rp, nodes, lo, nodes, blocks)
+    del blocks, nodes, lo
+    row_ptr = _block_row_ptr(m, rp)
     if (out == 0.0).any():
         row_ptr, col_idx, out = _drop_zeros(row_ptr, col_idx, out)
-    return SparseMatrix(nrows, ncols, row_ptr, col_idx, out)
+    return SparseMatrix(n, n, row_ptr, col_idx, out)
 
 
 def _drop_zeros(row_ptr, col_idx, vals):
@@ -479,6 +583,21 @@ def _upper_keys(rows, n, cols) -> np.ndarray:
     return keys
 
 
+def _stable_order(keys, nkeys: int) -> np.ndarray:
+    """The positions of the int64 ``keys`` in ``[0, nkeys)`` in stably
+    sorted order: one default sort of the distinct words ``key << pb | p``
+    over the positions ``p``, or a stable argsort when the words would not
+    fit in 63 bits."""
+    pb = (len(keys) - 1).bit_length()
+    if (int(nkeys) - 1).bit_length() + pb > 63:
+        return np.argsort(keys, kind="stable")
+    order = keys << pb
+    order |= np.arange(len(keys))
+    order.sort()
+    order &= (1 << pb) - 1
+    return order
+
+
 def _mirror(upper: SparseMatrix, diag: np.ndarray) -> SparseMatrix:
     """The symmetric matrix with strict upper triangle ``upper`` and
     diagonal ``diag``, in canonical CSR.
@@ -489,12 +608,11 @@ def _mirror(upper: SparseMatrix, diag: np.ndarray) -> SparseMatrix:
     by the transpose), then ``diag[i]``, then row i of ``upper``, each
     value with its bits, placed by a row pointer from the three counts of
     each row.  The column order of ``upper``'s entries comes from one
-    default sort of the distinct words ``col << pb | p`` over their
-    positions ``p``, which are in row order, so each column lists its rows
-    in increasing order; a stable argsort of the columns takes its place
-    when the words would not fit in 63 bits.  Besides the result, the
-    rows and the order of ``upper``'s entries are the only temporaries of
-    their length; the scatters run chunk by chunk.
+    stable sort of the columns (``_stable_order``) over their positions,
+    which are in row order, so each column lists its rows in increasing
+    order.  Besides the result, the rows and the order of ``upper``'s
+    entries are the only temporaries of their length; the scatters run
+    chunk by chunk.
     """
     n, nnz, cols = upper.nrows, upper.nnz, upper.col_idx
     on = diag != 0.0
@@ -515,14 +633,7 @@ def _mirror(upper: SparseMatrix, diag: np.ndarray) -> SparseMatrix:
     del at
 
     rows = upper.row_indices()
-    pb = (nnz - 1).bit_length()
-    if (n - 1).bit_length() + pb <= 63:
-        order = cols << pb
-        order |= np.arange(nnz)
-        order.sort()
-        order &= (1 << pb) - 1
-    else:
-        order = np.argsort(cols, kind="stable")
+    order = _stable_order(cols, n)
     # the t-th entry in column order, of column c, goes to t + (row_ptr[c]
     # minus the entries of the columns before c)
     lower = np.cumsum(on)
@@ -554,20 +665,27 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
     built from its node keys by ``_from_blocks``, which only reads the
     values.
 
-    ``_diagonal=(me, diag)`` is also private to the ``optv2`` engine, for
-    a swap-symmetric scalar kernel: the batch then holds the strict upper
-    local pairs of a square matrix, each triplet standing for itself and
-    its mirror, and ``diag`` the ``(nme, nloc)`` diagonal terms of the
-    ``(nloc, nme)`` node table ``me``, element-major.  The triplets are
-    keyed by their entry in the upper triangle and summed in stream order
-    by ``_from_keys``; the diagonal is one ``bincount`` over the elements
-    in order, each adding at most one term to a diagonal entry; and
-    ``_mirror`` lays out the lower part, the diagonal and the upper part
-    of every row.  When each pair's value equals its swap's bit for bit,
-    the result is bitwise that of the full stream of both triangles and
-    the diagonal.  The diagonal terms are dropped once summed, and the
-    batch once the upper triangle is, so a caller that passes them
-    unnamed, as the engine does, has them freed before the mirror.
+    ``_diagonal=(me, terms)`` is also private to the ``optv2`` engine, for
+    a swap-symmetric kernel: the batch then holds the strict upper local
+    vertex pairs of a square matrix, each triplet or block standing for
+    itself and its mirror, and ``terms`` the diagonal terms of the
+    ``(nloc, nme)`` node table ``me``, element-major: one ``(nme, nloc)``
+    array for a scalar batch, and for a block batch one such array per
+    component pair ``l <= c``, in the order of ``np.triu_indices(m)``.  Each
+    is summed by one ``bincount`` over the elements in order, each adding
+    at most one term to a diagonal entry.  A scalar batch (``m == 1``) is
+    keyed by its entry in the upper triangle and summed in stream order by
+    ``_from_keys``, and ``_mirror`` lays out the lower part, the diagonal
+    and the upper part of every row.  A block batch is keyed by its upper
+    node entry and summed by ``_block_sums``, each block whose row node is
+    the larger transposed, and ``_mirror_blocks`` lays out each node row's
+    lower blocks, diagonal block and upper blocks.  When each value equals
+    its swap's bit for bit (``(l, a, c, b)`` and ``(c, b, l, a)`` for a
+    block), the result is bitwise that of the full stream of both
+    triangles and the diagonal.  The diagonal terms are dropped once
+    summed, and the batch once the upper triangle is, so a caller that
+    passes them unnamed, as the engine does, has them freed before the
+    mirror.
     """
     m = batch.m
     for name, idx, size in (("row", batch.rows, batch.nrows // m),
@@ -584,6 +702,17 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
             )
     del stored, idx  # views, not to be held through the construction
     # the keys are passed on unnamed, so that the constructor can free them
+    if _diagonal is not None and m > 1:
+        n, nr, nodes = batch.nrows, batch.nrows // m, _diagonal[0].T.ravel()
+        diag = [np.bincount(nodes, weights=t.ravel(), minlength=nr)
+                for t in _diagonal[1]]
+        del _diagonal, nodes
+        uniq, sums = _block_sums(m, _upper_keys(batch.rows, nr, batch.cols),
+                                 nr * nr, batch.vals,
+                                 np.greater(batch.rows, batch.cols, order="C"))
+        # the batch's arrays are freed here when the caller holds none
+        del batch
+        return _mirror_blocks(n, m, uniq, sums, diag)
     if _diagonal is not None:
         n = batch.nrows
         diag = np.bincount(_diagonal[0].T.ravel(), weights=_diagonal[1].ravel(),

@@ -218,6 +218,73 @@ def test_non_symmetric_scalar_optv2_is_bitwise_the_element_loop():
         assert same_bits(got, assemble_base(mesh, kernel))
 
 
+class VectorTableKernel:
+    """Vector kernel whose local entry (l, a, n, b) on element k is
+    table[l*nloc + a, n*nloc + b, k], over the component-major local dofs."""
+
+    def __init__(self, table, m, symmetric):
+        self.table, self.m, self.symmetric = table, m, symmetric
+        self.nloc = table.shape[0] // m
+
+    def batched(self, l, alpha, n, beta):
+        return self.table[l * self.nloc + alpha, n * self.nloc + beta].copy()
+
+    def single(self, l, alpha, n, beta, k):
+        return float(self.table[l * self.nloc + alpha, n * self.nloc + beta, k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), m=st.sampled_from([2, 3]),
+       extra=st.integers(0, 3), nme=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_symmetric_vector_optv2_is_bitwise_the_full_stream(d, m, extra, nme, seed):
+    # few vertices and many elements, so vertex pairs and diagonal node
+    # blocks take terms from several elements; each element's local vertex
+    # order is random, so about half its vertex pairs have me[a] > me[b]
+    # and reach the upper node triangle transposed.  Values 1e16, -1e16,
+    # 1.0, 0.0 and -0.0 make the sums depend on their order and cancel
+    # exactly
+    nq = d + 1 + extra
+    rng = np.random.default_rng(seed)
+    me = np.stack([rng.permutation(nq)[:d + 1] for _ in range(nme)], axis=1)
+    mesh = Mesh.from_arrays(rng.random((d, nq)), me)
+    size = m * (d + 1)
+    table = rng.choice([1e16, -1e16, 1.0, 0.0, -0.0], size=(size, size, nme))
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    table.transpose(1, 0, 2)[upper] = table[upper]  # swap-symmetric
+    got = assemble_vector_optv2(mesh, VectorTableKernel(table, m, True))
+    full = assemble_vector_optv2(mesh, VectorTableKernel(table, m, False))
+    loop = assemble_vector_base(mesh, VectorTableKernel(table, m, True))
+    assert same_bits(got, full)
+    assert same_bits(got, loop)
+
+
+def test_non_symmetric_vector_optv2_is_bitwise_the_element_loop():
+    # a vector kernel flagged non-symmetric keeps the full block stream
+    class Anisotropic:
+        symmetric = False
+
+        def __init__(self, mesh, A):
+            self.m, self.A, self.vols = len(A), A, mesh.vols
+            self.grads = compute_gradients(mesh)
+
+        def batched(self, l, alpha, n, beta):
+            return dot_mat_vec_g(self.A[l][n], self.grads, alpha, beta) * self.vols
+
+        def single(self, l, alpha, n, beta, k):
+            return float(self.batched(l, alpha, n, beta)[k])
+
+    for d in (2, 3):
+        mesh = shuffled_mesh(d, 3 if d == 2 else 2, seed=d)
+        # a different non-symmetric matrix per component pair
+        A = [[np.arange(1.0, d * d + 1).reshape(d, d) * (1 + l + 2 * n)
+              + np.eye(d) * d * d for n in range(d)] for l in range(d)]
+        kernel = Anisotropic(mesh, A)
+        got = assemble_vector_optv2(mesh, kernel)
+        assert max_abs_diff(got, transpose(got)) > 1e-3 * max_abs(got)
+        assert same_bits(got, assemble_vector_base(mesh, kernel))
+
+
 def test_optvs_requires_symmetric_kernel():
     mesh = generate_hypercube_mesh(2, 1)
     kernel = StiffnessKernel(mesh)
@@ -290,15 +357,18 @@ def test_batch_counts_per_strategy(monkeypatch):
     mesh = generate_hypercube_mesh(2, 2)
     for drivers, kernel in ((SCALAR_DRIVERS, StiffnessKernel(mesh)),
                             (VECTOR_DRIVERS, ElasticKernel(mesh))):
-        size = getattr(kernel, "m", 1) * (mesh.d + 1)   # L local dofs
+        m, nloc = getattr(kernel, "m", 1), mesh.d + 1
+        size = m * nloc   # L local dofs
         pairs, half = size * size, size * (size + 1) // 2
         expected = {
             "base": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
             "optv1": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
-            # a scalar symmetric kernel streams the strict upper pairs and
-            # the diagonal only
+            # a symmetric kernel streams every component pair of the vertex
+            # pairs a < b and the pairs l <= n of the vertex pairs (a, a):
+            # L(L+1)/2 calls for a scalar kernel, 21 for 2D elasticity
             "optv2": ({"sparse_from_triplets": 1},
-                      {"batched": pairs if drivers is VECTOR_DRIVERS else half}),
+                      {"batched": nloc * (nloc - 1) // 2 * m * m
+                       + nloc * m * (m + 1) // 2}),
             "optv": ({"sparse_from_triplets": pairs, "add": pairs},
                      {"batched": pairs}),
             "optvs": ({"sparse_from_triplets": half, "add": half + 1,
@@ -552,6 +622,49 @@ def test_reordering_the_elements_changes_entries_by_roundoff_only(d, vector, dat
         assert max_abs_diff(a, b) <= 1e-12 * max_abs(a), name
 
 
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), data=st.data())
+def test_stiffness_is_invariant_under_rigid_motions(d, data):
+    # a rotation (det +1) and a translation change the geometry by roundoff
+    # only: the same pattern, values within 1e-12 of the largest entry
+    mesh = property_mesh(d)
+    # a product of plane rotations, one per coordinate plane: every
+    # rotation in 2D and, as Tait-Bryan angles, in 3D
+    rot = np.eye(d)
+    for i, j in itertools.combinations(range(d), 2):
+        angle = data.draw(st.floats(-np.pi, np.pi))
+        plane = np.eye(d)
+        plane[[i, j], [i, j]] = np.cos(angle)
+        plane[i, j], plane[j, i] = -np.sin(angle), np.sin(angle)
+        rot = rot @ plane
+    assert np.linalg.det(rot) > 0
+    shift = np.array(data.draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                                        min_size=d, max_size=d)))
+    moved = Mesh.from_arrays(rot @ mesh.q + shift[:, None], mesh.me)
+    for driver in (assemble_optv2, assemble_optvs):
+        a = driver(mesh, StiffnessKernel(mesh))
+        b = driver(moved, StiffnessKernel(moved))
+        assert np.array_equal(a.row_ptr, b.row_ptr), driver.__name__
+        assert np.array_equal(a.col_idx, b.col_idx), driver.__name__
+        assert np.abs(a.vals - b.vals).max() <= 1e-12 * max_abs(a), driver.__name__
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from([2, 3]), vector=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_strategy_is_deterministic(d, vector, seed):
+    # the same input, built twice, gives the same bits from every strategy
+    outputs = []
+    for _ in range(2):
+        mesh = shuffled_mesh(d, 3 if d == 2 else 2, seed=seed)
+        kernel, drivers = kernel_and_drivers(mesh, vector)
+        outputs.append({name: driver(mesh, kernel)
+                        for name, driver in drivers.items()})
+    assert outputs[0].keys() == (VECTOR_DRIVERS if vector else SCALAR_DRIVERS).keys()
+    for name, got in outputs[0].items():
+        assert same_bits(got, outputs[1][name]), name
+
+
 def test_optv2_peak_memory_is_two_full_length_buffers():
     # scalar optv2 with a symmetric kernel holds its strict upper values,
     # their index arrays and the diagonal terms (each a third of an
@@ -560,17 +673,19 @@ def test_optv2_peak_memory_is_two_full_length_buffers():
     # 2.27 buffers (3.60 with those arrays alive through the mirror; 2.97
     # for the full stream of every local pair, whose values and keys are
     # two buffers).
-    # Vector optv2 holds its block values, and the constructor sorts only
-    # the nloc^2*nme node keys: the elastic peak measured 2.42 buffers
-    # (3.08 when the dof keys were sorted, 3.01 with the block
-    # constructor's sums, scatter positions and staging buffer alive
-    # together, 2.56 with the staging buffer and the column indices
-    # written beside the sums)
+    # Vector optv2 with a symmetric kernel holds the blocks of its upper
+    # vertex pairs (a third of the buffer in 2D) and their node indices,
+    # the constructor sorts only their node keys, and it frees the batch
+    # once the upper node blocks are summed, before the layout: the elastic
+    # peak measured 1.38 buffers, the result and its index arithmetic (2.42
+    # for the full block stream of every local pair, which sorted the
+    # nloc^2*nme node keys with the values alive; 3.08 when the dof keys
+    # were sorted)
     mesh = shuffled_mesh(2, 64, seed=1)
     for driver, kernel, bound in (
             (assemble_optv2, StiffnessKernel(mesh), 2.6),
             (assemble_vector_optv2,
-             ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]), 2.8)):
+             ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]), 1.6)):
         size = getattr(kernel, "m", 1) * (mesh.d + 1)
         driver(mesh, kernel)  # warm-up, so that first-call allocations stay out
         tracemalloc.start()
