@@ -128,8 +128,8 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         # component pair of the vertex pairs a < b streams along the element
         # axis as one block batch, each component pair l <= n of the vertex
         # pairs (a, a) element-major, and the constructor mirrors the upper
-        # node blocks.  The diagonal terms are passed on unnamed, so that
-        # the constructor can free them
+        # node blocks.  The buffers are passed on unnamed, so that the
+        # constructor can free them
         rows, cols = np.triu_indices(nloc, 1)
         pairs = list(zip(rows.tolist(), cols.tolist()))
         return sparse_from_triplets(

@@ -21,8 +21,8 @@ arrays it built, the others a copy.
 with ``m > 1`` such as the vector ``optv2`` hands over: ``_block_sums``
 sorts only the node keys, and one ``bincount`` per component pair over
 the node slots gives the block entries, bit-identical to ``_from_keys``
-on the expanded dof triplets; ``_put_blocks`` lays each node entry out
-under the interleaved numbering.  Sums that are exactly 0.0 are dropped,
+on the expanded dof triplets; ``_block_at`` places each node entry under
+the interleaved numbering.  Sums that are exactly 0.0 are dropped,
 by ``_drop_zeros`` in ``_from_keys``, the block builders and ``add``, so
 no exact zero is ever stored, and results are deterministic.
 ``transpose`` and the MatrixMarket reader use ``_from_keys``.
@@ -459,23 +459,33 @@ def _block_sums(m, keys, nkeys, vals, swap=None):
     return uniq, sums
 
 
-def _put_blocks(out, col_idx, m, rp, rows, rank, cols, sums):
-    """Write node entries into the CSR arrays of a matrix of m-by-m blocks.
+def _block_at(m, rp, rows, rank):
+    """Where node entries go in the CSR arrays of a matrix of m-by-m blocks.
 
     ``rp`` is the node row pointer: node row ``i`` holds ``deg[i] =
     rp[i + 1] - rp[i]`` node entries, and under the interleaved numbering
     it expands to ``m`` dof rows of ``m*deg[i]`` entries each.  So
     component pair ``(l, c)`` of the node entry of rank ``r`` in node row
-    ``i`` goes to position ``m*m*rp[i] + l*m*deg[i] + m*r + c``, with dof
-    column ``m*col + c``.  The entries are given by their node ``rows``,
-    ``rank``, node ``cols`` and ``(m, m, count)`` component ``sums``.
+    ``i`` goes to position ``m*m*rp[i] + l*m*deg[i] + m*r + c``.  Returns,
+    for the entries of ranks ``rank`` in node rows ``rows``, the position
+    of their pair ``(0, 0)`` and the step ``m*deg[i]`` from one component
+    row to the next, both new arrays.
     """
     at = rp[rows]
     step = rp[rows + 1]
-    step -= at  # the degree of each entry's row
-    step *= m   # from one component row to the next
+    step -= at
+    step *= m
     at *= m * m
     at += m * rank
+    return at, step
+
+
+def _put_blocks(out, col_idx, m, rp, rows, rank, cols, sums):
+    """Write node entries, given by their node ``rows``, ``rank``, node
+    ``cols`` and ``(m, m, count)`` component ``sums``, into the CSR arrays
+    of a matrix of m-by-m blocks at the positions of ``_block_at``; pair
+    ``(l, c)`` goes to dof column ``m*col + c``."""
+    at, step = _block_at(m, rp, rows, rank)
     cols = m * cols
     for l in range(m):
         for c in range(m):
@@ -486,12 +496,12 @@ def _put_blocks(out, col_idx, m, rp, rows, rank, cols, sums):
 
 
 def _block_row_ptr(m, rp) -> np.ndarray:
-    """The dof row pointer of ``_put_blocks``' layout: dof row ``m*i + l``
-    starts at ``m*m*rp[i] + l*m*deg[i]``."""
-    deg = np.diff(rp)
-    row_ptr = np.empty(m * len(deg) + 1, dtype=np.int64)
-    row_ptr[:-1] = (m * m * rp[:-1, None]
-                    + m * deg[:, None] * np.arange(m)).ravel()
+    """The dof row pointer of ``_block_at``'s layout: dof row ``m*i + l``
+    starts at the pair ``(l, 0)`` of rank 0 in node row ``i``."""
+    nr = len(rp) - 1
+    at, step = _block_at(m, rp, np.arange(nr), 0)
+    row_ptr = np.empty(m * nr + 1, dtype=np.int64)
+    row_ptr[:-1].reshape(nr, m)[...] = at[:, None] + step[:, None] * np.arange(m)
     row_ptr[-1] = m * m * rp[-1]
     return row_ptr
 
