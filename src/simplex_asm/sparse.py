@@ -410,11 +410,12 @@ def _block_sums(m, keys, nkeys, vals, swap=None):
     overwrites ``keys``); ``vals`` is only read.  The sort gives each key,
     in stream order, the slot of its node entry, and one ``bincount`` per
     component pair sums that pair's run, copied into stream order, slot by
-    slot, left to right.  With ``swap`` (bool, the keys' shape, C order)
-    the blocks where it is True are transposed: pair ``(l, c)`` takes
-    their values from the run of pair ``(c, l)``, by a bitwise blend of the
-    two runs, ``a ^ ((a ^ b) & mask)``, which moves each value's bits
-    unchanged and, unlike a masked copy, does not branch.
+    slot, left to right.  With ``swap`` (int64, the keys' shape, C order,
+    all bits set or none) the blocks where its bits are set are
+    transposed: pair ``(l, c)`` takes their values from the run of pair
+    ``(c, l)``, by a bitwise blend of the two runs, ``a ^ ((a ^ b) &
+    swap)``, which moves each value's bits unchanged and, unlike a masked
+    copy, does not branch.
     """
     n = keys.size
     if n == 0:
@@ -423,24 +424,24 @@ def _block_sums(m, keys, nkeys, vals, swap=None):
     lead, width, pb = _stream(keys)
     keys = keys.reshape(-1)
     # each packed position k << pb | r becomes the stream index k*lead + r
+    k = np.empty(min(n, _CHUNK), dtype=np.int64)
     for s in range(0, n, _CHUNK):
         e = keys[s:s + _CHUNK]
-        k = e >> pb
-        k *= lead
+        np.right_shift(e, pb, out=k[:len(e)])
+        k[:len(e)] *= lead
         e &= (1 << pb) - 1
-        e += k
+        e += k[:len(e)]
     groups = starts.astype(np.int64)  # cumsum of a bool array is slower
     np.cumsum(groups, out=groups)
     groups -= 1
     slot = np.empty_like(groups)
     slot[keys] = groups
-    # each component run is copied into stream order in the spent groups
+    # each component run is copied into stream order in the spent groups,
+    # and the runs of a transposed pair are blended in the spent keys
     run = groups.view(np.float64)
     stream = run.reshape(width, lead)
+    blend, swap = keys, None if swap is None else swap.reshape(-1)
     del keys, e, k, starts, groups
-    if swap is not None:  # all bits set where a block is transposed
-        swap = swap.astype(np.int64).reshape(-1)
-        np.negative(swap, out=swap)
 
     def bits(l, c):
         return vals[(l * m + c) * n:(l * m + c + 1) * n].view(np.int64)
@@ -450,7 +451,7 @@ def _block_sums(m, keys, nkeys, vals, swap=None):
         for c in range(m):
             run_lc = bits(l, c)
             if swap is not None and l != c:
-                blend = run_lc ^ bits(c, l)
+                np.bitwise_xor(run_lc, bits(c, l), out=blend)
                 blend &= swap
                 blend ^= run_lc
                 run_lc = blend
@@ -566,13 +567,24 @@ def _drop_zeros(row_ptr, col_idx, vals):
 
     Each zero is counted in its row, found by binary search in
     ``row_ptr``, so that no int64 array of the entries' length is made.
+    The kept entries are moved to the front of ``col_idx`` and ``vals`` in
+    place, chunk by chunk, and the fronts are returned: no new arrays of
+    the entries' length are faulted in, and the dropped tail stays
+    allocated, 16 bytes per zero.
     """
     keep = vals != 0.0
     # a zero at position p in row r is counted at r + 1
     row_ptr -= np.bincount(
         np.searchsorted(row_ptr, np.flatnonzero(~keep), side="right"),
         minlength=len(row_ptr)).cumsum()
-    return row_ptr, col_idx[keep], vals[keep]
+    at = 0
+    for s in range(0, len(vals), _CHUNK):
+        k = keep[s:s + _CHUNK]
+        count = np.count_nonzero(k)
+        col_idx[at:at + count] = col_idx[s:s + _CHUNK][k]
+        vals[at:at + count] = vals[s:s + _CHUNK][k]
+        at += count
+    return row_ptr, col_idx[:at], vals[:at]
 
 
 def _keys(rows, ncols, cols) -> np.ndarray:
@@ -717,11 +729,14 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
         diag = [np.bincount(nodes, weights=t.ravel(), minlength=nr)
                 for t in _diagonal[1]]
         del _diagonal, nodes
+        # cols - rows is negative, so its sign fills all bits, exactly
+        # where the row node is the larger and the block stands transposed
+        swap = np.subtract(batch.cols, batch.rows, order="C")
+        swap >>= 63
         uniq, sums = _block_sums(m, _upper_keys(batch.rows, nr, batch.cols),
-                                 nr * nr, batch.vals,
-                                 np.greater(batch.rows, batch.cols, order="C"))
+                                 nr * nr, batch.vals, swap)
         # the batch's arrays are freed here when the caller holds none
-        del batch
+        del swap, batch
         return _mirror_blocks(n, m, uniq, sums, diag)
     if _diagonal is not None:
         n = batch.nrows
