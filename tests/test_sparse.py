@@ -425,6 +425,28 @@ def test_sort_branches_agree_on_ties():
     assert np.array_equal(packed_uniq, np.unique(keys))
 
 
+def test_cancellations_are_dropped_across_chunks():
+    # a result longer than three chunks with cancelled sums in every chunk:
+    # the kept entries move to the front chunk by chunk, in the constructor
+    # and in add
+    nrows, ncols, n = 7, 20000, 3 * _CHUNK + 11
+    rng = np.random.default_rng(11)
+    rows, cols = np.divmod(rng.permutation(nrows * ncols)[:n], ncols)
+    vals = rng.uniform(1.0, 2.0, n)
+    gone = rng.random(n) < 0.1  # these entries meet their negation
+    all_rows = np.concatenate([rows, rows[gone]])
+    all_cols = np.concatenate([cols, cols[gone]])
+    all_vals = np.concatenate([vals, -vals[gone]])
+    built = sparse_from_triplets(TripletBatch(nrows, ncols, all_rows, all_cols,
+                                              all_vals))
+    assert built.nnz == n - np.count_nonzero(gone)
+    assert_csr_bitwise(built, nrows, ncols, all_rows, all_cols, all_vals)
+    a = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
+    b = sparse_from_triplets(TripletBatch(nrows, ncols, rows[gone], cols[gone],
+                                          -vals[gone]))
+    assert_csr_bitwise(add(a, b), nrows, ncols, all_rows, all_cols, all_vals)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 
