@@ -18,11 +18,14 @@ For every workload (all three by default) and each of its calls
 pairs of calls run, the side that goes first alternating from pair to
 pair, with a garbage collection before each call.  Every call is the
 workload's own ``run``, timed with ``time.perf_counter``; the times are
-raw, not scaled for host speed.  For each call the script prints the
-median and quartiles of both sides in ms, the change of the medians, the
-number of pairs the second side won (ties count for neither), and
-whether the two sides' outputs were bitwise equal (shape, row pointer,
-column indices and value bits) in every pair.
+raw, not scaled for host speed.  After the warm-up, one more untimed call
+per side runs under ``tracemalloc``, started just before it, as
+perfbench's ``peak_pass`` measures ``peak_mb.*``.  For each call the
+script prints the median and quartiles of both sides in ms, the change of
+the medians, the number of pairs the second side won (ties count for
+neither), whether the two sides' outputs were bitwise equal (shape, row
+pointer, column indices and value bits) in every pair, and both sides'
+tracemalloc peaks in MiB.
 
 The two calls of a pair run back to back in one process, under the same
 host load, so pairs resolve smaller differences than separate benchmark
@@ -41,6 +44,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +109,17 @@ def timed(workload, sample, call):
     return time.perf_counter() - start, out
 
 
+def traced_peak(workload, sample, call) -> float:
+    """tracemalloc peak (MiB) of one untimed call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workload.run(sample, call, None)
+        return tracemalloc.get_traced_memory()[1] / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
 def quartiles(samples):
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return median, q1, q3
@@ -126,6 +141,7 @@ def compare(name: str, sides, pairs: int, seed: int, workdir: Path) -> None:
         equal = True
         for side in (0, 1):
             timed(*runs[side], call)  # warm-up
+        peaks = [traced_peak(*runs[side], call) for side in (0, 1)]
         for i in range(pairs):
             outs = [None, None]
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
@@ -138,7 +154,8 @@ def compare(name: str, sides, pairs: int, seed: int, workdir: Path) -> None:
         print(f"{name:20s} {call:9s} {1e3 * ma:9.2f} [{1e3 * qa1:.2f}, "
               f"{1e3 * qa3:.2f}] {1e3 * mb:9.2f} [{1e3 * qb1:.2f}, "
               f"{1e3 * qb3:.2f}] {100 * (mb / ma - 1):+7.2f}% "
-              f"{won:3d}/{pairs:<3d} {'yes' if equal else 'NO'}", flush=True)
+              f"{won:3d}/{pairs:<3d} {'yes' if equal else 'NO':>7s} "
+              f"{peaks[0]:8.2f} {peaks[1]:8.2f}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -164,9 +181,10 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     print(f"a = {args.a.resolve()}\nb = {args.b.resolve()}\n"
-          f"{args.pairs} pairs, seed {args.seed}, raw ms: median [q1, q3]")
+          f"{args.pairs} pairs, seed {args.seed}, raw ms: median [q1, q3]; "
+          "tracemalloc peaks in MiB")
     print(f"{'workload':20s} {'call':9s} {'a':>26s} {'b':>26s} {'b/a-1':>8s} "
-          f"{'b won':>7s} bitwise")
+          f"{'b won':>7s} bitwise {'peak a':>8s} {'peak b':>8s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             workdir = Path(tmp) / name

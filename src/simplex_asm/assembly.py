@@ -43,29 +43,26 @@ L**2*nme dof keys.  Each element adds at most one term to a dof entry,
 so the entries are still summed in element order, and the matrix is
 bitwise that of the dof-key stream and of ``base``.
 
-A kernel flagged ``symmetric`` promises that ``batched(a, b)`` is
-``batched(b, a)`` bit for bit, and for a vector kernel that
-``batched(l, a, n, b)`` is ``batched(n, b, l, a)`` (see ``kernels``), and
-``optv2`` reads the flag to stream only the upper local vertex pairs.  A
-scalar kernel streams the ``nloc*(nloc - 1)/2`` strict upper pairs, as an
-``(npair, nme)`` batch indexed by ``me[a]`` and ``me[b]``, and the diagonal
-terms, element-major, through ``sparse_from_triplets``' private
-``_diagonal`` keyword, in the same one call.  The constructor keys each
-pair by its entry in the upper triangle, sums the diagonal with one
-``bincount`` over the elements in order and mirrors the upper triangle.
-A vector kernel streams all ``m*m`` component pairs of each vertex pair
-a < b as one block batch, and the component pairs ``l <= n`` of each
-vertex pair (a, a) element-major through ``_diagonal``: 78 kernel calls
-instead of 144 for 3D elasticity.  The constructor keys each block by
-its upper node entry, transposing the blocks of the elements where
-``me[a] > me[b]``, sums each diagonal node block's component pairs by
-``bincount`` and lays out each node row's lower blocks (the transposed
-upper ones), diagonal block and upper blocks.  The result stays bitwise
-that of the full stream: an element adds at most one term to an entry,
-so entry (i, j), its mirror (j, i) and the full stream's (i, j) all sum,
-in element order, the element's value for the pair or, for the swapped
-pair, the same bits, and a diagonal entry sums its terms in element order
-too.  Kernels not flagged symmetric keep the full stream.
+A kernel flagged ``symmetric`` promises that ``batched(l, a, n, b)`` is
+``batched(n, b, l, a)`` bit for bit (for a scalar kernel, ``batched(a,
+b)`` is ``batched(b, a)``; see ``kernels``), and ``optv2`` reads the flag
+to stream only the upper local vertex pairs, in one stream for every
+``m``: a scalar kernel is the case m = 1.  All ``m*m`` component pairs of
+each vertex pair a < b go in one block batch indexed by ``me[a]`` and
+``me[b]``, and the component pairs ``l <= n`` of each vertex pair (a, a)
+element-major through ``sparse_from_triplets``' private ``_diagonal``
+keyword, in the same one call: 6 of the 9 kernel calls per triangle for
+a scalar kernel, 78 instead of 144 for 3D elasticity.  The constructor
+keys each block by its upper node entry, transposing the blocks of the
+elements where ``me[a] > me[b]``, sums each diagonal node block's
+component pairs by ``bincount`` and lays out each node row's lower blocks
+(the transposed upper ones), diagonal block and upper blocks.  The
+result stays bitwise that of the full stream: an element adds at most
+one term to an entry, so entry (i, j), its mirror (j, i) and the full
+stream's (i, j) all sum, in element order, the element's value for the
+pair or, for the swapped pair, the same bits, and a diagonal entry sums
+its terms in element order too.  Kernels not flagged symmetric keep the
+full stream.
 """
 
 from __future__ import annotations
@@ -108,37 +105,25 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         return TripletBatch(ndof, ndof, dofs(ii), dofs(jj),
                             kernel.batched(*local[ii], *local[jj]))
 
-    if strategy == "optv2" and m == 1 and kernel.symmetric:
-        # batched(a, b) is batched(b, a) bit for bit: the strict upper pairs
-        # stream along the element axis, the diagonal terms element-major,
-        # and the constructor mirrors the upper triangle.  The buffers are
-        # passed on unnamed, so that the constructor can free them
-        rows, cols = np.triu_indices(nloc, 1)  # the local pairs a < b
-        return sparse_from_triplets(
-            TripletBatch(ndof, ndof, mesh.me[rows], mesh.me[cols],
-                         _evaluate(kernel, zip(rows.tolist(), cols.tolist()),
-                                   np.empty((len(rows), nme)))),
-            _owned=True,
-            _diagonal=(mesh.me, _evaluate(kernel,
-                                          [(a, a) for a in range(nloc)],
-                                          np.empty((nme, nloc)).T).T))
-
     if strategy == "optv2" and kernel.symmetric:
         # batched(l, a, n, b) is batched(n, b, l, a) bit for bit: every
         # component pair of the vertex pairs a < b streams along the element
-        # axis as one block batch, each component pair l <= n of the vertex
-        # pairs (a, a) element-major, and the constructor mirrors the upper
-        # node blocks.  The buffers are passed on unnamed, so that the
-        # constructor can free them
+        # axis as one block batch (of one value each for a scalar kernel,
+        # m = 1), each component pair l <= n of the vertex pairs (a, a)
+        # element-major, and the constructor mirrors the upper node blocks.
+        # The buffers are passed on unnamed, so that the constructor can
+        # free them
         rows, cols = np.triu_indices(nloc, 1)
         pairs = list(zip(rows.tolist(), cols.tolist()))
         return sparse_from_triplets(
             TripletBatch(ndof, ndof, mesh.me[rows], mesh.me[cols],
-                         _evaluate(kernel, [(l, a, n, b) for l in range(m)
-                                            for n in range(m) for a, b in pairs],
+                         _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + b]
+                                            for l in range(m) for n in range(m)
+                                            for a, b in pairs],
                                    np.empty((m * m * len(pairs), nme))), m),
             _diagonal=(mesh.me, [
-                _evaluate(kernel, [(l, a, n, a) for a in range(nloc)],
+                _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + a]
+                                   for a in range(nloc)],
                           np.empty((nme, nloc)).T).T
                 for l in range(m) for n in range(l, m)]))
 

@@ -107,7 +107,7 @@ def aux_memory_bytes(variant: str, local_dofs: int, nme: int) -> int:
     of a single local matrix.  It is not what ``optv2`` allocates: its
     row and column arrays are broadcast views, and with a symmetric kernel
     it holds the upper vertex pairs and the diagonal only.  Its measured
-    tracemalloc peak, warm and with the kernel built, is 2.27 (stiffness)
+    tracemalloc peak, warm and with the kernel built, is 2.09 (stiffness)
     and 1.38 (elastic) float64 arrays of local_dofs^2 * nme on a 2D mesh
     of 8,192 triangles, which ``tests/test_assembly.py`` bounds by 2.6 and
     1.6.

@@ -21,25 +21,23 @@ arrays it built, the others a copy.
 with ``m > 1`` such as the vector ``optv2`` hands over: ``_block_sums``
 sorts only the node keys, and one ``bincount`` per component pair over
 the node slots gives the block entries, bit-identical to ``_from_keys``
-on the expanded dof triplets; ``_block_at`` places each node entry under
+on the expanded dof triplets; ``_put_blocks`` places each node entry under
 the interleaved numbering.  Sums that are exactly 0.0 are dropped,
 by ``_drop_zeros`` in ``_from_keys``, the block builders and ``add``, so
 no exact zero is ever stored, and results are deterministic.
 ``transpose`` and the MatrixMarket reader use ``_from_keys``.
 ``sparse_from_triplets``' private ``_diagonal`` keyword serves ``optv2``
-with a swap-symmetric kernel: the batch then holds the strict upper local
-vertex pairs, keyed by their entry in the upper triangle, and the
-diagonal terms are summed by one ``bincount`` over the elements in order
-(one per component pair ``l <= c`` for blocks).  A scalar batch is summed
-by ``_from_keys``, and ``_mirror`` lays out each row's lower part (the
-upper triangle's column, from one sort of the stored entries), its
-nonzero diagonal entry and its upper part.  A block batch is summed by
-``_block_sums``, each block whose row node is the larger transposed to
-its upper node entry, and ``_mirror_blocks`` lays out each node row's
-lower blocks (the transposed upper blocks of its column), its diagonal
-block and its upper blocks.  Each mirror pair and the diagonal sum the
-same terms in the same order as the full stream would, so the result is
-bitwise the same.
+with a swap-symmetric kernel, scalar or vector alike: the batch then
+holds the blocks of the strict upper local vertex pairs (one value each
+for a scalar kernel, the case m = 1), keyed by their upper node entry,
+and the diagonal terms are summed by one ``bincount`` per component pair
+``l <= c`` over the elements in order.  ``_block_sums`` sums the upper
+blocks, each block whose row node is the larger transposed to its upper
+node entry, and one mirror, ``_mirror``, lays out each node row's lower
+blocks (the transposed upper blocks of its column, from one sort of the
+upper entries' columns), its diagonal block and its upper blocks.  Each
+mirror pair and the diagonal sum the same terms in the same order as the
+full stream would, so the result is bitwise the same.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -386,16 +384,14 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     del keys
     rows = uniq // nc
     uniq -= rows * nc  # now the node columns
-    rp = np.zeros(nr + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nr), out=rp[1:])
-    rank = np.arange(len(uniq))
-    rank -= rp[rows]
-    out = np.empty(m * m * rp[-1])
+    deg = np.bincount(rows, minlength=nr)
+    row_ptr = _block_row_ptr(m, deg)
+    out = np.empty(row_ptr[-1])
     col_idx = np.empty(len(out), dtype=np.int64)
-    _put_blocks(out, col_idx, m, rp, rows, rank, uniq, sums)
-    del rows, rank, uniq, sums
-    row_ptr = _block_row_ptr(m, rp)
-    if (out == 0.0).any():
+    # node row i starts at entry cumsum(deg)[i] - deg[i] of uniq
+    _put_blocks(out, col_idx, m, row_ptr, np.cumsum(deg) - deg, rows, uniq, sums)
+    del rows, uniq, sums
+    if not out.all():
         row_ptr, col_idx, out = _drop_zeros(row_ptr, col_idx, out)
     return SparseMatrix(nrows, ncols, row_ptr, col_idx, out)
 
@@ -403,19 +399,21 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
 def _block_sums(m, keys, nkeys, vals, swap=None):
     """``(uniq, sums)`` of a block batch: its distinct node keys in
     increasing order, and the ``(m, m, len(uniq))`` sums of every
-    component pair at each of them.
+    component pair at each of them, leaving out the keys whose sums are
+    all exactly 0.0.
 
     ``keys`` (int64 in ``[0, nkeys)``) and ``vals`` are as in
     ``_from_blocks``.  Only the node keys are sorted (by ``_sort``, which
     overwrites ``keys``); ``vals`` is only read.  The sort gives each key,
     in stream order, the slot of its node entry, and one ``bincount`` per
-    component pair sums that pair's run, copied into stream order, slot by
-    slot, left to right.  With ``swap`` (int64, the keys' shape, C order,
-    all bits set or none) the blocks where its bits are set are
-    transposed: pair ``(l, c)`` takes their values from the run of pair
-    ``(c, l)``, by a bitwise blend of the two runs, ``a ^ ((a ^ b) &
-    swap)``, which moves each value's bits unchanged and, unlike a masked
-    copy, does not branch.
+    component pair sums that pair's run, copied into stream order in the
+    spent keys, slot by slot, left to right.  With ``swap`` (int64, the
+    keys' shape, C order, all bits set or none) the blocks where its bits
+    are set are transposed: pair ``(l, c)`` takes their values from the
+    run of pair ``(c, l)``, by a bitwise blend of the two runs, ``a ^ ((a
+    ^ b) & swap)``, which moves each value's bits unchanged and, unlike a
+    masked copy, does not branch.  Besides the slots, the blend's buffer
+    is the only new array of the keys' length, and only with ``swap``.
     """
     n = keys.size
     if n == 0:
@@ -423,25 +421,30 @@ def _block_sums(m, keys, nkeys, vals, swap=None):
     starts, uniq = _sort(keys, nkeys)
     lead, width, pb = _stream(keys)
     keys = keys.reshape(-1)
-    # each packed position k << pb | r becomes the stream index k*lead + r
+    # each packed position k << pb | r becomes the stream index k*lead + r,
+    # and the slot there gets the group number of its sorted position
+    slot = np.empty(n, dtype=np.int64)
     k = np.empty(min(n, _CHUNK), dtype=np.int64)
+    group = -1
     for s in range(0, n, _CHUNK):
         e = keys[s:s + _CHUNK]
-        np.right_shift(e, pb, out=k[:len(e)])
-        k[:len(e)] *= lead
+        buf = k[:len(e)]
+        np.right_shift(e, pb, out=buf)
+        buf *= lead
         e &= (1 << pb) - 1
-        e += k[:len(e)]
-    groups = starts.astype(np.int64)  # cumsum of a bool array is slower
-    np.cumsum(groups, out=groups)
-    groups -= 1
-    slot = np.empty_like(groups)
-    slot[keys] = groups
-    # each component run is copied into stream order in the spent groups,
-    # and the runs of a transposed pair are blended in the spent keys
-    run = groups.view(np.float64)
-    stream = run.reshape(width, lead)
-    blend, swap = keys, None if swap is None else swap.reshape(-1)
-    del keys, e, k, starts, groups
+        e += buf
+        buf[...] = starts[s:s + _CHUNK]  # cumsum of a bool array is slower
+        np.cumsum(buf, out=buf)
+        buf += group
+        group = buf[-1]
+        slot[e] = buf
+    # each component run is copied into stream order in the spent keys;
+    # the runs of a transposed pair are blended in C order first, in a
+    # buffer of their own, since a blend read in stream order is slower
+    run, stream = keys.view(np.float64), keys.reshape(width, lead)
+    if swap is not None:
+        blend, swap = np.empty(n, dtype=np.int64), swap.reshape(-1)
+    del keys, e, k, buf, starts
 
     def bits(l, c):
         return vals[(l * m + c) * n:(l * m + c + 1) * n].view(np.int64)
@@ -455,62 +458,69 @@ def _block_sums(m, keys, nkeys, vals, swap=None):
                 blend &= swap
                 blend ^= run_lc
                 run_lc = blend
-            stream[...] = run_lc.view(np.float64).reshape(lead, width).T
+            stream[...] = run_lc.reshape(lead, width).T
             sums[l, c] = np.bincount(slot, weights=run)
+    # entries whose sums are all 0.0 go here, so that the layout leaves no
+    # dropped tail in the result arrays for them
+    if not sums.all():
+        keep = sums.any(axis=(0, 1))
+        if not keep.all():
+            uniq, sums = uniq[keep], sums[:, :, keep]
     return uniq, sums
 
 
-def _block_at(m, rp, rows, rank):
-    """Where node entries go in the CSR arrays of a matrix of m-by-m blocks.
-
-    ``rp`` is the node row pointer: node row ``i`` holds ``deg[i] =
-    rp[i + 1] - rp[i]`` node entries, and under the interleaved numbering
-    it expands to ``m`` dof rows of ``m*deg[i]`` entries each.  So
-    component pair ``(l, c)`` of the node entry of rank ``r`` in node row
-    ``i`` goes to position ``m*m*rp[i] + l*m*deg[i] + m*r + c``.  Returns,
-    for the entries of ranks ``rank`` in node rows ``rows``, the position
-    of their pair ``(0, 0)`` and the step ``m*deg[i]`` from one component
-    row to the next, both new arrays.
-    """
-    at = rp[rows]
-    step = rp[rows + 1]
-    step -= at
-    step *= m
-    at *= m * m
-    at += m * rank
-    return at, step
-
-
-def _put_blocks(out, col_idx, m, rp, rows, rank, cols, sums):
-    """Write node entries, given by their node ``rows``, ``rank``, node
-    ``cols`` and ``(m, m, count)`` component ``sums``, into the CSR arrays
-    of a matrix of m-by-m blocks at the positions of ``_block_at``; pair
-    ``(l, c)`` goes to dof column ``m*col + c``."""
-    at, step = _block_at(m, rp, rows, rank)
-    cols = m * cols
-    for l in range(m):
-        for c in range(m):
-            dst = at + c
-            out[dst] = sums[l, c]
-            col_idx[dst] = cols + c
-        at += step
-
-
-def _block_row_ptr(m, rp) -> np.ndarray:
-    """The dof row pointer of ``_block_at``'s layout: dof row ``m*i + l``
-    starts at the pair ``(l, 0)`` of rank 0 in node row ``i``."""
-    nr = len(rp) - 1
-    at, step = _block_at(m, rp, np.arange(nr), 0)
-    row_ptr = np.empty(m * nr + 1, dtype=np.int64)
-    row_ptr[:-1].reshape(nr, m)[...] = at[:, None] + step[:, None] * np.arange(m)
-    row_ptr[-1] = m * m * rp[-1]
+def _block_row_ptr(m, deg) -> np.ndarray:
+    """The dof row pointer of a matrix of m-by-m blocks whose node row ``i``
+    holds ``deg[i]`` node entries: under the interleaved numbering it
+    expands to the ``m`` dof rows ``m*i + l`` of ``m*deg[i]`` entries each."""
+    row_ptr = np.zeros(m * len(deg) + 1, dtype=np.int64)
+    row_ptr[1:].reshape(-1, m)[...] = (m * deg)[:, None]
+    np.cumsum(row_ptr, out=row_ptr)
     return row_ptr
 
 
-def _mirror_blocks(n, m, uniq, sums, diag) -> SparseMatrix:
+def _put_blocks(out, col_idx, m, row_ptr, first, rows, cols, sums, order=None):
+    """Write node entries into the CSR arrays of a matrix of m-by-m blocks.
+
+    The ``t``-th entry is entry ``order[t]`` of the node ``rows``, node
+    ``cols`` and ``(m, m, len(rows))`` component ``sums`` (entry ``t``
+    without ``order``), and ``first[i]`` is the ``t`` of rank 0 in node row
+    ``i``.  Pair ``(l, c)`` of the entry of rank ``k`` in node row ``i``
+    goes to position ``row_ptr[m*i + l] + m*k + c``, with dof column
+    ``m*col + c``; ``row_ptr`` is ``_block_row_ptr``'s.  The entries are
+    written chunk by chunk and pair by pair, each pair's positions and
+    columns stepped on in place from the last pair's, so no temporary is as
+    long as the entries.
+    """
+    at = row_ptr[:-1:m] - m * first  # pair (0, 0) of entry t = 0, by node row
+    # from pair (l, m - 1) to pair (l + 1, 0): the rest of the dof row
+    skip = row_ptr[1::m] - row_ptr[:-1:m] - (m - 1) if m > 1 else None
+    pairs = [(l, c) for l in range(m) for c in range(m)]
+    for s in range(0, len(rows), _CHUNK):
+        p = slice(s, s + _CHUNK) if order is None else order[s:s + _CHUNK]
+        dst = at[rows[p]]
+        dst += np.arange(m * s, m * (s + len(dst)), m)
+        # the columns are made after the first values, so that for m == 1
+        # two chunk-length temporaries at most are alive at once
+        out[dst] = sums[0, 0][p]
+        col = m * cols[p] if m > 1 else cols[p]
+        col_idx[dst] = col
+        for l, c in pairs[1:]:
+            if c:
+                dst += 1
+                col += 1
+            else:
+                dst += skip[rows[p]]
+                col -= m - 1
+            col_idx[dst] = col
+            out[dst] = sums[l, c][p]
+        del dst, col
+
+
+def _mirror(n, m, uniq, sums, diag) -> SparseMatrix:
     """The symmetric n-by-n matrix of m-by-m blocks with strict upper node
     triangle ``(uniq, sums)`` and diagonal blocks ``diag``, in canonical
-    CSR.
+    CSR; a scalar matrix is the case ``m == 1``.
 
     ``uniq`` holds the upper node entries' keys ``row*(n//m) + col``,
     ``row < col``, in increasing order, and ``sums`` their ``(m, m,
@@ -521,12 +531,13 @@ def _mirror_blocks(n, m, uniq, sums, diag) -> SparseMatrix:
     ``(l, c)``.  Node row ``i`` of the result lists its lower entries (the
     upper entries of column ``i`` in increasing row order, from one stable
     sort of the columns, each block transposed), its diagonal block and
-    its upper entries, each placed by ``_put_blocks``.  Sums that are
-    exactly 0.0, such as the diagonal blocks of nodes in no element, are
-    dropped afterwards.
+    its upper entries, each placed by ``_put_blocks``.  Besides the result
+    and ``sums``, the node rows, columns and column order of the upper
+    entries are the only arrays of their length.  Sums that are exactly
+    0.0, such as the diagonal entries of nodes in no element, are dropped
+    afterwards.
     """
     nr = n // m
-    nnz = len(uniq)
     rows = uniq // nr
     uniq -= rows * nr
     cols = uniq
@@ -534,29 +545,26 @@ def _mirror_blocks(n, m, uniq, sums, diag) -> SparseMatrix:
     # upper entries
     lo = np.bincount(cols, minlength=nr)
     up = np.bincount(rows, minlength=nr)
-    rp = np.zeros(nr + 1, dtype=np.int64)
-    np.cumsum(lo + up + 1, out=rp[1:])
-    out = np.empty(m * m * rp[-1])
+    row_ptr = _block_row_ptr(m, lo + up + 1)
+    out = np.empty(row_ptr[-1])
     col_idx = np.empty(len(out), dtype=np.int64)
-    # the upper entries of row i follow lo[i] + 1 entries
-    rank = np.arange(nnz)
-    rank += (lo + 1 - np.cumsum(up) + up)[rows]
-    _put_blocks(out, col_idx, m, rp, rows, rank, cols, sums)
+    # the upper entries of row i follow its lo[i] + 1 other entries
+    _put_blocks(out, col_idx, m, row_ptr, np.cumsum(up) - up - lo - 1,
+                rows, cols, sums)
+    del up
     # the t-th upper entry in column order, of column c, is the lower entry
     # of rank t minus the upper entries of the columns before c in row c
-    order = _stable_order(cols, nr)
-    rank[order] = np.arange(nnz) - (np.cumsum(lo) - lo)[cols[order]]
-    del order
-    _put_blocks(out, col_idx, m, rp, cols, rank, rows, sums.transpose(1, 0, 2))
-    del rows, cols, rank, sums
+    _put_blocks(out, col_idx, m, row_ptr, np.cumsum(lo) - lo,
+                cols, rows, sums.transpose(1, 0, 2), _stable_order(cols, nr))
+    del rows, cols, sums
     blocks = np.empty((m, m, nr))
-    for l, c, d in zip(*np.triu_indices(m), diag):
+    for (l, c), d in zip([(l, c) for l in range(m) for c in range(l, m)], diag):
         blocks[l, c] = blocks[c, l] = d
+    # the diagonal block of row i follows its lo[i] lower entries
     nodes = np.arange(nr)
-    _put_blocks(out, col_idx, m, rp, nodes, lo, nodes, blocks)
+    _put_blocks(out, col_idx, m, row_ptr, nodes - lo, nodes, nodes, blocks)
     del blocks, nodes, lo
-    row_ptr = _block_row_ptr(m, rp)
-    if (out == 0.0).any():
+    if not out.all():
         row_ptr, col_idx, out = _drop_zeros(row_ptr, col_idx, out)
     return SparseMatrix(n, n, row_ptr, col_idx, out)
 
@@ -598,10 +606,12 @@ def _keys(rows, ncols, cols) -> np.ndarray:
 def _upper_keys(rows, n, cols) -> np.ndarray:
     """New int64 keys ``min(rows, cols)*n + max(rows, cols)`` of an n-by-n
     matrix: each triplet keyed by its entry in the upper triangle,
-    C-contiguous in the shape of ``rows``."""
+    C-contiguous in the shape of ``rows``.  They are formed in place as
+    ``min(rows, cols)*(n - 1) + rows + cols``, which needs no maximum."""
     keys = np.minimum(rows, cols, order="C")
-    keys *= n
-    keys += np.maximum(rows, cols)
+    keys *= n - 1
+    keys += rows
+    keys += cols
     return keys
 
 
@@ -620,61 +630,6 @@ def _stable_order(keys, nkeys: int) -> np.ndarray:
     return order
 
 
-def _mirror(upper: SparseMatrix, diag: np.ndarray) -> SparseMatrix:
-    """The symmetric matrix with strict upper triangle ``upper`` and
-    diagonal ``diag``, in canonical CSR.
-
-    ``upper`` is a canonical n-by-n matrix with no entry on or below the
-    diagonal, and ``diag`` holds n values, of which the exact zeros are not
-    stored.  Row i of the result is column i of ``upper`` (its lower part,
-    by the transpose), then ``diag[i]``, then row i of ``upper``, each
-    value with its bits, placed by a row pointer from the three counts of
-    each row.  The column order of ``upper``'s entries comes from one
-    stable sort of the columns (``_stable_order``) over their positions,
-    which are in row order, so each column lists its rows in increasing
-    order.  Besides the result, the rows and the order of ``upper``'s
-    entries are the only temporaries of their length; the scatters run
-    chunk by chunk.
-    """
-    n, nnz, cols = upper.nrows, upper.nnz, upper.col_idx
-    on = diag != 0.0
-    # before[i]: the entries of the lower parts and diagonals of the rows
-    # before row i, so row i's upper part starts at before[i + 1] + p
-    before = np.zeros(n + 1, dtype=np.int64)
-    np.add(np.bincount(cols, minlength=n), on, out=before[1:])
-    np.cumsum(before, out=before)
-    row_ptr = before + upper.row_ptr
-    col_idx = np.empty(row_ptr[-1], dtype=np.int64)
-    vals = np.empty(row_ptr[-1])
-    # a nonzero diagonal entry closes the before[i + 1] of row i
-    at = before[1:] + upper.row_ptr[:-1]
-    at -= 1
-    at = at[on]
-    col_idx[at] = np.flatnonzero(on)
-    vals[at] = diag[on]
-    del at
-
-    rows = upper.row_indices()
-    order = _stable_order(cols, n)
-    # the t-th entry in column order, of column c, goes to t + (row_ptr[c]
-    # minus the entries of the columns before c)
-    lower = np.cumsum(on)
-    lower -= on
-    lower += upper.row_ptr[:-1]
-    for s in range(0, nnz, _CHUNK):
-        e = min(s + _CHUNK, nnz)
-        dst = before[1:][rows[s:e]]
-        dst += np.arange(s, e)
-        col_idx[dst] = cols[s:e]
-        vals[dst] = upper.vals[s:e]
-        p = order[s:e]
-        dst = lower[cols[p]]
-        dst += np.arange(s, e)
-        col_idx[dst] = rows[p]
-        vals[dst] = upper.vals[p]
-    return SparseMatrix(n, n, row_ptr, col_idx, vals)
-
-
 def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
                          _diagonal=None) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch.
@@ -683,31 +638,28 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
     values are copied for the constructor, which overwrites them;
     ``_owned`` is private to the ``optv2`` engine, which made
     ``batch.vals`` for this call and no longer reads it: the scalar
-    constructor then overwrites it instead of a copy.  A block batch (``m > 1``) is
-    built from its node keys by ``_from_blocks``, which only reads the
-    values.
+    constructor then overwrites it instead of a copy.  A block batch
+    (``m > 1``) is built from its node keys by ``_from_blocks``, which only
+    reads the values.
 
     ``_diagonal=(me, terms)`` is also private to the ``optv2`` engine, for
     a swap-symmetric kernel: the batch then holds the strict upper local
-    vertex pairs of a square matrix, each triplet or block standing for
-    itself and its mirror, and ``terms`` the diagonal terms of the
-    ``(nloc, nme)`` node table ``me``, element-major: one ``(nme, nloc)``
-    array for a scalar batch, and for a block batch one such array per
-    component pair ``l <= c``, in the order of ``np.triu_indices(m)``.  Each
-    is summed by one ``bincount`` over the elements in order, each adding
-    at most one term to a diagonal entry.  A scalar batch (``m == 1``) is
-    keyed by its entry in the upper triangle and summed in stream order by
-    ``_from_keys``, and ``_mirror`` lays out the lower part, the diagonal
-    and the upper part of every row.  A block batch is keyed by its upper
-    node entry and summed by ``_block_sums``, each block whose row node is
-    the larger transposed, and ``_mirror_blocks`` lays out each node row's
-    lower blocks, diagonal block and upper blocks.  When each value equals
-    its swap's bit for bit (``(l, a, c, b)`` and ``(c, b, l, a)`` for a
-    block), the result is bitwise that of the full stream of both
-    triangles and the diagonal.  The diagonal terms are dropped once
-    summed, and the batch once the upper triangle is, so a caller that
-    passes them unnamed, as the engine does, has them freed before the
-    mirror.
+    vertex pairs of a square matrix, each block (one triplet for ``m ==
+    1``) standing for itself and its mirror, and ``terms`` the diagonal
+    terms of the ``(nloc, nme)`` node table ``me``, element-major: one
+    ``(nme, nloc)`` array per component pair ``l <= c``, in the order of
+    ``np.triu_indices(m)``.  Each is summed by one ``bincount`` over the
+    elements in order, each adding at most one term to a diagonal entry.
+    The batch is keyed by its upper node entry and summed by
+    ``_block_sums``, which only reads the values, each block whose row
+    node is the larger transposed, and ``_mirror`` lays out each node
+    row's lower blocks, diagonal block and upper blocks.  When each value
+    equals its swap's bit for bit (``(l, a, c, b)`` and ``(c, b, l, a)``),
+    the result is bitwise that of the full stream of both triangles and
+    the diagonal.  The diagonal terms are dropped once summed, the batch
+    before the sort and its values once the upper blocks are summed, so a
+    caller that passes them unnamed, as the engine does, has the index
+    arrays freed before the sort and the rest before the mirror.
     """
     m = batch.m
     for name, idx, size in (("row", batch.rows, batch.nrows // m),
@@ -723,31 +675,25 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
     del stored, idx  # views, not to be held through the construction
-    # the keys are passed on unnamed, so that the constructor can free them
-    if _diagonal is not None and m > 1:
+    if _diagonal is not None:
         n, nr, nodes = batch.nrows, batch.nrows // m, _diagonal[0].T.ravel()
         diag = [np.bincount(nodes, weights=t.ravel(), minlength=nr)
                 for t in _diagonal[1]]
         del _diagonal, nodes
-        # cols - rows is negative, so its sign fills all bits, exactly
-        # where the row node is the larger and the block stands transposed
-        swap = np.subtract(batch.cols, batch.rows, order="C")
-        swap >>= 63
-        uniq, sums = _block_sums(m, _upper_keys(batch.rows, nr, batch.cols),
-                                 nr * nr, batch.vals, swap)
-        # the batch's arrays are freed here when the caller holds none
-        del swap, batch
-        return _mirror_blocks(n, m, uniq, sums, diag)
-    if _diagonal is not None:
-        n = batch.nrows
-        diag = np.bincount(_diagonal[0].T.ravel(), weights=_diagonal[1].ravel(),
-                           minlength=n)
-        del _diagonal
-        upper = _from_keys(n, n, _upper_keys(batch.rows, n, batch.cols),
-                           batch.vals if _owned else batch.vals.copy())
-        # the batch's arrays are freed here when the caller holds none
+        keys, swap = _upper_keys(batch.rows, nr, batch.cols), None
+        if m > 1:
+            # cols - rows is negative, so its sign fills all bits, exactly
+            # where the row node is the larger and the block stands
+            # transposed
+            swap = np.subtract(batch.cols, batch.rows, order="C")
+            swap >>= 63
+        vals = batch.vals
+        # the batch's index arrays are freed here when the caller holds none
         del batch
-        return _mirror(upper, diag)
+        uniq, sums = _block_sums(m, keys, nr * nr, vals, swap)
+        del keys, vals, swap
+        return _mirror(n, m, uniq, sums, diag)
+    # the keys are passed on unnamed, so that the constructor can free them
     if m > 1:
         return _from_blocks(batch.nrows, batch.ncols, m,
                             _keys(batch.rows, batch.ncols // m, batch.cols),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplex_asm.assembly
+import simplex_asm.sparse
 from simplex_asm import (
     ElasticKernel,
     MassKernel,
@@ -168,10 +169,15 @@ def same_bits(a, b):
         for f in ("row_ptr", "col_idx", "vals"))
 
 
+# the constructor's chunk length: its default, and a length of 5, with
+# which every chunked loop of the constructor crosses chunk boundaries
+CHUNKS = st.sampled_from([simplex_asm.sparse._CHUNK, 5])
+
+
 @settings(max_examples=150, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), extra=st.integers(0, 3),
-       nme=st.integers(1, 24), data=st.data())
-def test_symmetric_optv2_is_bitwise_the_full_stream(d, extra, nme, data):
+       nme=st.integers(1, 24), chunk=CHUNKS, data=st.data())
+def test_symmetric_optv2_is_bitwise_the_full_stream(d, extra, nme, chunk, data):
     # few vertices and many elements, so vertex pairs and diagonal entries
     # take terms from several elements; values 1e16, -1e16, 1.0, 0.0 and
     # -0.0 make the sums depend on their order and cancel exactly
@@ -187,9 +193,11 @@ def test_symmetric_optv2_is_bitwise_the_full_stream(d, extra, nme, data):
             nloc, nloc, nme)
     upper = np.triu(np.ones((nloc, nloc), dtype=bool), 1)
     table.transpose(1, 0, 2)[upper] = table[upper]  # swap-symmetric
-    got = assemble_optv2(mesh, TableKernel(table, True))
-    full = assemble_optv2(mesh, TableKernel(table, False))
-    loop = assemble_optv1(mesh, TableKernel(table, True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_asm.sparse, "_CHUNK", chunk)
+        got = assemble_optv2(mesh, TableKernel(table, True))
+        full = assemble_optv2(mesh, TableKernel(table, False))
+        loop = assemble_optv1(mesh, TableKernel(table, True))
     assert same_bits(got, full)
     assert same_bits(got, loop)
 
@@ -236,8 +244,9 @@ class VectorTableKernel:
 @settings(max_examples=150, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), m=st.sampled_from([2, 3]),
        extra=st.integers(0, 3), nme=st.integers(1, 24),
-       seed=st.integers(0, 2**32 - 1))
-def test_symmetric_vector_optv2_is_bitwise_the_full_stream(d, m, extra, nme, seed):
+       chunk=CHUNKS, seed=st.integers(0, 2**32 - 1))
+def test_symmetric_vector_optv2_is_bitwise_the_full_stream(d, m, extra, nme,
+                                                           chunk, seed):
     # few vertices and many elements, so vertex pairs and diagonal node
     # blocks take terms from several elements; each element's local vertex
     # order is random, so about half its vertex pairs have me[a] > me[b]
@@ -252,9 +261,11 @@ def test_symmetric_vector_optv2_is_bitwise_the_full_stream(d, m, extra, nme, see
     table = rng.choice([1e16, -1e16, 1.0, 0.0, -0.0], size=(size, size, nme))
     upper = np.triu(np.ones((size, size), dtype=bool), 1)
     table.transpose(1, 0, 2)[upper] = table[upper]  # swap-symmetric
-    got = assemble_vector_optv2(mesh, VectorTableKernel(table, m, True))
-    full = assemble_vector_optv2(mesh, VectorTableKernel(table, m, False))
-    loop = assemble_vector_base(mesh, VectorTableKernel(table, m, True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_asm.sparse, "_CHUNK", chunk)
+        got = assemble_vector_optv2(mesh, VectorTableKernel(table, m, True))
+        full = assemble_vector_optv2(mesh, VectorTableKernel(table, m, False))
+        loop = assemble_vector_base(mesh, VectorTableKernel(table, m, True))
     assert same_bits(got, full)
     assert same_bits(got, loop)
 
@@ -666,21 +677,19 @@ def test_every_strategy_is_deterministic(d, vector, seed):
 
 
 def test_optv2_peak_memory_is_two_full_length_buffers():
-    # scalar optv2 with a symmetric kernel holds its strict upper values,
-    # their index arrays and the diagonal terms (each a third of an
-    # L^2*nme float64 buffer in 2D), and the constructor frees them once
-    # the upper triangle is summed, before the mirror: the peak measured
-    # 2.27 buffers (3.60 with those arrays alive through the mirror; 2.97
-    # for the full stream of every local pair, whose values and keys are
-    # two buffers).
-    # Vector optv2 with a symmetric kernel holds the blocks of its upper
-    # vertex pairs (a third of the buffer in 2D) and their node indices,
-    # the constructor sorts only their node keys, and it frees the batch
-    # once the upper node blocks are summed, before the layout: the elastic
-    # peak measured 1.38 buffers, the result and its index arithmetic (2.42
-    # for the full block stream of every local pair, which sorted the
-    # nloc^2*nme node keys with the values alive; 3.08 when the dof keys
-    # were sorted)
+    # optv2 with a symmetric kernel, scalar or vector, holds the blocks of
+    # its upper vertex pairs, their node indices and the diagonal terms
+    # (each a third of an L^2*nme float64 buffer in 2D for a scalar
+    # kernel), and the constructor sorts only the upper node keys, frees
+    # the index arrays before the sort and the values once the upper blocks
+    # are summed, and lays the result out chunk by chunk: the peaks
+    # measured 2.09 (stiffness) and 1.38 (elastic) buffers, the result and
+    # the layout's node rows, columns and column order.  With a scalar and
+    # a block mirror of their own they measured 2.27 and 1.38 (3.60 for
+    # the scalar one with the batch alive through the mirror); the full
+    # streams of every local pair measured 2.97 (values and keys, two
+    # buffers) and 2.42 (the nloc^2*nme node keys sorted with the values
+    # alive; 3.08 when the dof keys were sorted)
     mesh = shuffled_mesh(2, 64, seed=1)
     for driver, kernel, bound in (
             (assemble_optv2, StiffnessKernel(mesh), 2.6),
