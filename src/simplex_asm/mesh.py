@@ -122,8 +122,11 @@ def _check_mesh_arrays(q: np.ndarray, me: np.ndarray) -> None:
     array or the connectivity is not (d+1)-by-nme, MeshValidationError
     naming the first element with a non-integral vertex index (integral
     floats such as 2.0 pass), IndexRangeError naming the first element
-    with a vertex index outside [0, nq), and MeshValidationError naming
-    the first non-finite node.
+    with a vertex index outside [0, nq), DegenerateSimplexError naming the
+    first element that lists a vertex twice, and MeshValidationError
+    naming the first non-finite node.  A repeated vertex makes two edges
+    equal, yet rounding can leave the determinant short of exactly 0, so
+    the rows are compared pair by pair instead.
     """
     if q.ndim != 2:
         raise MeshValidationError(f"coordinate array shape {q.shape} is not (d, nq)")
@@ -144,6 +147,11 @@ def _check_mesh_arrays(q: np.ndarray, me: np.ndarray) -> None:
         raise IndexRangeError(
             f"element {elem} references vertex {vert}, valid range is [0, {nq})"
         )
+    repeated = np.zeros(me.shape[1], dtype=bool)
+    for a, b in itertools.combinations(range(len(me)), 2):
+        repeated |= me[a] == me[b]
+    if repeated.any():
+        raise DegenerateSimplexError(int(repeated.argmax()))
     finite = np.isfinite(q).all(axis=0)
     if not finite.all():
         node = int(np.flatnonzero(~finite)[0])

@@ -619,12 +619,14 @@ def _stable_order(keys, nkeys: int) -> np.ndarray:
     """The positions of the int64 ``keys`` in ``[0, nkeys)`` in stably
     sorted order: one default sort of the distinct words ``key << pb | p``
     over the positions ``p``, or a stable argsort when the words would not
-    fit in 63 bits."""
+    fit in 63 bits.  The positions are filled in chunk by chunk, so that
+    the words are the only new array of the keys' length."""
     pb = (len(keys) - 1).bit_length()
     if (int(nkeys) - 1).bit_length() + pb > 63:
         return np.argsort(keys, kind="stable")
     order = keys << pb
-    order |= np.arange(len(keys))
+    for s in range(0, len(order), _CHUNK):
+        order[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, len(order)))
     order.sort()
     order &= (1 << pb) - 1
     return order

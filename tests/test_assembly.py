@@ -18,6 +18,7 @@ from simplex_asm import (
     StiffnessKernel,
     TripletBatch,
     VECTOR_DRIVERS,
+    add,
     assemble_base,
     assemble_mass_pk,
     assemble_optv,
@@ -31,6 +32,7 @@ from simplex_asm import (
     build_pk_mesh,
     compute_gradients,
     dot_mat_vec_g,
+    empty_matrix,
     generate_hypercube_mesh,
     max_abs,
     max_abs_diff,
@@ -296,6 +298,62 @@ def test_non_symmetric_vector_optv2_is_bitwise_the_element_loop():
         assert same_bits(got, assemble_vector_base(mesh, kernel))
 
 
+def paper_loops(mesh, table, m, symmetric):
+    """The paper's ``M = M + sparse(I, J, K)``, one accumulator over every
+    local pair: ``optv`` column by column; ``optvs`` the strict upper
+    triangle row by row, the transpose-add, then the diagonal.  Local dof
+    ``ii = l*nloc + a`` of element k is dof ``m*me[a, k] + l`` and its pair
+    with ``jj`` takes ``table[ii, jj]``."""
+    size, ndof = len(table), m * mesh.nq
+    dof = [m * mesh.me[a] + l for l in range(m) for a in range(mesh.d + 1)]
+
+    def term(ii, jj):
+        return sparse_from_triplets(TripletBatch(ndof, ndof, dof[ii], dof[jj],
+                                                 table[ii, jj].copy()))
+
+    out = empty_matrix(ndof, ndof)
+    if not symmetric:
+        for jj in range(size):
+            for ii in range(size):
+                out = add(out, term(ii, jj))
+        return out
+    for ii in range(size):
+        for jj in range(ii + 1, size):
+            out = add(out, term(ii, jj))
+    out = add(out, transpose(out))
+    for ii in range(size):
+        out = add(out, term(ii, ii))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), m=st.sampled_from([1, 2, 3]),
+       extra=st.integers(0, 3), nme=st.integers(1, 24),
+       chunk=CHUNKS, seed=st.integers(0, 2**32 - 1))
+def test_optv_and_optvs_are_bitwise_the_paper_loops(d, m, extra, nme, chunk,
+                                                    seed):
+    # the drivers sum each component pair's local pairs on their own, and
+    # optvs its diagonal too; few vertices and many elements, and values
+    # 1e16, -1e16, 1.0, 0.0 and -0.0, make every entry's sum depend on its
+    # order and cancel exactly, so any term summed out of order shows
+    nq = d + 1 + extra
+    rng = np.random.default_rng(seed)
+    me = np.stack([rng.permutation(nq)[:d + 1] for _ in range(nme)], axis=1)
+    mesh = Mesh.from_arrays(rng.random((d, nq)), me)
+    size = m * (d + 1)
+    table = rng.choice([1e16, -1e16, 1.0, 0.0, -0.0], size=(size, size, nme))
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    table.transpose(1, 0, 2)[upper] = table[upper]  # swap-symmetric
+    kernel = (TableKernel(table, True) if m == 1
+              else VectorTableKernel(table, m, True))
+    drivers = SCALAR_DRIVERS if m == 1 else VECTOR_DRIVERS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_asm.sparse, "_CHUNK", chunk)
+        for strategy, symmetric in (("optv", False), ("optvs", True)):
+            assert same_bits(drivers[strategy](mesh, kernel),
+                             paper_loops(mesh, table, m, symmetric)), strategy
+
+
 def test_optvs_requires_symmetric_kernel():
     mesh = generate_hypercube_mesh(2, 1)
     kernel = StiffnessKernel(mesh)
@@ -311,28 +369,32 @@ def test_optvs_output_is_exactly_symmetric():
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
-def test_optvs_strict_triangle_before_transpose(vector):
+def test_optvs_strict_triangle_before_transpose(vector, monkeypatch):
     # local dofs (l, alpha) are ordered component-major; before the
-    # transpose-add the sweep visits the strict upper triangle row by row
+    # transpose-add the sweep visits every pair of the strict upper triangle
+    # once (component pair by component pair, each row by row), and after
+    # it the diagonal pairs
     mesh = generate_hypercube_mesh(2, 1 if vector else 2)
     if vector:
         rec = RecordingVector(ElasticKernel(mesh))
-        assemble_vector_optvs(mesh, rec)
-        calls = [((l, a), (n, b)) for l, a, n, b in rec.calls]
-        size = rec.m * (mesh.d + 1)
+        dofs = [(l, a) for l in range(rec.m) for a in range(mesh.d + 1)]
     else:
         rec = RecordingScalar(StiffnessKernel(mesh))
-        assemble_optvs(mesh, rec)
-        calls = [((a,), (b,)) for a, b in rec.calls]
-        size = mesh.d + 1
-    first_diag = next(i for i, (row, col) in enumerate(calls) if row == col)
-    upper = calls[:first_diag]
-    assert len(upper) == size * (size - 1) // 2
-    assert upper == sorted(upper)
+        dofs = [(a,) for a in range(mesh.d + 1)]
+
+    def marked(a, _real=simplex_asm.assembly.transpose):
+        rec.calls.append("transpose")
+        return _real(a)
+    monkeypatch.setattr(simplex_asm.assembly, "transpose", marked)
+    (assemble_vector_optvs if vector else assemble_optvs)(mesh, rec)
+    cut = rec.calls.index("transpose")
+    upper, diag = ([(c[:len(c) // 2], c[len(c) // 2:]) for c in calls]
+                   for calls in (rec.calls[:cut], rec.calls[cut + 1:]))
     for row, col in upper:
         assert row < col      # strictly one-sided pairs only
-    for row, col in calls[first_diag:]:
-        assert row == col     # diagonal sweep after the transpose add
+    assert sorted(upper) == [(row, col) for i, row in enumerate(dofs)
+                             for col in dofs[i + 1:]]
+    assert diag == [(dof, dof) for dof in dofs]
 
 
 class CountingKernel:
@@ -380,9 +442,12 @@ def test_batch_counts_per_strategy(monkeypatch):
             "optv2": ({"sparse_from_triplets": 1},
                       {"batched": nloc * (nloc - 1) // 2 * m * m
                        + nloc * m * (m + 1) // 2}),
-            "optv": ({"sparse_from_triplets": pairs, "add": pairs},
+            # each component pair's sum starts as its first pair's matrix,
+            # and the sums are added up from the first: L^2 - 1 adds for
+            # optv; optvs adds the transpose and the diagonal's sum too
+            "optv": ({"sparse_from_triplets": pairs, "add": pairs - 1},
                      {"batched": pairs}),
-            "optvs": ({"sparse_from_triplets": half, "add": half + 1,
+            "optvs": ({"sparse_from_triplets": half, "add": half,
                        "transpose": 1}, {"batched": half}),
         }
         for strategy, driver in drivers.items():
@@ -708,11 +773,12 @@ def test_optv2_peak_memory_is_two_full_length_buffers():
 
 
 def test_incremental_strategies_peak_memory_per_stored_entry():
-    # optvs and optv hold the growing matrix, one pair's batch and the merge
-    # of the two.  The peaks measured 51.0 (optvs, stiffness) and 36.4 (optv,
-    # elastic) bytes per stored entry of the result, about 10% and 15% under
-    # the bounds; re-sorting both operands' keys in every add took them to
-    # 60.6 and 52.1
+    # optvs and optv hold the growing matrix, the growing sum of one
+    # component pair, one pair's batch and the merge of two of them.  The
+    # peaks measured 51.0 (optvs, stiffness) and 38.3 (optv, elastic) bytes
+    # per stored entry of the result, about 10% and 9% under the bounds
+    # (36.4 for optv when every pair merged into the one growing matrix);
+    # re-sorting both operands' keys in every add took them to 60.6 and 52.1
     mesh = shuffled_mesh(2, 64, seed=1)
     for driver, kernel, bound in (
             (assemble_optvs, StiffnessKernel(mesh), 56),

@@ -476,3 +476,31 @@ def test_read_mesh_rejects_degenerate_element(tmp_path):
         "simplexmesh 1 2 3 1\n0 0\n1 0\n2 0\n0 1 2\n")
     with pytest.raises(DegenerateSimplexError):
         read_mesh(path)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_element_listing_a_vertex_twice_is_rejected(d, tmp_path):
+    # a repeated vertex makes two edges equal, but rounding can leave the
+    # determinant short of exactly 0: the tetrahedron [1, 2, 0, 2] on
+    # random coordinates got a volume of about 1e-18, and the symmetric
+    # optv2 stream a non-canonical matrix.  Element 1 repeats a vertex at
+    # two nonzero local positions, in every such pair of positions
+    rng = np.random.default_rng(d)
+    q = rng.random((d, d + 2))
+    for a, b in itertools.combinations(range(1, d + 1), 2):
+        me = np.stack([np.arange(d + 1), np.arange(1, d + 2)], axis=1)
+        me[b, 1] = me[a, 1]
+        with pytest.raises(DegenerateSimplexError) as err:
+            Mesh.from_arrays(q, me)
+        assert err.value.element == 1
+        with pytest.raises(DegenerateSimplexError) as err:
+            Mesh(q, me, np.ones(2)).validate()
+        assert err.value.element == 1
+        path = tmp_path / "repeated.mesh"
+        path.write_text("\n".join(
+            [f"simplexmesh 1 {d} {d + 2} 2"]
+            + [" ".join(map(repr, row)) for row in q.T.tolist()]
+            + [" ".join(map(str, row)) for row in me.T.tolist()]) + "\n")
+        with pytest.raises(DegenerateSimplexError) as err:
+            read_mesh(path)
+        assert err.value.element == 1
