@@ -14,7 +14,10 @@ for k = 1, 2, 3 (d = 2, 3); the bytes of each matrix's MatrixMarket
 file and the matrix ``read_matrixmarket`` reads back from it; for d = 1
 to 4, the ``q``, ``me`` and ``vols`` of
 ``generate_hypercube_mesh`` and ``compute_gradients`` on it and on the
-permuted jittered mesh; and ``sparse_from_triplets`` on one set of
+permuted jittered mesh, and for d = 1 to 3 the bytes of both meshes'
+``write_mesh`` files; the stiffness of the unjittered 2D Kuhn mesh with
+64 cells per axis, whose values nearly all repeat, as above; and
+``sparse_from_triplets`` on one set of
 tie-heavy triplets of the 3D mesh, m = 1 and 3, given as a 1-D batch, as
 an ``(nloc, nloc, nme)`` batch of broadcast views and as an ``(nme, L)``
 batch.  Standard library and numpy only; the package is imported from
@@ -72,19 +75,26 @@ def matrix_digest(a: sa.SparseMatrix) -> str:
     return digest(np.array(a.shape), a.row_ptr, a.col_idx, a.vals)
 
 
+def file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def matrix(name: str, a: sa.SparseMatrix, path: Path):
     """The digests of ``a``, of its MatrixMarket file at ``path`` and of the
     matrix read back from that file."""
     yield name, matrix_digest(a)
     sa.write_matrixmarket(a, path)
-    yield f"{name} mtx", hashlib.sha256(path.read_bytes()).hexdigest()
+    yield f"{name} mtx", file_digest(path)
     yield f"{name} mtx read", matrix_digest(sa.read_matrixmarket(path))
 
 
 def cases(path: Path):
-    """(case name, SHA-256) for every case; ``path`` is a scratch file."""
+    """(case name, SHA-256) for every case; ``path`` is a scratch file,
+    which the mesh files overwrite as the MatrixMarket files do."""
     for d in (1, 2, 3):
         m = mesh(d)
+        sa.write_mesh(m, path)
+        yield f"mesh d={d} file", file_digest(path)
         kernels = {"mass-unit": sa.MassKernel(m),
                    "mass-variable": sa.MassKernel(m, lambda q: 1 + q[0] * q[-1]),
                    "stiffness": sa.StiffnessKernel(m)}
@@ -105,9 +115,16 @@ def cases(path: Path):
     for d in (1, 2, 3, 4):
         grid = sa.generate_hypercube_mesh(d, SIZES[d])
         yield f"kuhn-mesh d={d}", digest(grid.q, grid.me, grid.vols)
+        if d < 4:
+            sa.write_mesh(grid, path)
+            yield f"kuhn-mesh d={d} file", file_digest(path)
         yield f"gradients kuhn d={d}", digest(sa.compute_gradients(grid))
         m = mesh(d)
         yield f"gradients d={d}", digest(m.vols, sa.compute_gradients(m))
+    grid = sa.generate_hypercube_mesh(2, 64)
+    yield from matrix("stiffness kuhn d=2 n=64 optv2",
+                      sa.SCALAR_DRIVERS["optv2"](grid, sa.StiffnessKernel(grid)),
+                      path)
     yield from batches(mesh(3))
 
 

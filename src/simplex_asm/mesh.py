@@ -363,10 +363,16 @@ def build_pk_mesh(mesh: Mesh, k: int) -> PkMesh:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
+    """Write ``mesh`` in the format above: each node's coordinates as
+    ``%.17g``, so that reading them back is exact, and each element's
+    vertex indices as ``%d``.  The lines come from ``sparse._write_lines``,
+    which formats each distinct coordinate of a chunk once where
+    coordinates repeat, as on an unjittered grid; the bytes are those of
+    one ``%`` per line, and 0.0 and -0.0 stay apart."""
     with open(path, "w") as f:
         f.write(f"simplexmesh {MESH_FORMAT_VERSION} {mesh.d} {mesh.nq} {mesh.nme}\n")
-        _write_lines(f, " ".join(["%.17g"] * mesh.d) + "\n", *mesh.q)
-        _write_lines(f, " ".join(["%d"] * (mesh.d + 1)) + "\n", *mesh.me)
+        _write_lines(f, *mesh.q)
+        _write_lines(f, *mesh.me)
 
 
 def _read_table(lines, dtype, width, path, what) -> np.ndarray:
@@ -382,7 +388,7 @@ def _read_table(lines, dtype, width, path, what) -> np.ndarray:
 
 def read_mesh(path) -> Mesh:
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+        lines = [ln for ln in map(str.strip, f) if ln]
     if not lines:
         raise MeshFormatError(f"{path}: empty mesh file")
     header = lines[0].split()

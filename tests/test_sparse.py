@@ -29,7 +29,10 @@ from simplex_asm import (
     sparse_from_triplets,
     transpose,
     write_matrixmarket,
+    write_mesh,
 )
+from simplex_asm import sparse
+from simplex_asm.mesh import MESH_FORMAT_VERSION, Mesh
 from simplex_asm.sparse import _CHUNK, _sort
 from test_assembly import shuffled_mesh
 
@@ -904,6 +907,74 @@ def test_matrixmarket_roundtrip_is_bitwise(tmp_path_factory, shape, mirrored, da
         lines.insert(pos, data.draw(st.sampled_from(["% note\n", "\n", "  \n"])))
     path.write_text(header + size + "".join(lines))
     assert_bitwise_equal(read_matrixmarket(path), a)
+
+
+# ---------------------------------------------------------------------------
+# The chunked line writer behind both file writers
+
+# two quiet NaNs with different bits: the second has the sign bit and
+# payload 1
+NAN_A, NAN_B = np.array([0x7FF8000000000000, 0xFFF8000000000001 - (1 << 64)],
+                        dtype=np.int64).view(np.float64)
+# 8-line chunks: all distinct (one % per line), all equal (deduped), 7 of 8
+# distinct (one % per line), 5 of 8 distinct (deduped), and a short last
+# chunk of one value (deduped)
+CHUNKED_VALUES = np.array(
+    [-1 / 3, 5e-324, -5e-324, 1e16, -1e16, 1 / 3, np.inf, -np.inf]
+    + [1 / 3] * 8
+    + [NAN_A, NAN_B, -2.5, 1e16, 1e16, 5e-324, -1 / 3, 2.0]
+    + [NAN_A, NAN_B, NAN_A, -1e16, -1e16, -1e16, 1 / 3, -1e-300]
+    + [5e-324] * 3)
+
+
+def spy_on_dedupe(monkeypatch) -> list:
+    """Set 8-line chunks and return the list to which the length of every
+    float column that the writer dedupes is appended."""
+    monkeypatch.setattr(sparse, "_WRITE_CHUNK", 8)
+    texts, deduped = sparse._texts, []
+    monkeypatch.setattr(sparse, "_texts",
+                        lambda values: deduped.append(len(values)) or texts(values))
+    return deduped
+
+
+@pytest.mark.parametrize("kind", ["general", "symmetric"])
+def test_chunked_writer_is_byte_identical_to_one_format_per_line(
+        tmp_path, monkeypatch, kind):
+    deduped = spy_on_dedupe(monkeypatch)
+    n = len(CHUNKED_VALUES)
+    # the values on the diagonal: a square matrix is written symmetric and
+    # one with an extra column general, each with a line per value
+    a = SparseMatrix(n, n if kind == "symmetric" else n + 1,
+                     np.arange(n + 1), np.arange(n), CHUNKED_VALUES)
+    path = tmp_path / "a.mtx"
+    write_matrixmarket(a, path)
+    assert path.read_text() == (
+        f"%%MatrixMarket matrix coordinate real {kind}\n{a.nrows} {a.ncols} {n}\n"
+        + "".join("%d %d %.17g\n" % (i + 1, i + 1, v)
+                  for i, v in enumerate(CHUNKED_VALUES.tolist())))
+    assert deduped == [8, 8, 3]
+
+
+def test_chunked_mesh_writer_keeps_signed_zeros_apart(tmp_path, monkeypatch):
+    deduped = spy_on_dedupe(monkeypatch)
+    # the first chunk holds 0.0 and -0.0 in both coordinates and repeats
+    # (deduped), the second is all distinct (one % per line) and the short
+    # last one repeats (deduped); nodes beyond the two triangles are
+    # unreferenced
+    x = ([0.0, -0.0, 1.0, 0.0, 1.0, 0.5, -0.0, 0.5]
+         + [-1 / 3, 5e-324, -5e-324, 1e16, -1e16, 1 / 3, 0.25, 0.75]
+         + [-0.0, -0.0, 0.25])
+    y = ([-0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.0, -0.0]
+         + [2.5, -2.5, 1e-300, -1e-300, 1 / 7, 2 / 7, 3 / 7, 4 / 7]
+         + [0.0, 0.0, 0.0])
+    mesh = Mesh.from_arrays(np.array([x, y]), [[0, 1], [2, 4], [3, 3]])
+    path = tmp_path / "a.mesh"
+    write_mesh(mesh, path)
+    assert path.read_text() == (
+        f"simplexmesh {MESH_FORMAT_VERSION} 2 {len(x)} 2\n"
+        + "".join("%.17g %.17g\n" % xy for xy in zip(x, y))
+        + "0 2 3\n1 4 3\n")
+    assert deduped == [8, 8, 3, 3]
 
 
 # ---------------------------------------------------------------------------
