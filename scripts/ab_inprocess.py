@@ -21,14 +21,18 @@ workload's own ``run``, timed with ``time.perf_counter``; the times are
 raw, not scaled for host speed.  After the warm-up, one more untimed call
 per side runs under ``tracemalloc``, started just before it, as
 perfbench's ``peak_pass`` measures ``peak_mb.*``, and one more with that
-side's ``assembly.add`` wrapped, to count the ``add`` calls and the
-entries they merge (both operands' stored entries, as perfbench's
+side's ``assembly.sparse_from_triplets`` and ``assembly.add`` wrapped, to
+count the constructions and the triplets they take in (the batches'
+values, as perfbench's ``sparse.construct_calls`` and
+``sparse.triplets_in``) and the ``add`` calls and the entries they merge
+(both operands' stored entries, as perfbench's
 ``sparse.add_entries_in``).  For each call the script prints the median
 and quartiles of both sides in ms, the change of the medians, the
 number of pairs the second side won (ties count for neither), whether
 the two sides' outputs were bitwise equal (shape, row pointer, column
 indices and value bits) in every pair, both sides' tracemalloc peaks in
-MiB, and both sides' ``add`` calls and entries merged.
+MiB, both sides' constructions and triplets in, and both sides' ``add``
+calls and entries merged.
 
 The two calls of a pair run back to back in one process, under the same
 host load, so pairs resolve smaller differences than separate benchmark
@@ -123,22 +127,30 @@ def traced_peak(workload, sample, call) -> float:
         tracemalloc.stop()
 
 
-def merge_counts(assembly, workload, sample, call) -> tuple[int, int]:
-    """``add`` calls and entries merged in one untimed call, counted by
-    wrapping the package's ``assembly.add`` during the call."""
-    real, counts = assembly.add, [0, 0]
+def sparse_counts(assembly, workload, sample, call) -> list[int]:
+    """Constructions, triplets in, ``add`` calls and entries merged in one
+    untimed call, counted by wrapping the package's
+    ``assembly.sparse_from_triplets`` and ``assembly.add`` during the
+    call."""
+    construct, merge = assembly.sparse_from_triplets, assembly.add
+    counts = [0, 0, 0, 0]
 
-    def counted(a, b):
+    def constructed(batch, **kwargs):
         counts[0] += 1
-        counts[1] += a.nnz + b.nnz
-        return real(a, b)
+        counts[1] += len(batch.vals)
+        return construct(batch, **kwargs)
 
-    assembly.add = counted
+    def merged(a, b):
+        counts[2] += 1
+        counts[3] += a.nnz + b.nnz
+        return merge(a, b)
+
+    assembly.sparse_from_triplets, assembly.add = constructed, merged
     try:
         workload.run(sample, call, None)
     finally:
-        assembly.add = real
-    return counts[0], counts[1]
+        assembly.sparse_from_triplets, assembly.add = construct, merge
+    return counts
 
 
 def quartiles(samples):
@@ -163,7 +175,7 @@ def compare(name: str, sides, pairs: int, seed: int, workdir: Path) -> None:
         for side in (0, 1):
             timed(*runs[side], call)  # warm-up
         peaks = [traced_peak(*runs[side], call) for side in (0, 1)]
-        merges = [merge_counts(sides[side][1].sa.assembly, *runs[side], call)
+        counts = [sparse_counts(sides[side][1].sa.assembly, *runs[side], call)
                   for side in (0, 1)]
         for i in range(pairs):
             outs = [None, None]
@@ -179,8 +191,8 @@ def compare(name: str, sides, pairs: int, seed: int, workdir: Path) -> None:
               f"{1e3 * qb3:.2f}] {100 * (mb / ma - 1):+7.2f}% "
               f"{won:3d}/{pairs:<3d} {'yes' if equal else 'NO':>7s} "
               f"{peaks[0]:8.2f} {peaks[1]:8.2f} "
-              f"{merges[0][0]:6d} {merges[1][0]:6d} "
-              f"{merges[0][1]:11d} {merges[1][1]:11d}", flush=True)
+              + " ".join(f"{a:{w}d} {b:{w}d}" for a, b, w in
+                         zip(*counts, (6, 11, 6, 11))), flush=True)
 
 
 def main(argv=None) -> int:
@@ -207,9 +219,11 @@ def main(argv=None) -> int:
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     print(f"a = {args.a.resolve()}\nb = {args.b.resolve()}\n"
           f"{args.pairs} pairs, seed {args.seed}, raw ms: median [q1, q3]; "
-          "tracemalloc peaks in MiB; add calls and entries merged")
+          "tracemalloc peaks in MiB; constructions, triplets in, add calls "
+          "and entries merged")
     print(f"{'workload':20s} {'call':9s} {'a':>26s} {'b':>26s} {'b/a-1':>8s} "
           f"{'b won':>7s} bitwise {'peak a':>8s} {'peak b':>8s} "
+          f"{'cons a':>6s} {'cons b':>6s} {'trip a':>11s} {'trip b':>11s} "
           f"{'adds a':>6s} {'adds b':>6s} {'merged a':>11s} {'merged b':>11s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

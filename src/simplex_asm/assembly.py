@@ -51,6 +51,22 @@ scalar kernel there is one component pair, the paper's one sum.  On 3D
 elasticity ``add`` merges about a fifth of the entries that one growing
 accumulator does for ``optv``, and about a quarter for ``optvs``.
 
+The local pairs of one vertex pair ``(a, b)`` all index the node stream
+``(me[a], me[b])``, so ``optv`` and ``optvs`` evaluate every component
+pair that the vertex pair needs (all ``m*m`` for ``optv``; for ``optvs``
+``l <= n`` when ``a < b`` and ``l < n`` otherwise, and the diagonal
+pairs ``l == n`` of each ``(a, a)`` after the transpose) and hand them to
+``sparse_from_triplets`` in one call, through its private ``_pairs``
+keyword: the node keys are sorted once, and each component pair's matrix
+is bitwise that of its own dof batch.  ``optv`` visits the vertex pairs
+``b`` outer, ``a`` inner, and ``optvs`` ``a`` outer, ``b`` inner, so each
+component pair's sum receives its matrices in the order above; the
+diagonal matrices, which come vertex by vertex, are summed in the order
+of ``ii``.  The adds and the entries they merge are those of one call per
+local pair, and on 3D elasticity ``optv`` sorts 16 node streams instead
+of 144 dof streams, ``optvs`` 20 instead of 78.  A scalar kernel's
+vertex pair is its one local pair, built by the scalar constructor.
+
 ``optv2`` reaches the constructor through the scalar node graph.  It
 evaluates the local pairs component pair by component pair, each as one
 whole-mesh vector written straight into an ``(m, m, nloc, nloc, nme)``
@@ -89,6 +105,8 @@ full stream.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import NonSymmetricKernelError
@@ -115,16 +133,6 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     size = m * nloc
     # ii -> the kernel's index of local dof ii: (l, alpha), or (alpha,)
     local = [divmod(ii, nloc) if vector else (ii,) for ii in range(size)]
-    columns = [(ii, jj) for jj in range(size) for ii in range(size)]
-
-    def dofs(ii):
-        """Global dof of local dof ii on every element."""
-        l, alpha = divmod(ii, nloc)
-        return mesh.me[alpha] if m == 1 else m * mesh.me[alpha] + l
-
-    def batch(ii, jj) -> TripletBatch:
-        return TripletBatch(ndof, ndof, dofs(ii), dofs(jj),
-                            kernel.batched(*local[ii], *local[jj]))
 
     if strategy == "optv2" and kernel.symmetric:
         # batched(l, a, n, b) is batched(n, b, l, a) bit for bit: every
@@ -169,10 +177,13 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
             TripletBatch(ndof, ndof, rows, cols, vals, m), _owned=True)
 
     if strategy in ("base", "optv1"):
-        # (size, nme) table of every local dof's global dof
-        table = mesh.me if m == 1 else np.stack([dofs(ii) for ii in range(size)])
+        # (size, nme) table of every local dof's global dof: component l of
+        # local node alpha is dof m*me[alpha] + l
+        table = mesh.me if m == 1 else np.concatenate(
+            [m * mesh.me + l for l in range(m)])
         single = kernel.single
-        pairs = [(ii, jj, local[ii] + local[jj]) for ii, jj in columns]
+        pairs = [(ii, jj, local[ii] + local[jj])
+                 for jj in range(size) for ii in range(size)]
         conn = table.T.tolist()
         if strategy == "base":
             dok: dict = {}
@@ -201,31 +212,52 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         raise NonSymmetricKernelError(
             "the symmetrized driver requires a kernel flagged symmetric"
         )
-    pairs = ([(ii, jj) for ii in range(size) for jj in range(ii + 1, size)]
-             if symmetric else columns)
+    # the component pairs (l, n) in the order their first local pairs come:
+    # optv column by column, optvs over the upper triangle row by row
+    order = ([(l, n) for l in range(m) for n in range(l, m)] if symmetric
+             else [(l, n) for n in range(m) for l in range(m)])
 
-    def summed(pairs) -> SparseMatrix:
-        """The local pairs' matrices added up in order, from the first."""
-        out = sparse_from_triplets(batch(*pairs[0]))
-        for ii, jj in pairs[1:]:
-            out = add(out, sparse_from_triplets(batch(ii, jj)))
-        return out
+    def visit(a, b, listed, keys, sums) -> None:
+        """Add the matrices of the local pairs (l*nloc + a, n*nloc + b), one
+        per listed component pair (l, n) and all from one sort of the node
+        keys, into ``sums[key]``, one key per pair; a new key starts as its
+        matrix.  A scalar kernel's vertex pair is its one local pair."""
+        if m == 1:
+            new = [sparse_from_triplets(TripletBatch(
+                ndof, ndof, mesh.me[a], mesh.me[b], kernel.batched(a, b)))]
+        else:
+            shape = (len(listed), nme)
+            new = sparse_from_triplets(
+                TripletBatch(ndof, ndof, np.broadcast_to(mesh.me[a], shape),
+                             np.broadcast_to(mesh.me[b], shape),
+                             _evaluate(kernel, [(l, a, n, b) for l, n in listed],
+                                       np.empty(shape))),
+                _pairs=(m, listed))
+        for key, mat in zip(keys, new):
+            sums[key] = add(sums[key], mat) if key in sums else mat
 
     # component pair (l, n) writes only the dof entries (m*i + l, m*j + n),
-    # so each sums its own local pairs, in their order, and adding the
-    # finished sums only interleaves their entries
-    groups: dict = {}
-    for ii, jj in pairs:
-        groups.setdefault((ii // nloc, jj // nloc), []).append((ii, jj))
-    first, *rest = groups.values()
-    out = summed(first)
-    for group in rest:
-        out = add(out, summed(group))
+    # so each sums its own local pairs, in their order (optv visits b
+    # outer, a inner; optvs a outer, b inner, keeping l*nloc + a <
+    # n*nloc + b), and adding the finished sums only interleaves their
+    # entries; each sum starts as its first pair's matrix
+    sums: dict = {}
+    for a, b in ([(a, b) for a in range(nloc) for b in range(nloc)] if symmetric
+                 else [(a, b) for b in range(nloc) for a in range(nloc)]):
+        listed = [(l, n) for l, n in order if not symmetric or l < n or a < b]
+        if listed:
+            visit(a, b, listed, listed, sums)
+    out = reduce(add, (sums.pop(ln) for ln in order))
     if symmetric:
         # the vertices of an element are distinct, so no pair ii < jj writes
-        # a diagonal entry, and the diagonal pairs are summed on their own
+        # a diagonal entry, and the diagonal pairs (ii, ii), taken vertex by
+        # vertex, are summed on their own in the order of ii
         out = add(out, transpose(out))
-        out = add(out, summed([(ii, ii) for ii in range(size)]))
+        diag: dict = {}
+        for a in range(nloc):
+            visit(a, a, [(l, l) for l in range(m)],
+                  [l * nloc + a for l in range(m)], diag)
+        out = add(out, reduce(add, (diag.pop(ii) for ii in range(size))))
     return out
 
 

@@ -37,7 +37,12 @@ node entry, and one mirror, ``_mirror``, lays out each node row's lower
 blocks (the transposed upper blocks of its column, from one sort of the
 upper entries' columns), its diagonal block and its upper blocks.  Each
 mirror pair and the diagonal sum the same terms in the same order as the
-full stream would, so the result is bitwise the same.
+full stream would, so the result is bitwise the same.  Its private
+``_pairs`` keyword serves vector ``optv`` and ``optvs``: the batch holds
+the listed component pairs of one vertex pair, all indexed by one node
+stream, and ``_block_sums`` sorts the node keys once for all of them;
+``_pair_matrices`` then lays out one scalar matrix per pair, each
+bit-identical to ``_from_keys`` on that pair's dof triplets.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -60,6 +65,7 @@ construction; any other matrix is written ``general``.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -380,7 +386,8 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     afterwards.
     """
     nr, nc = nrows // m, ncols // m
-    uniq, sums = _block_sums(m, keys, nr * nc, vals)
+    uniq, sums = _block_sums(keys, nr * nc, vals.reshape(m * m, -1))
+    sums = sums.reshape(m, m, -1)
     del keys
     rows = uniq // nc
     uniq -= rows * nc  # now the node columns
@@ -396,28 +403,34 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     return SparseMatrix(nrows, ncols, row_ptr, col_idx, out)
 
 
-def _block_sums(m, keys, nkeys, vals, swap=None):
+def _block_sums(keys, nkeys, runs, swap=None):
     """``(uniq, sums)`` of a block batch: its distinct node keys in
-    increasing order, and the ``(m, m, len(uniq))`` sums of every
-    component pair at each of them, leaving out the keys whose sums are
-    all exactly 0.0.
+    increasing order, and the ``(len(runs), len(uniq))`` sums of each
+    value run at each of them, leaving out the keys whose sums are all
+    exactly 0.0.
 
-    ``keys`` (int64 in ``[0, nkeys)``) and ``vals`` are as in
-    ``_from_blocks``.  Only the node keys are sorted (by ``_sort``, which
-    overwrites ``keys``); ``vals`` is only read.  The sort gives each key,
-    in stream order, the slot of its node entry, and one ``bincount`` per
-    component pair sums that pair's run, copied into stream order in the
-    spent keys, slot by slot, left to right.  With ``swap`` (int64, the
-    keys' shape, C order, all bits set or none) the blocks where its bits
-    are set are transposed: pair ``(l, c)`` takes their values from the
-    run of pair ``(c, l)``, by a bitwise blend of the two runs, ``a ^ ((a
-    ^ b) & swap)``, which moves each value's bits unchanged and, unlike a
-    masked copy, does not branch.  Besides the slots, the blend's buffer
-    is the only new array of the keys' length, and only with ``swap``.
+    ``keys`` (int64 in ``[0, nkeys)``) is C-contiguous with the stream
+    axis last (see ``_sort``), and row ``p`` of ``runs`` holds one
+    component pair's values in the keys' C order: the ``m*m`` pairs of
+    ``_from_blocks``, or the pairs that ``sparse_from_triplets``' private
+    ``_pairs`` keyword lists.  Only the node keys are sorted (by
+    ``_sort``, which overwrites ``keys``), once for every run; ``runs`` is
+    only read.  The sort gives each key, in stream order, the slot of its
+    node entry, and one ``bincount`` per run sums it, copied into stream
+    order in the spent keys (read in place for a 1-D batch, already in
+    stream order), slot by slot, left to right from +0.0, as
+    ``_from_keys`` sums a scalar batch.  With ``swap`` (int64, the keys'
+    shape, C order, all bits set or none) the runs are the ``m*m`` pairs
+    ``(l, c)`` in order ``l*m + c`` and the blocks where its bits are set
+    are transposed: pair ``(l, c)`` takes their values from the run of
+    pair ``(c, l)``, by a bitwise blend of the two runs, ``a ^ ((a ^ b) &
+    swap)``, which moves each value's bits unchanged and, unlike a masked
+    copy, does not branch.  Besides the slots, the blend's buffer is the
+    only new array of the keys' length, and only with ``swap``.
     """
     n = keys.size
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty((m, m, 0))
+        return np.empty(0, dtype=np.int64), np.empty((len(runs), 0))
     starts, uniq = _sort(keys, nkeys)
     lead, width, pb = _stream(keys)
     keys = keys.reshape(-1)
@@ -446,27 +459,58 @@ def _block_sums(m, keys, nkeys, vals, swap=None):
         blend, swap = np.empty(n, dtype=np.int64), swap.reshape(-1)
     del keys, e, k, buf, starts
 
-    def bits(l, c):
-        return vals[(l * m + c) * n:(l * m + c + 1) * n].view(np.int64)
-
-    sums = np.empty((m, m, len(uniq)))
-    for l in range(m):
-        for c in range(m):
-            run_lc = bits(l, c)
-            if swap is not None and l != c:
-                np.bitwise_xor(run_lc, bits(c, l), out=blend)
-                blend &= swap
-                blend ^= run_lc
-                run_lc = blend
-            stream[...] = run_lc.reshape(lead, width).T
-            sums[l, c] = np.bincount(slot, weights=run)
+    bits, m = runs.view(np.int64), math.isqrt(len(runs))
+    sums = np.empty((len(runs), len(uniq)))
+    for p in range(len(runs)):
+        run_p = bits[p]
+        l, c = divmod(p, m)
+        if swap is not None and l != c:
+            np.bitwise_xor(run_p, bits[c * m + l], out=blend)
+            blend &= swap
+            blend ^= run_p
+            run_p = blend
+        if lead == 1:
+            sums[p] = np.bincount(slot, weights=run_p.view(np.float64))
+        else:
+            stream[...] = run_p.reshape(lead, width).T
+            sums[p] = np.bincount(slot, weights=run)
     # entries whose sums are all 0.0 go here, so that the layout leaves no
     # dropped tail in the result arrays for them
     if not sums.all():
-        keep = sums.any(axis=(0, 1))
+        keep = sums.any(axis=0)
         if not keep.all():
-            uniq, sums = uniq[keep], sums[:, :, keep]
+            uniq, sums = uniq[keep], sums[:, keep]
     return uniq, sums
+
+
+def _pair_matrices(n, m, pairs, uniq, sums) -> list:
+    """One canonical n-by-n scalar matrix per listed component pair.
+
+    ``uniq`` holds node keys ``row*(n//m) + col`` in increasing order
+    and row ``p`` of ``sums`` the sums of pair ``pairs[p] = (l, c)`` at
+    them, as ``_block_sums`` returns them; the sum at node entry ``(row,
+    col)`` goes to dof ``(m*row + l, m*col + c)``.  Those dof entries
+    increase row-major as the node keys do, so each matrix is the node
+    entries where its pair's sum is not exactly 0.0, in their order.
+    ``uniq`` is overwritten.
+    """
+    nr = n // m
+    rows = uniq // nr
+    uniq -= rows * nr
+    cols = uniq
+    deg = np.bincount(rows, minlength=nr)
+    out = []
+    for (l, c), s in zip(pairs, sums):
+        r, col, count = rows, cols, deg
+        if not s.all():
+            keep = s != 0.0
+            r, col, s = rows[keep], cols[keep], s[keep]
+            count = np.bincount(r, minlength=nr)
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        row_ptr[l + 1::m] = count
+        np.cumsum(row_ptr, out=row_ptr)
+        out.append(SparseMatrix(n, n, row_ptr, m * col + c, s))
+    return out
 
 
 def _block_row_ptr(m, deg) -> np.ndarray:
@@ -633,7 +677,7 @@ def _stable_order(keys, nkeys: int) -> np.ndarray:
 
 
 def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
-                         _diagonal=None) -> SparseMatrix:
+                         _diagonal=None, _pairs=None) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch.
 
     The batch's index arrays are never written.  With ``batch.m == 1`` its
@@ -662,8 +706,21 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
     before the sort and its values once the upper blocks are summed, so a
     caller that passes them unnamed, as the engine does, has the index
     arrays freed before the sort and the rest before the mirror.
+
+    ``_pairs=(m, pairs)`` is private to the ``optv`` and ``optvs`` engine,
+    and the call then returns a list: one canonical matrix per listed
+    component pair ``(l, c)`` of a square matrix of m-by-m blocks.  The
+    batch (``m`` unset) has one leading axis over ``pairs``, along which
+    its node ``rows`` and ``cols`` repeat one node stream (the engine
+    broadcasts ``me[a]`` and ``me[b]``), and ``vals`` holds one run of
+    values per listed pair, each in stream order.  Matrix ``p`` is
+    bitwise what this function returns for the 1-D dof batch ``(m*rows[p]
+    + l, m*cols[p] + c, vals[p])``: ``_block_sums`` sorts the node keys
+    once, sums each run per node entry in stream order from +0.0, as the
+    scalar constructor does, and ``_pair_matrices`` lays out each pair's
+    nonzero sums.  The values are only read.
     """
-    m = batch.m
+    m = batch.m if _pairs is None else _pairs[0]
     for name, idx, size in (("row", batch.rows, batch.nrows // m),
                             ("col", batch.cols, batch.ncols // m)):
         # a broadcast view is checked over the elements it stores: every
@@ -677,6 +734,11 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
                 f"{name} index {idx.flat[pos]} at triplet {pos} outside [0, {size})"
             )
     del stored, idx  # views, not to be held through the construction
+    if _pairs is not None:
+        pairs, n = _pairs[1], batch.nrows
+        uniq, sums = _block_sums(_keys(batch.rows[0], n // m, batch.cols[0]),
+                                 (n // m) ** 2, batch.vals.reshape(len(pairs), -1))
+        return _pair_matrices(n, m, pairs, uniq, sums)
     if _diagonal is not None:
         n, nr, nodes = batch.nrows, batch.nrows // m, _diagonal[0].T.ravel()
         diag = [np.bincount(nodes, weights=t.ravel(), minlength=nr)
@@ -692,9 +754,9 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
         vals = batch.vals
         # the batch's index arrays are freed here when the caller holds none
         del batch
-        uniq, sums = _block_sums(m, keys, nr * nr, vals, swap)
+        uniq, sums = _block_sums(keys, nr * nr, vals.reshape(m * m, -1), swap)
         del keys, vals, swap
-        return _mirror(n, m, uniq, sums, diag)
+        return _mirror(n, m, uniq, sums.reshape(m, m, -1), diag)
     # the keys are passed on unnamed, so that the constructor can free them
     if m > 1:
         return _from_blocks(batch.nrows, batch.ncols, m,

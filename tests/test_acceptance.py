@@ -314,10 +314,16 @@ def test_criterion_7_linear_complexity(report):
         # mmap ceiling falls between the last two sizes (at n = 632 each
         # such array is a fresh, page-faulted mapping, at n = 448 the heap
         # reuses it), and a 105 MiB last-level cache, as on the 2-vCPU host
-        # the bound was set on, holds two of them at n = 448 but not at 632
+        # the bound was set on, holds two of them at n = 448 but not at 632.
+        # Eleven repetitions per cell: on a 2-vCPU shared VM, medians of 5
+        # gave slopes with a standard deviation of about 0.06 (and one of
+        # three full runs of an earlier version read 1.41 for optv2),
+        # medians of 11 about 0.04, resampled from six sweeps of 15
+        # repetitions each; scaling each call by a reference task timed
+        # around it, as perfbench does, did not narrow them
         config = BenchConfig(matrix="stiffness", d=2,
                              variants=("optv2", "optv", "optvs"),
-                             refinements=(316, 448, 632), reps=5)
+                             refinements=(316, 448, 632), reps=11)
         result = run_bench(config)
         by_variant = {}
         for rec in result.records:

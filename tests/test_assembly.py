@@ -120,6 +120,17 @@ def test_zero_kernel_gives_empty_matrix():
         assert driver(mesh, ZeroKernel()).nnz == 0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_vector_incremental_strategies_without_elements(d):
+    # every vertex pair's batch is empty: each listed component pair still
+    # gets an empty canonical matrix, and their sums stay empty
+    mesh = Mesh.from_arrays(np.random.default_rng(d).random((d, 5)),
+                            np.empty((d + 1, 0), dtype=np.int64))
+    kernel = ElasticKernel(mesh)
+    for driver in (assemble_vector_optv, assemble_vector_optvs):
+        assert same_bits(driver(mesh, kernel), empty_matrix(d * 5, d * 5))
+
+
 @pytest.mark.parametrize("d,n", [(1, 9), (2, 4), (3, 2)])
 @pytest.mark.parametrize("make", [
     lambda m: MassKernel(m),
@@ -372,8 +383,8 @@ def test_optvs_output_is_exactly_symmetric():
 def test_optvs_strict_triangle_before_transpose(vector, monkeypatch):
     # local dofs (l, alpha) are ordered component-major; before the
     # transpose-add the sweep visits every pair of the strict upper triangle
-    # once (component pair by component pair, each row by row), and after
-    # it the diagonal pairs
+    # once (vertex pair by vertex pair, row by row), and after it every
+    # diagonal pair once, vertex by vertex
     mesh = generate_hypercube_mesh(2, 1 if vector else 2)
     if vector:
         rec = RecordingVector(ElasticKernel(mesh))
@@ -394,7 +405,7 @@ def test_optvs_strict_triangle_before_transpose(vector, monkeypatch):
         assert row < col      # strictly one-sided pairs only
     assert sorted(upper) == [(row, col) for i, row in enumerate(dofs)
                              for col in dofs[i + 1:]]
-    assert diag == [(dof, dof) for dof in dofs]
+    assert diag == [(dof, dof) for dof in sorted(dofs, key=lambda d: d[::-1])]
 
 
 class CountingKernel:
@@ -442,13 +453,17 @@ def test_batch_counts_per_strategy(monkeypatch):
             "optv2": ({"sparse_from_triplets": 1},
                       {"batched": nloc * (nloc - 1) // 2 * m * m
                        + nloc * m * (m + 1) // 2}),
-            # each component pair's sum starts as its first pair's matrix,
-            # and the sums are added up from the first: L^2 - 1 adds for
-            # optv; optvs adds the transpose and the diagonal's sum too
-            "optv": ({"sparse_from_triplets": pairs, "add": pairs - 1},
+            # one construction per vertex pair gives the matrices of its
+            # component pairs; each component pair's sum starts as its first
+            # pair's matrix, and the sums are added up from the first: L^2 - 1
+            # adds for optv; optvs adds the transpose and the diagonal's sum
+            # too, and visits the vertex pairs a >= b only for the component
+            # pairs l < n, which a scalar kernel does not have
+            "optv": ({"sparse_from_triplets": nloc * nloc, "add": pairs - 1},
                      {"batched": pairs}),
-            "optvs": ({"sparse_from_triplets": half, "add": half,
-                       "transpose": 1}, {"batched": half}),
+            "optvs": ({"sparse_from_triplets": (nloc * nloc if m > 1 else
+                                                nloc * (nloc - 1) // 2) + nloc,
+                       "add": half, "transpose": 1}, {"batched": half}),
         }
         for strategy, driver in drivers.items():
             calls.clear()

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplex_asm import (
@@ -669,6 +669,51 @@ def test_block_batch_rejects_bad_shapes_and_node_indices():
         sparse_from_triplets(TripletBatch(6, 6, [0, 3, 1], cols, np.ones(12), 2))
     with pytest.raises(IndexRangeError, match=r"col index -1 at triplet 2 outside"):
         sparse_from_triplets(TripletBatch(6, 6, rows, [0, 1, -1], np.ones(12), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.sampled_from([2, 3]), subset=st.sampled_from(["all", "upper", "strict"]),
+       nq=st.integers(1, 4),
+       nodes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans()),
+                      max_size=24),
+       chunk=st.sampled_from([_CHUNK, 5]), seed=st.integers(0, 2**32 - 1))
+@example(m=2, subset="all", nq=1, nodes=[], chunk=5, seed=0)
+@example(m=3, subset="strict", nq=2, nodes=[], chunk=_CHUNK, seed=0)
+def test_listed_pairs_are_bitwise_their_scalar_batches(m, subset, nq, nodes,
+                                                       chunk, seed):
+    # the private _pairs keyword: one node stream, repeated along a leading
+    # axis over the listed component pairs (l, n), gives one matrix per
+    # pair, each byte for byte the construction of that pair's scalar dof
+    # batch.  Few nodes, so that keys repeat; values whose sums depend on
+    # their order, +-0.0, and triplets cancelled exactly by the next one
+    # (the third field of a node), whose sums must be dropped
+    pairs = [(l, n) for l in range(m) for n in range(m)
+             if subset == "all" or l < n or (subset == "upper" and l == n)]
+    rng = np.random.default_rng(seed)
+    keys, vals = [], []
+    for row, col, cancel in nodes:
+        keys.append((row % nq, col % nq))
+        vals.append(rng.choice([1e16, -1e16, 1.0, 0.5, 0.0, -0.0], len(pairs)))
+        if cancel:
+            keys.append(keys[-1])
+            vals.append(-vals[-1])
+    rows = np.array([k[0] for k in keys], dtype=np.int64)
+    cols = np.array([k[1] for k in keys], dtype=np.int64)
+    vals = np.array(vals, dtype=np.float64).reshape(-1, len(pairs)).T.copy()
+    shape = (len(pairs), len(keys))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_CHUNK", chunk)
+        got = sparse_from_triplets(
+            TripletBatch(m * nq, m * nq, np.broadcast_to(rows, shape),
+                         np.broadcast_to(cols, shape), vals.copy()),
+            _pairs=(m, pairs))
+        want = [sparse_from_triplets(TripletBatch(m * nq, m * nq, m * rows + l,
+                                                  m * cols + n, run))
+                for (l, n), run in zip(pairs, vals)]
+    assert len(got) == len(pairs)
+    for a, b in zip(got, want):
+        assert_same_csr(a, b)
+        assert np.all(a.vals != 0.0)
 
 
 # ---------------------------------------------------------------------------
