@@ -20,7 +20,9 @@ permuted jittered mesh, and for d = 1 to 3 the bytes of both meshes'
 ``sparse_from_triplets`` on one set of
 tie-heavy triplets of the 3D mesh, m = 1 and 3, given as a 1-D batch, as
 an ``(nloc, nloc, nme)`` batch of broadcast views and as an ``(nme, L)``
-batch.  Standard library and numpy only; the package is imported from
+batch; and one rectangular m = 1 matrix of tie-heavy triplets with exact
+cancellations, its transpose and both matrices' MatrixMarket files and
+read-backs.  Standard library and numpy only; the package is imported from
 this checkout's ``src``.
 
 ``tests/data/output_digest.txt`` holds this script's output, and
@@ -126,6 +128,24 @@ def cases(path: Path):
                       sa.SCALAR_DRIVERS["optv2"](grid, sa.StiffnessKernel(grid)),
                       path)
     yield from batches(mesh(3))
+    yield from rectangular(mesh(3), path)
+
+
+def rectangular(tets: sa.Mesh, path: Path):
+    """(case name, SHA-256) of a tall m = 1 matrix from tie-heavy 1-D
+    triplets with values 1e16, -1e16, 1.0 and 0.0, many of whose sums
+    cancel exactly, and of its (wide) transpose, each with its
+    MatrixMarket file and read-back: rows are the tets' nodes, columns
+    their nodes divided by 3."""
+    nloc, nme = tets.me.shape
+    shape = (nme, nloc, nloc)
+    rows = np.broadcast_to(tets.me.T[:, :, None], shape).ravel()
+    cols = np.broadcast_to(tets.me.T[:, None, :] // 3, shape).ravel()
+    vals = np.random.default_rng(5).choice([1e16, -1e16, 1.0, 0.0], rows.size)
+    a = sa.sparse_from_triplets(
+        sa.TripletBatch(tets.nq, tets.nq // 3 + 1, rows, cols, vals))
+    yield from matrix("rectangular m=1", a, path)
+    yield from matrix("rectangular m=1 transpose", sa.transpose(a), path)
 
 
 def batches(tets: sa.Mesh):

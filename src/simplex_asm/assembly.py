@@ -165,13 +165,10 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         shape = (nloc, nloc, nme)
         rows = np.broadcast_to(mesh.me[None, :, :], shape)
         cols = np.broadcast_to(mesh.me[:, None, :], shape)
-        vals = np.empty((m, m) + shape)
-        for l in range(m):
-            for n in range(m):
-                for beta in range(nloc):
-                    for alpha in range(nloc):
-                        vals[l, n, beta, alpha] = kernel.batched(
-                            *local[l * nloc + alpha], *local[n * nloc + beta])
+        vals = _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + b]
+                                  for l in range(m) for n in range(m)
+                                  for b in range(nloc) for a in range(nloc)],
+                         np.empty((m * m * nloc * nloc, nme)))
         # the values are ours, so the constructor may overwrite them in place
         return sparse_from_triplets(
             TripletBatch(ndof, ndof, rows, cols, vals, m), _owned=True)
@@ -179,8 +176,7 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     if strategy in ("base", "optv1"):
         # (size, nme) table of every local dof's global dof: component l of
         # local node alpha is dof m*me[alpha] + l
-        table = mesh.me if m == 1 else np.concatenate(
-            [m * mesh.me + l for l in range(m)])
+        table = np.concatenate([m * mesh.me + l for l in range(m)])
         single = kernel.single
         pairs = [(ii, jj, local[ii] + local[jj])
                  for jj in range(size) for ii in range(size)]

@@ -1,48 +1,44 @@
 """Triplet-accumulating sparse matrix construction and small CSR algebra.
 
-Every matrix built from triplets comes from one keyed sort (``_sort``)
-with two readers.  ``_from_keys`` builds a scalar matrix: entry (row, col)
-of an nrows-by-ncols matrix gets the int64 key ``row*ncols + col``, a
-stable sort of the keys puts duplicates next to each other in stream
-order, and a left-to-right ``bincount`` sums them.  The keys keep the
-shape of the batch's index arrays, whose last axis is the stream axis
+Every matrix built from triplets is a keyed sum, then a layout.  Both
+keyed sums start from one sort (``_sort``) of int64 keys ``row*ncols +
+col`` (node keys ``row*(ncols//m) + col`` for m-by-m blocks), which keep
+the shape of the batch's index arrays, whose last axis is the stream axis
 (see ``TripletBatch``): the triplet at leading position ``r`` (C order)
-and stream position ``k`` comes at stream position ``(k, r)``.  The
-stable order comes from numpy's default (unstable, SIMD) sort of words
-``key << shift | k << pb | r``, which are distinct, or from a stable
-argsort of the keys in stream order when the words would not fit in 63
-bits; either way the sort returns the run starts and the unique keys and
-leaves the packed stream positions, in stable order, in the keys'
-memory, and each reader decodes them where it reads the values.
-``_from_keys`` overwrites the keys and values it is given, so each caller
-passes arrays made for the call: ``optv2`` its own values, the reader the
-arrays it built, the others a copy.
-``_from_blocks`` builds a matrix of m-by-m blocks, a ``TripletBatch``
-with ``m > 1`` such as the vector ``optv2`` hands over: ``_block_sums``
-sorts only the node keys, and one ``bincount`` per component pair over
-the node slots gives the block entries, bit-identical to ``_from_keys``
-on the expanded dof triplets; ``_put_blocks`` places each node entry under
-the interleaved numbering.  Sums that are exactly 0.0 are dropped,
-by ``_drop_zeros`` in ``_from_keys``, the block builders and ``add``, so
-no exact zero is ever stored, and results are deterministic.
-``transpose`` and the MatrixMarket reader use ``_from_keys``.
-``sparse_from_triplets``' private ``_diagonal`` keyword serves ``optv2``
-with a swap-symmetric kernel, scalar or vector alike: the batch then
-holds the blocks of the strict upper local vertex pairs (one value each
-for a scalar kernel, the case m = 1), keyed by their upper node entry,
-and the diagonal terms are summed by one ``bincount`` per component pair
-``l <= c`` over the elements in order.  ``_block_sums`` sums the upper
-blocks, each block whose row node is the larger transposed to its upper
-node entry, and one mirror, ``_mirror``, lays out each node row's lower
-blocks (the transposed upper blocks of its column, from one sort of the
-upper entries' columns), its diagonal block and its upper blocks.  Each
-mirror pair and the diagonal sum the same terms in the same order as the
-full stream would, so the result is bitwise the same.  Its private
-``_pairs`` keyword serves vector ``optv`` and ``optvs``: the batch holds
-the listed component pairs of one vertex pair, all indexed by one node
-stream, and ``_block_sums`` sorts the node keys once for all of them;
-``_pair_matrices`` then lays out one scalar matrix per pair, each
-bit-identical to ``_from_keys`` on that pair's dof triplets.
+and stream position ``k`` comes at stream position ``(k, r)``.  The sort
+is numpy's default (unstable, SIMD) sort of the distinct words ``key <<
+shift | k << pb | r``, or a stable argsort when those would not fit in 63
+bits; it returns the run starts and the unique keys and leaves the packed
+stream positions, in stable order, in the keys' memory.  Both sums add
+duplicates left to right from +0.0 by ``bincount``:
+
+* ``_from_keys`` gathers one scalar run of values into sorted order in
+  the keys' memory.  It overwrites the keys and values it is given, so
+  each caller passes arrays made for the call: ``optv2`` its own values,
+  the reader the arrays it built, the others a copy.
+* ``_block_sums`` sorts one node stream for many runs: each stream
+  position gets the slot of its node entry, and one ``bincount`` per run
+  sums it.  The runs are only read.
+
+Three layouts place the sums in canonical CSR:
+
+* ``_pair_matrices``, per-pair scalar: one scalar matrix per listed
+  component pair, for ``_from_keys`` (one pair, m = 1: scalar batches,
+  ``transpose``, the MatrixMarket reader) and for vector ``optv`` and
+  ``optvs`` (``sparse_from_triplets``' private ``_pairs`` keyword);
+* ``_from_blocks``, interleaved blocks, for a ``TripletBatch`` with ``m
+  > 1`` such as the full vector ``optv2`` stream, each node entry's block
+  placed by ``_put_blocks``;
+* ``_mirror``, for ``optv2`` with a swap-symmetric kernel, scalar or
+  vector (the private ``_diagonal`` keyword): the batch holds the strict
+  upper local vertex pairs keyed by their upper node entry, the diagonal
+  terms are summed by one ``bincount`` per component pair ``l <= c``, and
+  each node row's lower blocks (the transposed upper blocks of its
+  column), diagonal block and upper blocks are placed by ``_put_blocks``.
+
+Every sum is bitwise that of the full scalar stream.  Sums that are
+exactly 0.0 are dropped by ``_drop_zeros``, in every layout and in
+``add``, so no exact zero is ever stored.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -87,7 +83,8 @@ def _check_key_range(nrows: int, ncols: int) -> None:
 
 
 def _as_index(idx, name: str) -> np.ndarray:
-    """``idx`` as int64, rejecting indices that the cast would change.
+    """``idx`` as int64 of at least one dimension (a scalar becomes one
+    triplet), rejecting indices that the cast would change.
 
     Integer input is cast (or kept) without a check.  Other input raises
     IndexRangeError naming the first flat (C-order) triplet position whose
@@ -95,6 +92,8 @@ def _as_index(idx, name: str) -> np.ndarray:
     2.0 pass.
     """
     idx = np.asarray(idx)
+    if not idx.ndim:
+        idx = idx.reshape(1)
     if idx.dtype.kind not in "iu":
         f = idx.astype(np.float64)
         bad = ~(np.abs(f) < 2.0**63) | (f != np.trunc(f))
@@ -136,6 +135,9 @@ class TripletBatch:
     m: int = 1
 
     def __post_init__(self):
+        if min(self.nrows, self.ncols) < 0:
+            raise ShapeMismatchError(
+                f"a {self.nrows}x{self.ncols} matrix has a negative dimension")
         _check_key_range(self.nrows, self.ncols)
         self.m = operator.index(self.m)
         if self.m < 1 or self.nrows % self.m or self.ncols % self.m:
@@ -210,7 +212,7 @@ def _stream(keys):
     """``(lead, width, pb)`` of a C-ordered key array whose last axis is the
     stream axis: ``width`` positions along it, ``lead`` positions over the
     leading axes, and ``pb`` bits for a leading position."""
-    width = keys.shape[-1] if keys.ndim else 1
+    width = keys.shape[-1]
     lead = keys.size // width
     return lead, width, (lead - 1).bit_length()
 
@@ -319,8 +321,8 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     ``_sort`` leaves the packed stream positions in the keys' memory; the
     values are gathered into that memory chunk by chunk, each position
     decoded to the C-order index ``r*width + k``, and the group numbers
-    of the sum then go into the spent ``vals``.  The row pointer is built
-    before ``_drop_zeros`` drops the zero sums.
+    of the sum then go into the spent ``vals``.  The sums are laid out by
+    ``_pair_matrices``, as one pair of a scalar matrix.
     """
     n = len(vals)
     if n == 0:
@@ -359,16 +361,7 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     np.cumsum(groups, out=groups)
     sums = np.bincount(groups, weights=vals)[1:]
     del groups, vals, starts  # lowers the peak memory of the CSR below
-
-    rows = uniq // ncols  # a division by one scalar, faster than divmod
-    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
-    rows *= ncols
-    uniq -= rows  # now the column indices
-    del rows
-    if (sums == 0.0).any():
-        row_ptr, uniq, sums = _drop_zeros(row_ptr, uniq, sums)
-    return SparseMatrix(nrows, ncols, row_ptr, uniq, sums)
+    return _pair_matrices(nrows, ncols, 1, [(0, 0)], uniq, sums[None])[0]
 
 
 def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
@@ -483,33 +476,39 @@ def _block_sums(keys, nkeys, runs, swap=None):
     return uniq, sums
 
 
-def _pair_matrices(n, m, pairs, uniq, sums) -> list:
-    """One canonical n-by-n scalar matrix per listed component pair.
+def _pair_matrices(nrows, ncols, m, pairs, uniq, sums) -> list:
+    """One canonical nrows-by-ncols scalar matrix per listed component pair:
+    the layout of every scalar matrix built from sorted keys.
 
-    ``uniq`` holds node keys ``row*(n//m) + col`` in increasing order
+    ``uniq`` holds node keys ``row*(ncols//m) + col`` in increasing order
     and row ``p`` of ``sums`` the sums of pair ``pairs[p] = (l, c)`` at
-    them, as ``_block_sums`` returns them; the sum at node entry ``(row,
-    col)`` goes to dof ``(m*row + l, m*col + c)``.  Those dof entries
-    increase row-major as the node keys do, so each matrix is the node
-    entries where its pair's sum is not exactly 0.0, in their order.
-    ``uniq`` is overwritten.
+    them (``_from_keys`` passes dof keys, m = 1 and the pair ``(0, 0)``);
+    the sum at node entry ``(row, col)`` goes to dof ``(m*row + l, m*col +
+    c)``.  Those increase row-major as the node keys do, so each matrix is
+    the node entries in order, less the exact zeros that ``_drop_zeros``
+    drops under the node row pointer, which is then spread over the dof
+    rows.  ``uniq`` and ``sums`` are overwritten: the last pair takes the
+    decoded node columns and the node row pointer in place (every earlier
+    pair a copy), and each matrix keeps its row of ``sums`` as its values.
     """
-    nr = n // m
-    rows = uniq // nr
-    uniq -= rows * nr
-    cols = uniq
-    deg = np.bincount(rows, minlength=nr)
+    nr, nc = nrows // m, ncols // m
+    rows = uniq // nc  # a division by one scalar, faster than divmod
+    ptr = np.zeros(nr + 1, dtype=np.int64)  # the node row pointer
+    np.cumsum(np.bincount(rows, minlength=nr), out=ptr[1:])
+    rows *= nc
+    uniq -= rows  # now the node columns
+    del rows
     out = []
-    for (l, c), s in zip(pairs, sums):
-        r, col, count = rows, cols, deg
-        if not s.all():
-            keep = s != 0.0
-            r, col, s = rows[keep], cols[keep], s[keep]
-            count = np.bincount(r, minlength=nr)
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        row_ptr[l + 1::m] = count
-        np.cumsum(row_ptr, out=row_ptr)
-        out.append(SparseMatrix(n, n, row_ptr, m * col + c, s))
+    for p, ((l, c), s) in enumerate(zip(pairs, sums)):
+        col, row_ptr = (uniq, ptr) if p == len(pairs) - 1 else (uniq.copy(), ptr.copy())
+        if m > 1:
+            col *= m
+            col += c
+        if (s == 0.0).any():
+            row_ptr, col, s = _drop_zeros(row_ptr, col, s)
+        if m > 1:  # dof row m*i + l holds node row i, the other m - 1 none
+            row_ptr = np.repeat(row_ptr, m)[m - 1 - l:nrows + m - l]
+        out.append(SparseMatrix(nrows, ncols, row_ptr, col, s))
     return out
 
 
@@ -709,7 +708,7 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
 
     ``_pairs=(m, pairs)`` is private to the ``optv`` and ``optvs`` engine,
     and the call then returns a list: one canonical matrix per listed
-    component pair ``(l, c)`` of a square matrix of m-by-m blocks.  The
+    component pair ``(l, c)`` of a matrix of m-by-m blocks.  The
     batch (``m`` unset) has one leading axis over ``pairs``, along which
     its node ``rows`` and ``cols`` repeat one node stream (the engine
     broadcasts ``me[a]`` and ``me[b]``), and ``vals`` holds one run of
@@ -735,10 +734,10 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
             )
     del stored, idx  # views, not to be held through the construction
     if _pairs is not None:
-        pairs, n = _pairs[1], batch.nrows
-        uniq, sums = _block_sums(_keys(batch.rows[0], n // m, batch.cols[0]),
-                                 (n // m) ** 2, batch.vals.reshape(len(pairs), -1))
-        return _pair_matrices(n, m, pairs, uniq, sums)
+        pairs, nr, nc = _pairs[1], batch.nrows // m, batch.ncols // m
+        uniq, sums = _block_sums(_keys(batch.rows[0], nc, batch.cols[0]),
+                                 nr * nc, batch.vals.reshape(len(pairs), -1))
+        return _pair_matrices(batch.nrows, batch.ncols, m, pairs, uniq, sums)
     if _diagonal is not None:
         n, nr, nodes = batch.nrows, batch.nrows // m, _diagonal[0].T.ravel()
         diag = [np.bincount(nodes, weights=t.ravel(), minlength=nr)

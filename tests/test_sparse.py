@@ -147,6 +147,26 @@ def test_triplet_length_mismatch():
         TripletBatch(2, 3, rows, rows, np.ones(5))
 
 
+def test_negative_shape_rejected_naming_it():
+    # numpy's bare "negative dimensions" error, or with a triplet an index
+    # "outside [0, -2)", came out of the construction before
+    for rows, cols, vals in (([], [], []), ([0], [0], [1.0])):
+        for nrows, ncols in ((-2, 2), (2, -3)):
+            with pytest.raises(ShapeMismatchError, match=re.escape(
+                    f"a {nrows}x{ncols} matrix has a negative dimension")):
+                TripletBatch(nrows, ncols, rows, cols, vals)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_triplet_given_as_scalars_is_the_one_triplet_batch(m):
+    # 0-d index arrays used to reach the sort as numpy scalars
+    vals = 3.0 if m == 1 else np.arange(1.0, 5.0)
+    scalars = TripletBatch(2 * m, 2 * m, 1, 0, vals, m)
+    assert scalars.rows.shape == scalars.cols.shape == (1,)
+    assert_same_csr(sparse_from_triplets(scalars), sparse_from_triplets(
+        TripletBatch(2 * m, 2 * m, [1], [0], vals, m)))
+
+
 def test_shape_beyond_int64_keys_rejected(tmp_path):
     with pytest.raises(CapacityError, match="int64"):
         TripletBatch(2**32, 2**31, [], [], [])
@@ -679,6 +699,8 @@ def test_block_batch_rejects_bad_shapes_and_node_indices():
        chunk=st.sampled_from([_CHUNK, 5]), seed=st.integers(0, 2**32 - 1))
 @example(m=2, subset="all", nq=1, nodes=[], chunk=5, seed=0)
 @example(m=3, subset="strict", nq=2, nodes=[], chunk=_CHUNK, seed=0)
+@example(m=2, subset="all", nq=2, nodes=[(0, 2, True), (1, 2, False)], chunk=5,
+         seed=1)
 def test_listed_pairs_are_bitwise_their_scalar_batches(m, subset, nq, nodes,
                                                        chunk, seed):
     # the private _pairs keyword: one node stream, repeated along a leading
@@ -686,13 +708,15 @@ def test_listed_pairs_are_bitwise_their_scalar_batches(m, subset, nq, nodes,
     # pair, each byte for byte the construction of that pair's scalar dof
     # batch.  Few nodes, so that keys repeat; values whose sums depend on
     # their order, +-0.0, and triplets cancelled exactly by the next one
-    # (the third field of a node), whose sums must be dropped
+    # (the third field of a node), whose sums must be dropped.  Every
+    # other seed gives a matrix with one node column more than node rows
     pairs = [(l, n) for l in range(m) for n in range(m)
              if subset == "all" or l < n or (subset == "upper" and l == n)]
     rng = np.random.default_rng(seed)
+    nc = nq + seed % 2
     keys, vals = [], []
     for row, col, cancel in nodes:
-        keys.append((row % nq, col % nq))
+        keys.append((row % nq, col % nc))
         vals.append(rng.choice([1e16, -1e16, 1.0, 0.5, 0.0, -0.0], len(pairs)))
         if cancel:
             keys.append(keys[-1])
@@ -704,16 +728,49 @@ def test_listed_pairs_are_bitwise_their_scalar_batches(m, subset, nq, nodes,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse, "_CHUNK", chunk)
         got = sparse_from_triplets(
-            TripletBatch(m * nq, m * nq, np.broadcast_to(rows, shape),
+            TripletBatch(m * nq, m * nc, np.broadcast_to(rows, shape),
                          np.broadcast_to(cols, shape), vals.copy()),
             _pairs=(m, pairs))
-        want = [sparse_from_triplets(TripletBatch(m * nq, m * nq, m * rows + l,
+        want = [sparse_from_triplets(TripletBatch(m * nq, m * nc, m * rows + l,
                                                   m * cols + n, run))
                 for (l, n), run in zip(pairs, vals)]
     assert len(got) == len(pairs)
     for a, b in zip(got, want):
         assert_same_csr(a, b)
         assert np.all(a.vals != 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_constructed_matrices_share_no_memory(m):
+    # the matrices of one _pairs call: the last listed pair takes the node
+    # columns in place, every earlier one a copy, and the early pairs'
+    # cancelled sums are dropped in place.  Distinct node entries, the first
+    # 20 of them cancelled exactly in every pair but the last
+    pairs = [(l, n) for l in range(m) for n in range(m)]
+    rng = np.random.default_rng(m)
+    nq, n = 8, 40
+    rows, cols = np.divmod(rng.permutation(nq * nq)[:n], nq)
+    vals = rng.choice([1.0, 2.0, 1e16], (len(pairs), n))
+    again = np.where(np.arange(len(pairs))[:, None] < len(pairs) - 1, -1.0, 1.0)
+    rows, cols = np.concatenate([rows, rows[:20]]), np.concatenate([cols, cols[:20]])
+    vals = np.concatenate([vals, again * vals[:, :20]], axis=1)
+    shape = (len(pairs), len(rows))
+    blocks = TripletBatch(m * nq, m * nq, np.broadcast_to(rows, shape),
+                          np.broadcast_to(cols, shape), vals)
+    got = sparse_from_triplets(blocks, _pairs=(m, pairs))
+    assert [a.nnz for a in got] == [n - 20] * (len(pairs) - 1) + [n]
+    arrays = [x for a in got for x in (a.row_ptr, a.col_idx, a.vals)]
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:] + [blocks.rows, blocks.cols, blocks.vals]:
+            assert not np.shares_memory(x, y)
+    # transpose, through the scalar constructor, of a rectangular operand
+    a = sparse_from_triplets(TripletBatch(m * nq, nq, rows, cols, vals[0]))
+    assert a.nnz == n - 20
+    t = transpose(a)
+    assert np.array_equal(t.to_dense(), a.to_dense().T)
+    for x in (t.row_ptr, t.col_idx, t.vals):
+        for y in (a.row_ptr, a.col_idx, a.vals):
+            assert not np.shares_memory(x, y)
 
 
 # ---------------------------------------------------------------------------
