@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 scripts/ab_inprocess.py PARENT_PATH [CHANGE_PATH] \
-        [--workload NAME ...] [--pairs 21] [--seed 1]
+        [--workload NAME ...] [--call NAME ...] [--pairs 21] [--seed 1]
 
 Each checkout's ``src/simplex_asm`` is imported under its own package name
 (``simplex_asm_a`` for the first, ``simplex_asm_b`` for the second, which
@@ -14,9 +14,10 @@ from the same seed, so they assemble the same meshes and coefficients.
 
 For every workload (all three by default) and each of its calls
 (``optv2``, ``optv``, ``optvs`` and, on ``pk3-file-roundtrip``,
-``pipeline``), one untimed call per side warms up, and then ``--pairs``
-pairs of calls run, the side that goes first alternating from pair to
-pair, with a garbage collection before each call.  Every call is the
+``pipeline``; with ``--call``, only the calls named), one untimed call
+per side warms up, and then ``--pairs`` pairs of calls run, the side
+that goes first alternating from pair to pair, with a garbage collection
+before each call.  Every call is the
 workload's own ``run``, timed with ``time.perf_counter``; the times are
 raw, not scaled for host speed.  After the warm-up, one more untimed call
 per side runs under ``tracemalloc``, started just before it, as
@@ -158,8 +159,10 @@ def quartiles(samples):
     return median, q1, q3
 
 
-def compare(name: str, sides, pairs: int, seed: int, workdir: Path) -> None:
-    """Run workload ``name`` on both sides and print one line per call."""
+def compare(name: str, sides, calls, pairs: int, seed: int,
+            workdir: Path) -> None:
+    """Run workload ``name`` on both sides and print one line per call
+    among ``calls`` (all of the workload's when None)."""
     runs = []
     for label, workloads in sides:
         cls = workloads.WORKLOADS[name]
@@ -170,6 +173,8 @@ def compare(name: str, sides, pairs: int, seed: int, workdir: Path) -> None:
         sample = workload.sample(workload.build(rng, None), rng)
         runs.append((workload, sample))
     for call in runs[0][0].calls:
+        if calls is not None and call not in calls:
+            continue
         times = [[], []]
         equal = True
         for side in (0, 1):
@@ -202,6 +207,9 @@ def main(argv=None) -> int:
                         help="second checkout (the change); default: this one")
     parser.add_argument("--workload", action="append",
                         help="a workload name; default: all three")
+    parser.add_argument("--call", action="append",
+                        help="a call of the workloads, such as optv2; "
+                             "default: all of them")
     parser.add_argument("--pairs", type=int, default=21)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
@@ -217,6 +225,10 @@ def main(argv=None) -> int:
     unknown = set(names) - set(sides[0][1].WORKLOADS)
     if unknown:
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
+    known = {c for n in names for c in sides[0][1].WORKLOADS[n].calls}
+    unknown = set(args.call or ()) - known
+    if unknown:
+        parser.error(f"unknown calls: {', '.join(sorted(unknown))}")
     print(f"a = {args.a.resolve()}\nb = {args.b.resolve()}\n"
           f"{args.pairs} pairs, seed {args.seed}, raw ms: median [q1, q3]; "
           "tracemalloc peaks in MiB; constructions, triplets in, add calls "
@@ -229,7 +241,7 @@ def main(argv=None) -> int:
         for name in names:
             workdir = Path(tmp) / name
             workdir.mkdir()
-            compare(name, sides, args.pairs, args.seed, workdir)
+            compare(name, sides, args.call, args.pairs, args.seed, workdir)
     return 0
 
 

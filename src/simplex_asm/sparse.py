@@ -4,21 +4,24 @@ Every matrix built from triplets is a keyed sum, then a layout.  Both
 keyed sums start from one sort (``_sort``) of int64 keys ``row*ncols +
 col`` (node keys ``row*(ncols//m) + col`` for m-by-m blocks), which keep
 the shape of the batch's index arrays, whose last axis is the stream axis
-(see ``TripletBatch``): the triplet at leading position ``r`` (C order)
-and stream position ``k`` comes at stream position ``(k, r)``.  The sort
-is numpy's default (unstable, SIMD) sort of the distinct words ``key <<
-shift | k << pb | r``, or a stable argsort when those would not fit in 63
-bits; it returns the run starts and the unique keys and leaves the packed
-stream positions, in stable order, in the keys' memory.  Both sums add
+(see ``TripletBatch``): over ``lead`` leading positions, the triplet at
+leading position ``r`` (C order) and position ``k`` along the stream
+axis comes at stream position ``p = k*lead + r``.  The sort is numpy's
+default (unstable, SIMD) sort of the distinct words ``key << shift | p``,
+``shift`` the bits of the largest ``p``, or a stable argsort when those
+would not fit in 63 bits; it returns the run starts and the unique keys
+and leaves the stream positions, in stable order, in the keys' memory.
+``_stable_order`` sorts 1-D keys by the same words.  Both sums add
 duplicates left to right from +0.0 by ``bincount``:
 
 * ``_from_keys`` gathers one scalar run of values into sorted order in
   the keys' memory.  It overwrites the keys and values it is given, so
   each caller passes arrays made for the call: ``optv2`` its own values,
   the reader the arrays it built, the others a copy.
-* ``_block_sums`` sorts one node stream for many runs: each stream
-  position gets the slot of its node entry, and one ``bincount`` per run
-  sums it.  The runs are only read.
+* ``_block_sums`` sorts one node stream for many runs: the sort leaves
+  the stream positions in sorted order, the slot at each one gets the
+  number of its node entry, and one ``bincount`` per run sums it.  The
+  runs are only read.
 
 Three layouts place the sums in canonical CSR:
 
@@ -115,9 +118,11 @@ class TripletBatch:
     axis: contributions to one entry are summed in order of their index
     along it, and those with the same index in C order over the leading
     axes.  So a batch sums as the 1-D batch of its triplets in the order
-    of ``np.moveaxis(rows, -1, 0).ravel()``; a 1-D batch sums in input
-    order.  The ``optv2`` engine passes broadcast views of shape
-    ``(nloc, nloc, nme)``, whose stream axis is the element axis.
+    of ``np.moveaxis(rows, -1, 0).ravel()``, in which the triplet at
+    position ``k`` along the stream axis and leading position ``r`` (of
+    ``lead``) is triplet ``k*lead + r``, its stream position; a 1-D batch
+    sums in input order.  The ``optv2`` engine passes broadcast views of
+    shape ``(nloc, nloc, nme)``, whose stream axis is the element axis.
 
     With ``m > 1`` the batch holds m-by-m blocks: ``rows`` and ``cols`` are
     node indices in ``[0, nrows // m)`` and ``[0, ncols // m)``, and
@@ -209,12 +214,13 @@ _CHUNK = 1 << 15
 
 
 def _stream(keys):
-    """``(lead, width, pb)`` of a C-ordered key array whose last axis is the
-    stream axis: ``width`` positions along it, ``lead`` positions over the
-    leading axes, and ``pb`` bits for a leading position."""
+    """``(lead, width)`` of a C-ordered key array whose last axis is the
+    stream axis: ``width`` positions along it and ``lead`` positions over
+    the leading axes.  The key at leading position ``r`` (C order) and
+    position ``k`` along the stream axis has the stream position ``k*lead
+    + r``."""
     width = keys.shape[-1]
-    lead = keys.size // width
-    return lead, width, (lead - 1).bit_length()
+    return keys.size // width, width
 
 
 def _heads(starts, a) -> np.ndarray:
@@ -245,43 +251,39 @@ def _sort(keys, nkeys: int):
     """Sort int64 ``keys`` in ``[0, nkeys)`` stably in stream order, in place.
 
     ``keys`` is C-contiguous and its last axis is the stream axis: the key
-    at leading position ``r`` (C order over the leading axes) and stream
-    position ``k`` has the stream position ``(k, r)``, ``k`` first.  For
-    a 1-D array that is the input position.  Returns ``(starts, uniq)``:
-    a bool mask of the first position of each run of equal keys in sorted
-    order, and the distinct keys in increasing order.  ``keys`` is left
-    holding, in sorted order, the packed stream positions
-    ``k << pb | r`` (``pb`` from ``_stream``) of a sort that is stable in
-    stream order.
+    at leading position ``r`` (C order over the leading axes) and position
+    ``k`` along the stream axis has the stream position ``p = k*lead + r``
+    (see ``_stream``).  For a 1-D array that is the input position.
+    Returns ``(starts, uniq)``: a bool mask of the first position of each
+    run of equal keys in sorted order, and the distinct keys in increasing
+    order.  ``keys`` is left holding, in sorted order, the stream
+    positions ``p`` of a sort that is stable in stream order.
 
     Each key is packed with its stream position into one int64 word,
-    ``key << shift | k << pb | r``, in the keys' own memory, one chunk of
-    stream positions at a time.  The words are distinct, so numpy's
-    default (unstable, SIMD) sort of them is exactly the stable order of
-    the keys, on every platform.  The run starts and the unique keys are
-    read off the sorted words, and the words are masked down to stream
-    positions.  When the words would not fit in 63 bits, the run starts
-    and the unique keys are read off a sorted copy instead, from a stable
-    argsort of the keys in stream order, whose positions are packed into
-    ``keys``.
+    ``key << shift | p`` with ``shift = (keys.size - 1).bit_length()``, in
+    the keys' own memory, one chunk of stream-axis positions at a time.
+    The words are distinct, so numpy's default (unstable, SIMD) sort of
+    them is exactly the stable order of the keys, on every platform.  The
+    run starts and the unique keys are read off the sorted words, and the
+    words are masked down to stream positions.  When the words would not
+    fit in 63 bits, the run starts and the unique keys are read off a
+    sorted copy instead, from a stable argsort of the keys in stream
+    order, which is written into ``keys``.
     """
     n = keys.size
-    lead, width, pb = _stream(keys)
+    lead, width = _stream(keys)
     flat = keys.reshape(-1)
     by_lead = keys.reshape(lead, width)
     starts = np.empty(n, dtype=bool)
     starts[0] = True
-    shift = pb + (width - 1).bit_length()
+    shift = (n - 1).bit_length()
     if (int(nkeys) - 1).bit_length() + shift > 63:
         stream = by_lead.T.ravel()
         order = np.argsort(stream, kind="stable")
         ordered = stream[order]
         del stream
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        k, r = np.divmod(order, lead)
-        k <<= pb
-        k |= r
-        flat[...] = k
+        flat[...] = order
         return starts, _heads(starts, ordered)
     # chunks along the stream axis only: each op then runs along whole
     # rows, and the one temporary, the chunk's positions, stays short
@@ -289,9 +291,9 @@ def _sort(keys, nkeys: int):
         e = min(s + _CHUNK, width)
         words = by_lead[:, s:e]
         words <<= shift
-        words |= np.arange(s << pb, e << pb, 1 << pb)
-        if pb:  # a single leading position is 0
-            words |= np.arange(lead)[:, None]
+        words += np.arange(s * lead, e * lead, lead)
+        if lead > 1:  # a single leading position is 0
+            words += np.arange(lead)[:, None]
     flat.sort()
     # neighbours share a key iff they differ in the position bits only
     for s in range(1, n, _CHUNK):
@@ -318,32 +320,34 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     this call: both are overwritten, and no other array of their length
     is allocated.
 
-    ``_sort`` leaves the packed stream positions in the keys' memory; the
-    values are gathered into that memory chunk by chunk, each position
-    decoded to the C-order index ``r*width + k``, and the group numbers
-    of the sum then go into the spent ``vals``.  The sums are laid out by
-    ``_pair_matrices``, as one pair of a scalar matrix.
+    ``_sort`` leaves the stream positions ``p = k*lead + r`` in the keys'
+    memory; the values are gathered into that memory chunk by chunk, each
+    position decoded to the C-order index ``r*width + k``, and the group
+    numbers of the sum then go into the spent ``vals``.  The sums are laid
+    out by ``_pair_matrices``, as one pair of a scalar matrix.
     """
     n = len(vals)
     if n == 0:
         return empty_matrix(nrows, ncols)
 
     starts, uniq = _sort(keys, int(nrows) * int(ncols))
-    _, width, pb = _stream(keys)
+    lead, width = _stream(keys)
     keys = keys.reshape(-1)
     # the values in sorted order go into the same memory; each chunk
     # overwrites only the positions it has just read.  With leading axes a
-    # chunk's C-order indices r*width + k go into one reused buffer, from
-    # which take writes straight into the keys' memory: the indices are in
-    # range, and mode "clip", unlike "raise", needs no temporary
-    at = np.empty(min(n, _CHUNK), dtype=np.int64) if pb else None
+    # chunk's C-order indices go into one reused buffer, from which take
+    # writes straight into the keys' memory: the indices are in range, and
+    # mode "clip", unlike "raise", needs no temporary
+    at = np.empty(min(n, _CHUNK), dtype=np.int64) if lead > 1 else None
     for s in range(0, n, _CHUNK):
         e = keys[s:s + _CHUNK]
         out = keys.view(np.float64)[s:s + _CHUNK]
-        if pb:
+        if lead > 1:
+            # r*width + k = p*width - (p // lead)*(lead*width - 1), exact
+            # even where the products wrap around int64
             index = at[:len(e)]
-            np.right_shift(e, pb, out=index)
-            e &= (1 << pb) - 1
+            np.floor_divide(e, lead, out=index)
+            index *= 1 - lead * width
             e *= width
             index += e
             np.take(vals, index, out=out, mode="clip")
@@ -408,37 +412,35 @@ def _block_sums(keys, nkeys, runs, swap=None):
     ``_from_blocks``, or the pairs that ``sparse_from_triplets``' private
     ``_pairs`` keyword lists.  Only the node keys are sorted (by
     ``_sort``, which overwrites ``keys``), once for every run; ``runs`` is
-    only read.  The sort gives each key, in stream order, the slot of its
-    node entry, and one ``bincount`` per run sums it, copied into stream
-    order in the spent keys (read in place for a 1-D batch, already in
-    stream order), slot by slot, left to right from +0.0, as
-    ``_from_keys`` sums a scalar batch.  With ``swap`` (int64, the keys'
-    shape, C order, all bits set or none) the runs are the ``m*m`` pairs
-    ``(l, c)`` in order ``l*m + c`` and the blocks where its bits are set
-    are transposed: pair ``(l, c)`` takes their values from the run of
-    pair ``(c, l)``, by a bitwise blend of the two runs, ``a ^ ((a ^ b) &
-    swap)``, which moves each value's bits unchanged and, unlike a masked
-    copy, does not branch.  Besides the slots, the blend's buffer is the
-    only new array of the keys' length, and only with ``swap``.
+    only read.  The sort leaves the keys' stream positions in sorted
+    order, and the slot at each position, as it stands, gets the number
+    of its node entry, so the slots are in stream order.  One
+    ``bincount`` per run sums it, copied into stream order in the spent
+    keys (read in place for a 1-D batch, already in stream order), slot
+    by slot, left to right from +0.0, as ``_from_keys`` sums a scalar
+    batch.  With ``swap`` (int64, the keys' shape, C order, all bits set
+    or none) the runs are the ``m*m`` pairs ``(l, c)`` in order ``l*m +
+    c`` and the blocks where its bits are set are transposed: pair ``(l,
+    c)`` takes their values from the run of pair ``(c, l)``, by a bitwise
+    blend of the two runs, ``a ^ ((a ^ b) & swap)``, which moves each
+    value's bits unchanged and, unlike a masked copy, does not branch.
+    Besides the slots, the blend's buffer is the only new array of the
+    keys' length, and only with ``swap``.
     """
     n = keys.size
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty((len(runs), 0))
     starts, uniq = _sort(keys, nkeys)
-    lead, width, pb = _stream(keys)
+    lead, width = _stream(keys)
     keys = keys.reshape(-1)
-    # each packed position k << pb | r becomes the stream index k*lead + r,
-    # and the slot there gets the group number of its sorted position
+    # the slot at each stream position gets the group number of its
+    # sorted position
     slot = np.empty(n, dtype=np.int64)
-    k = np.empty(min(n, _CHUNK), dtype=np.int64)
+    at = np.empty(min(n, _CHUNK), dtype=np.int64)
     group = -1
     for s in range(0, n, _CHUNK):
         e = keys[s:s + _CHUNK]
-        buf = k[:len(e)]
-        np.right_shift(e, pb, out=buf)
-        buf *= lead
-        e &= (1 << pb) - 1
-        e += buf
+        buf = at[:len(e)]
         buf[...] = starts[s:s + _CHUNK]  # cumsum of a bool array is slower
         np.cumsum(buf, out=buf)
         buf += group
@@ -450,7 +452,7 @@ def _block_sums(keys, nkeys, runs, swap=None):
     run, stream = keys.view(np.float64), keys.reshape(width, lead)
     if swap is not None:
         blend, swap = np.empty(n, dtype=np.int64), swap.reshape(-1)
-    del keys, e, k, buf, starts
+    del keys, e, at, buf, starts
 
     bits, m = runs.view(np.int64), math.isqrt(len(runs))
     sums = np.empty((len(runs), len(uniq)))
@@ -660,18 +662,19 @@ def _upper_keys(rows, n, cols) -> np.ndarray:
 
 def _stable_order(keys, nkeys: int) -> np.ndarray:
     """The positions of the int64 ``keys`` in ``[0, nkeys)`` in stably
-    sorted order: one default sort of the distinct words ``key << pb | p``
-    over the positions ``p``, or a stable argsort when the words would not
-    fit in 63 bits.  The positions are filled in chunk by chunk, so that
-    the words are the only new array of the keys' length."""
-    pb = (len(keys) - 1).bit_length()
-    if (int(nkeys) - 1).bit_length() + pb > 63:
+    sorted order: one default sort of the distinct words ``key << shift |
+    p`` over the positions ``p``, the words of ``_sort`` for a 1-D array,
+    or a stable argsort when the words would not fit in 63 bits.  The
+    positions are filled in chunk by chunk, so that the words are the only
+    new array of the keys' length."""
+    shift = (len(keys) - 1).bit_length()
+    if (int(nkeys) - 1).bit_length() + shift > 63:
         return np.argsort(keys, kind="stable")
-    order = keys << pb
+    order = keys << shift
     for s in range(0, len(order), _CHUNK):
-        order[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, len(order)))
+        order[s:s + _CHUNK] += np.arange(s, min(s + _CHUNK, len(order)))
     order.sort()
-    order &= (1 << pb) - 1
+    order &= (1 << shift) - 1
     return order
 
 
@@ -1017,7 +1020,9 @@ def read_matrixmarket(path) -> SparseMatrix:
     """Read a MatrixMarket ``coordinate real`` file, ``general`` or
     ``symmetric``, as written by ``write_matrixmarket``.
 
-    ``%`` comment lines and blank lines may sit anywhere after the header.
+    The banner's object, format, field and symmetry words match in any
+    case, as ``scipy.io.mmread`` reads them.  ``%`` comment lines and
+    blank lines may sit anywhere after the header.
     A ``symmetric`` file must have a square size line and store no entry
     above the diagonal; each off-diagonal entry is mirrored, with the same
     value bits.  Duplicates are summed in order of appearance, a symmetric
@@ -1027,6 +1032,7 @@ def read_matrixmarket(path) -> SparseMatrix:
     with open(path) as f:
         header = f.readline().strip()
         fields = header.split()
+        fields[1:] = [w.lower() for w in fields[1:]]
         if fields[:-1] != _MM_HEADER.split() or fields[-1] not in (
                 "general", "symmetric"):
             raise MatrixFormatError(f"{path}: unsupported header {header!r}")

@@ -33,7 +33,7 @@ from simplex_asm import (
 )
 from simplex_asm import sparse
 from simplex_asm.mesh import MESH_FORMAT_VERSION, Mesh
-from simplex_asm.sparse import _CHUNK, _sort
+from simplex_asm.sparse import _CHUNK, _sort, _stable_order
 from test_assembly import shuffled_mesh
 
 
@@ -386,6 +386,12 @@ def packed_bits(nrows, ncols, n):
     return (nrows * ncols - 1).bit_length() + (n - 1).bit_length()
 
 
+def leading_first(a, lead):
+    """``a`` as the ``(lead, len(a) // lead)`` array whose stream order
+    (see ``TripletBatch``) is ``a``'s order."""
+    return a.reshape(-1, lead).T
+
+
 @pytest.mark.parametrize("bits", [63, 64])
 def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     rng = np.random.default_rng(bits)
@@ -394,6 +400,12 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     assert packed_bits(nrows, ncols, n) == bits
     rows, cols, vals = tie_heavy(rng, nrows, ncols, n)
     m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
+    assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
+    # the same stream as a 2-D batch, 17 leading positions by 241: its
+    # words take as many bits, and the gather decodes each stream position
+    # to its C-order index
+    m = sparse_from_triplets(TripletBatch(
+        nrows, ncols, *(leading_first(x, 17) for x in (rows, cols, vals))))
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
     path = tmp_path / "ties.mtx"
     path.write_text(MM_HEADER + f"{nrows} {ncols} {n}\n" + "".join(
@@ -423,6 +435,11 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals.copy()),
                              _owned=True)
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
+    # and as a 2-D batch, 17 leading positions by 61,681 (two chunks)
+    m = sparse_from_triplets(TripletBatch(
+        nrows, ncols, *(leading_first(x, 17) for x in (rows, cols, vals))),
+        _owned=True)
+    assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
     for x, before in zip(inputs, copies):
         assert x.tobytes() == before.tobytes()
     a = sparse_from_triplets(TripletBatch(nrows, ncols, *distinct(rng, nrows, ncols, n)))
@@ -431,21 +448,28 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
 
 
 def test_sort_branches_agree_on_ties():
-    # three chunks of keys from few values; nkeys = 2**62 leaves no room
-    # for the position bits, so the second call takes the stable argsort
-    keys = np.random.default_rng(7).integers(0, 50, 2 * _CHUNK + 5)
-    want = np.argsort(keys, kind="stable")
-    results = []
-    for nkeys in (50, 2**62):
-        order = keys.copy()
-        starts, uniq = _sort(order, nkeys)
-        assert np.array_equal(order, want)
-        results.append((starts, uniq))
-    (packed, packed_uniq), (argsorted, argsorted_uniq) = results
-    assert np.array_equal(packed, argsorted)
-    assert np.array_equal(packed, np.diff(keys[want], prepend=-1) != 0)
-    assert np.array_equal(packed_uniq, argsorted_uniq)
-    assert np.array_equal(packed_uniq, np.unique(keys))
+    # three chunks along the stream axis of keys from few values, with no,
+    # 3 and 9 leading positions; nkeys = 2**62 leaves no room for the
+    # position bits, so the second call takes the stable argsort.  Both
+    # leave the plain stream positions k*lead + r, in the order of
+    # keys.T.ravel()
+    rng = np.random.default_rng(7)
+    for shape in [(2 * _CHUNK + 5,), (3, 2 * _CHUNK + 5), (9, 2 * _CHUNK + 5)]:
+        keys = rng.integers(0, 50, shape)
+        stream = keys.T.ravel()
+        want = np.argsort(stream, kind="stable")
+        results = []
+        for nkeys in (50, 2**62):
+            order = keys.copy()
+            starts, uniq = _sort(order, nkeys)
+            assert np.array_equal(order.ravel(), want)
+            results.append((starts, uniq))
+            assert np.array_equal(_stable_order(stream, nkeys), want)
+        (packed, packed_uniq), (argsorted, argsorted_uniq) = results
+        assert np.array_equal(packed, argsorted)
+        assert np.array_equal(packed, np.diff(stream[want], prepend=-1) != 0)
+        assert np.array_equal(packed_uniq, argsorted_uniq)
+        assert np.array_equal(packed_uniq, np.unique(keys))
 
 
 def test_cancellations_are_dropped_across_chunks():
@@ -874,6 +898,24 @@ def test_matrixmarket_rejects_alien_header(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n")
     with pytest.raises(MatrixFormatError):
         read_matrixmarket(path)
+
+
+def test_matrixmarket_banner_words_match_in_any_case(tmp_path):
+    # scipy.io.mmread reads this banner as symmetric
+    body = "3 3 4\n1 1 2.5\n2 1 -1.0\n3 2 0.25\n3 3 4.0\n"
+    lower, upper = tmp_path / "lower.mtx", tmp_path / "upper.mtx"
+    lower.write_text("%%MatrixMarket matrix coordinate real symmetric\n" + body)
+    upper.write_text("%%MatrixMarket MATRIX Coordinate REAL Symmetric\n" + body)
+    a, b = read_matrixmarket(lower), read_matrixmarket(upper)
+    assert a.nnz == 6
+    for x, y in ((a.row_ptr, b.row_ptr), (a.col_idx, b.col_idx), (a.vals, b.vals)):
+        assert x.tobytes() == y.tobytes()
+    for field in ("INTEGER", "integer", "Pattern", "pattern"):
+        path = tmp_path / f"{field}.mtx"
+        path.write_text(f"%%MatrixMarket Matrix Coordinate {field} General\n"
+                        "2 2 1\n1 1 1\n")
+        with pytest.raises(MatrixFormatError, match="unsupported header"):
+            read_matrixmarket(path)
 
 
 def test_matrixmarket_rejects_truncated_file(tmp_path):
