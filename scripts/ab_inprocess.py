@@ -22,18 +22,22 @@ workload's own ``run``, timed with ``time.perf_counter``; the times are
 raw, not scaled for host speed.  After the warm-up, one more untimed call
 per side runs under ``tracemalloc``, started just before it, as
 perfbench's ``peak_pass`` measures ``peak_mb.*``, and one more with that
-side's ``assembly.sparse_from_triplets`` and ``assembly.add`` wrapped, to
-count the constructions and the triplets they take in (the batches'
-values, as perfbench's ``sparse.construct_calls`` and
-``sparse.triplets_in``) and the ``add`` calls and the entries they merge
+side's ``assembly.sparse_from_triplets``, ``assembly.add`` and
+``assembly.transpose`` wrapped and perfbench's ``Tracer`` passed to the
+workload, to count the constructions and the triplets they take in (the
+batches' values, as perfbench's ``sparse.construct_calls`` and
+``sparse.triplets_in``), the ``add`` calls and the entries they merge
 (both operands' stored entries, as perfbench's
-``sparse.add_entries_in``).  For each call the script prints the median
-and quartiles of both sides in ms, the change of the medians, the
-number of pairs the second side won (ties count for neither), whether
-the two sides' outputs were bitwise equal (shape, row pointer, column
-indices and value bits) in every pair, both sides' tracemalloc peaks in
-MiB, both sides' constructions and triplets in, and both sides' ``add``
-calls and entries merged.
+``sparse.add_entries_in``), the ``transpose`` calls, and the kernel's
+``batched`` calls (perfbench's ``kernels.eval_calls``, counted by the
+workload's own ``TimedKernel`` proxy; ``pipeline`` passes no kernel
+through it and reads 0).  For each call the script prints the median and
+quartiles of both sides in ms, the change of the medians, the number of
+pairs the second side won (ties count for neither), whether the two
+sides' outputs were bitwise equal (shape, row pointer, column indices
+and value bits) in every pair, both sides' tracemalloc peaks in MiB, and
+both sides' constructions, triplets in, ``add`` calls, entries merged,
+``transpose`` calls and ``batched`` calls.
 
 The two calls of a pair run back to back in one process, under the same
 host load, so pairs resolve smaller differences than separate benchmark
@@ -128,13 +132,17 @@ def traced_peak(workload, sample, call) -> float:
         tracemalloc.stop()
 
 
-def sparse_counts(assembly, workload, sample, call) -> list[int]:
-    """Constructions, triplets in, ``add`` calls and entries merged in one
-    untimed call, counted by wrapping the package's
-    ``assembly.sparse_from_triplets`` and ``assembly.add`` during the
-    call."""
+def call_counts(assembly, workload, sample, call) -> list[int]:
+    """Constructions, triplets in, ``add`` calls, entries merged,
+    ``transpose`` calls and kernel ``batched`` calls in one untimed call,
+    counted by wrapping the package's ``assembly.sparse_from_triplets``,
+    ``assembly.add`` and ``assembly.transpose`` during the call and by the
+    workload's kernel proxy, which reports to perfbench's ``Tracer``."""
+    from tracing import Tracer  # perfbench's, on the path since load_workloads
+
     construct, merge = assembly.sparse_from_triplets, assembly.add
-    counts = [0, 0, 0, 0]
+    flip = assembly.transpose
+    counts = [0, 0, 0, 0, 0]
 
     def constructed(batch, **kwargs):
         counts[0] += 1
@@ -146,12 +154,19 @@ def sparse_counts(assembly, workload, sample, call) -> list[int]:
         counts[3] += a.nnz + b.nnz
         return merge(a, b)
 
+    def transposed(a):
+        counts[4] += 1
+        return flip(a)
+
+    tracer = Tracer()
     assembly.sparse_from_triplets, assembly.add = constructed, merged
+    assembly.transpose = transposed
     try:
-        workload.run(sample, call, None)
+        workload.run(sample, call, tracer)
     finally:
         assembly.sparse_from_triplets, assembly.add = construct, merge
-    return counts
+        assembly.transpose = flip
+    return counts + [tracer.counts.get(("", "kernels.eval_calls"), 0)]
 
 
 def quartiles(samples):
@@ -180,7 +195,7 @@ def compare(name: str, sides, calls, pairs: int, seed: int,
         for side in (0, 1):
             timed(*runs[side], call)  # warm-up
         peaks = [traced_peak(*runs[side], call) for side in (0, 1)]
-        counts = [sparse_counts(sides[side][1].sa.assembly, *runs[side], call)
+        counts = [call_counts(sides[side][1].sa.assembly, *runs[side], call)
                   for side in (0, 1)]
         for i in range(pairs):
             outs = [None, None]
@@ -197,7 +212,7 @@ def compare(name: str, sides, calls, pairs: int, seed: int,
               f"{won:3d}/{pairs:<3d} {'yes' if equal else 'NO':>7s} "
               f"{peaks[0]:8.2f} {peaks[1]:8.2f} "
               + " ".join(f"{a:{w}d} {b:{w}d}" for a, b, w in
-                         zip(*counts, (6, 11, 6, 11))), flush=True)
+                         zip(*counts, (6, 11, 6, 11, 5, 7))), flush=True)
 
 
 def main(argv=None) -> int:
@@ -231,12 +246,13 @@ def main(argv=None) -> int:
         parser.error(f"unknown calls: {', '.join(sorted(unknown))}")
     print(f"a = {args.a.resolve()}\nb = {args.b.resolve()}\n"
           f"{args.pairs} pairs, seed {args.seed}, raw ms: median [q1, q3]; "
-          "tracemalloc peaks in MiB; constructions, triplets in, add calls "
-          "and entries merged")
+          "tracemalloc peaks in MiB; constructions, triplets in, add calls, "
+          "entries merged, transpose calls and kernel batched calls")
     print(f"{'workload':20s} {'call':9s} {'a':>26s} {'b':>26s} {'b/a-1':>8s} "
           f"{'b won':>7s} bitwise {'peak a':>8s} {'peak b':>8s} "
           f"{'cons a':>6s} {'cons b':>6s} {'trip a':>11s} {'trip b':>11s} "
-          f"{'adds a':>6s} {'adds b':>6s} {'merged a':>11s} {'merged b':>11s}")
+          f"{'adds a':>6s} {'adds b':>6s} {'merged a':>11s} {'merged b':>11s} "
+          f"{'tr a':>5s} {'tr b':>5s} {'eval a':>7s} {'eval b':>7s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             workdir = Path(tmp) / name

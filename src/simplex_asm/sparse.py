@@ -16,7 +16,8 @@ duplicates left to right from +0.0 by ``bincount``:
 
 * ``_from_keys`` gathers one scalar run of values into sorted order in
   the keys' memory.  It overwrites the keys and values it is given, so
-  each caller passes arrays made for the call: ``optv2`` its own values,
+  each caller passes arrays made for the call: the engine (``optv2``,
+  and ``optv``/``optvs`` for their node-diagonal blocks) its own values,
   the reader the arrays it built, the others a copy.
 * ``_block_sums`` sorts one node stream for many runs: the sort leaves
   the stream positions in sorted order, the slot at each one gets the
@@ -684,11 +685,11 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
 
     The batch's index arrays are never written.  With ``batch.m == 1`` its
     values are copied for the constructor, which overwrites them;
-    ``_owned`` is private to the ``optv2`` engine, which made
-    ``batch.vals`` for this call and no longer reads it: the scalar
-    constructor then overwrites it instead of a copy.  A block batch
-    (``m > 1``) is built from its node keys by ``_from_blocks``, which only
-    reads the values.
+    ``_owned`` is private to the engine (``optv2``, and the node-diagonal
+    blocks of ``optv`` and ``optvs``), which made ``batch.vals`` for this
+    call and no longer reads it: the scalar constructor then overwrites it
+    instead of a copy.  A block batch (``m > 1``) is built from its node
+    keys by ``_from_blocks``, which only reads the values.
 
     ``_diagonal=(me, terms)`` is also private to the ``optv2`` engine, for
     a swap-symmetric kernel: the batch then holds the strict upper local
@@ -965,20 +966,22 @@ def _write_lines(f, *columns) -> None:
     integer column, ``%.17g`` for a float64 one, so that reading the line
     back is exact.
 
-    The rows are formatted ``_WRITE_CHUNK`` at a time into one joined
-    string.  In a chunk where at least one float value in four repeats,
-    as in the order-k mass, whose entries take the values of one shared
-    table times each element's volume, each float column goes through
-    ``np.unique`` on its bit patterns, so that 0.0 and -0.0 and NaNs of
-    different payloads stay apart; each distinct value is formatted once
-    and its text gathered into the lines through ``%s``.  The bytes are
-    those of one ``%`` per line.  Measured on 4,096-line chunks of
-    ``%d %d %.17g`` lines, the gathering takes about half the time of one
-    ``%`` per line with one value in ten distinct, breaks even at about
-    three distinct values in four and is about 15% slower with all
-    distinct, so a chunk with fewer repeats keeps one ``%`` per line.
-    Counting a chunk's distinct values takes one sort per float column,
-    about 1% of formatting a 4,096-line chunk.
+    The rows are formatted ``_WRITE_CHUNK`` at a time by one ``%``: the
+    chunk's fields, interleaved row by row into one tuple, fill the line
+    format repeated once per row.  In a chunk where at least one float
+    value in four repeats, as in the order-k mass, whose entries take the
+    values of one shared table times each element's volume, each float
+    column goes through ``np.unique`` on its bit patterns, so that 0.0 and
+    -0.0 and NaNs of different payloads stay apart; each distinct value is
+    formatted once and its text gathered into the lines through ``%s``.
+    The bytes are those of one ``%`` per line.  Measured on 4,096-line
+    chunks of ``%d %d %.17g`` lines, formatted one line at a time, the
+    gathering takes about half the time of formatting every float with
+    one value in ten distinct, breaks even at about three distinct values
+    in four and is about 15% slower with all distinct, so a chunk with
+    fewer repeats formats every float.  Counting a chunk's distinct values
+    takes one sort per float column, about 1% of formatting a 4,096-line
+    chunk.
     """
     floats = [c.dtype.kind == "f" for c in columns]
     plain = " ".join("%.17g" if x else "%d" for x in floats) + "\n"
@@ -993,7 +996,10 @@ def _write_lines(f, *columns) -> None:
             fmt = gathered
             fields = [_texts(c) if x else c.tolist()
                       for c, x in zip(chunk, floats)]
-        f.write("".join(map(fmt.__mod__, zip(*fields))))
+        flat = [None] * (len(fields) * len(fields[0]))
+        for k, field in enumerate(fields):
+            flat[k::len(fields)] = field
+        f.write((fmt * len(fields[0])) % tuple(flat))
 
 
 def _texts(values) -> list:

@@ -365,6 +365,52 @@ def test_optv_and_optvs_are_bitwise_the_paper_loops(d, m, extra, nme, chunk,
                              paper_loops(mesh, table, m, symmetric)), strategy
 
 
+def local_table(kernel, m, nloc):
+    """``kernel``'s local values as a table[ii, jj], over the component-major
+    local dofs ``ii = l*nloc + a``."""
+    local = [divmod(ii, nloc) if m > 1 else (ii,) for ii in range(m * nloc)]
+    return np.array([[kernel.batched(*i, *j) for j in local] for i in local])
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["scalar", "vector"])
+@pytest.mark.parametrize("case", ["unused-node", "cancelling-node", "kuhn"])
+def test_dense_node_diagonal_is_bitwise_the_paper_loops(case, m):
+    # optv and optvs sum the vertex pairs (a, a) into dense node-diagonal
+    # blocks, vertex after vertex, and construct them once: a node in no
+    # element must stay unstored, a node whose first two vertex sums cancel
+    # exactly must keep the third, and the exact zeros of an unjittered
+    # Kuhn mesh's elastic blocks must be dropped, all as the paper's loops do
+    nloc = 3
+    if case == "kuhn":
+        mesh = generate_hypercube_mesh(2, 3)
+        kernel = ElasticKernel(mesh) if m > 1 else StiffnessKernel(mesh)
+        table = local_table(kernel, m, nloc)
+    else:
+        if case == "unused-node":  # node 4 lies in no element
+            me = np.array([[0, 1], [1, 3], [2, 2]])
+            rng = np.random.default_rng(24)
+            table = rng.choice([1e16, -1e16, 1.0, 0.0], size=(m * nloc,) * 2 + (2,))
+            table = table + table.transpose(1, 0, 2)  # swap-symmetric
+        else:  # node 0 is vertex k of element k, which adds S_k everywhere
+            me = np.array([[0, 3, 5], [1, 0, 6], [2, 4, 0]])
+            table = np.broadcast_to([1e16, -1e16, 1.0], (m * nloc,) * 2 + (3,))
+        mesh = Mesh.from_arrays(np.random.default_rng(1).random((2, me.max() + 2)), me)
+        kernel = (TableKernel(table, True) if m == 1
+                  else VectorTableKernel(table, m, True))
+    drivers = SCALAR_DRIVERS if m == 1 else VECTOR_DRIVERS
+    for strategy, symmetric in (("optv", False), ("optvs", True)):
+        got = drivers[strategy](mesh, kernel)
+        assert same_bits(got, paper_loops(mesh, table, m, symmetric)), strategy
+        blocks = [got.to_dense()[m * i:m * i + m, m * i:m * i + m]
+                  for i in range(mesh.nq)]
+        if case == "unused-node":
+            assert got.row_ptr[m * 4] == got.nnz  # the last node's rows are empty
+        elif case == "cancelling-node":
+            assert (blocks[0] == 1.0).all()
+        elif m > 1:
+            assert 0 < sum((b == 0.0).sum() for b in blocks) < m * m * mesh.nq
+
+
 def test_optvs_requires_symmetric_kernel():
     mesh = generate_hypercube_mesh(2, 1)
     kernel = StiffnessKernel(mesh)
@@ -383,15 +429,18 @@ def test_optvs_output_is_exactly_symmetric():
 def test_optvs_strict_triangle_before_transpose(vector, monkeypatch):
     # local dofs (l, alpha) are ordered component-major; before the
     # transpose-add the sweep visits every pair of the strict upper triangle
-    # once (vertex pair by vertex pair, row by row), and after it every
-    # diagonal pair once, vertex by vertex
+    # between distinct vertices once (vertex pair by vertex pair, row by
+    # row), and after it, vertex by vertex, the pairs ((l, a), (n, a)) with
+    # l <= n, which sum the node-diagonal blocks
     mesh = generate_hypercube_mesh(2, 1 if vector else 2)
     if vector:
         rec = RecordingVector(ElasticKernel(mesh))
-        dofs = [(l, a) for l in range(rec.m) for a in range(mesh.d + 1)]
+        m, dof = rec.m, lambda l, a: (l, a)
     else:
         rec = RecordingScalar(StiffnessKernel(mesh))
-        dofs = [(a,) for a in range(mesh.d + 1)]
+        m, dof = 1, lambda l, a: (a,)
+    nloc = mesh.d + 1
+    dofs = [dof(l, a) for l in range(m) for a in range(nloc)]
 
     def marked(a, _real=simplex_asm.assembly.transpose):
         rec.calls.append("transpose")
@@ -404,8 +453,9 @@ def test_optvs_strict_triangle_before_transpose(vector, monkeypatch):
     for row, col in upper:
         assert row < col      # strictly one-sided pairs only
     assert sorted(upper) == [(row, col) for i, row in enumerate(dofs)
-                             for col in dofs[i + 1:]]
-    assert diag == [(dof, dof) for dof in sorted(dofs, key=lambda d: d[::-1])]
+                             for col in dofs[i + 1:] if row[-1] != col[-1]]
+    assert diag == [(dof(l, a), dof(n, a)) for a in range(nloc)
+                    for l in range(m) for n in range(l, m)]
 
 
 class CountingKernel:
@@ -444,6 +494,7 @@ def test_batch_counts_per_strategy(monkeypatch):
         m, nloc = getattr(kernel, "m", 1), mesh.d + 1
         size = m * nloc   # L local dofs
         pairs, half = size * size, size * (size + 1) // 2
+        offdiag = nloc * (nloc - 1)   # vertex pairs a != b
         expected = {
             "base": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
             "optv1": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
@@ -453,17 +504,21 @@ def test_batch_counts_per_strategy(monkeypatch):
             "optv2": ({"sparse_from_triplets": 1},
                       {"batched": nloc * (nloc - 1) // 2 * m * m
                        + nloc * m * (m + 1) // 2}),
-            # one construction per vertex pair gives the matrices of its
-            # component pairs; each component pair's sum starts as its first
-            # pair's matrix, and the sums are added up from the first: L^2 - 1
-            # adds for optv; optvs adds the transpose and the diagonal's sum
-            # too, and visits the vertex pairs a >= b only for the component
-            # pairs l < n, which a scalar kernel does not have
-            "optv": ({"sparse_from_triplets": nloc * nloc, "add": pairs - 1},
-                     {"batched": pairs}),
-            "optvs": ({"sparse_from_triplets": (nloc * nloc if m > 1 else
-                                                nloc * (nloc - 1) // 2) + nloc,
-                       "add": half, "transpose": 1}, {"batched": half}),
+            # one construction per vertex pair a != b gives the matrices of
+            # its component pairs; each component pair's sum starts as its
+            # first pair's matrix, and the sums are added up from the first,
+            # then the node-diagonal blocks of the pairs (a, a), summed
+            # densely, in one more construction and add: m^2 nloc(nloc - 1)
+            # adds for optv.  optvs adds the transpose too and visits the
+            # vertex pairs a > b only for the component pairs l < n, which a
+            # scalar kernel does not have: one add per strict upper local
+            # pair between distinct vertices, plus one
+            "optv": ({"sparse_from_triplets": offdiag + 1,
+                      "add": m * m * offdiag}, {"batched": pairs}),
+            "optvs": ({"sparse_from_triplets": (offdiag if m > 1 else
+                                                offdiag // 2) + 1,
+                       "add": size * (size - 1) // 2 - nloc * m * (m - 1) // 2
+                       + 1, "transpose": 1}, {"batched": half}),
         }
         for strategy, driver in drivers.items():
             calls.clear()
