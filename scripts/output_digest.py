@@ -22,7 +22,10 @@ tie-heavy triplets of the 3D mesh, m = 1 and 3, given as a 1-D batch, as
 an ``(nloc, nloc, nme)`` batch of broadcast views and as an ``(nme, L)``
 batch; and one rectangular m = 1 matrix of tie-heavy triplets with exact
 cancellations, its transpose and both matrices' MatrixMarket files and
-read-backs.  Standard library and numpy only; the package is imported from
+read-backs; and ``base``, ``optv2`` and ``optv`` on kernels flagged not
+symmetric, scalar and m = 2, whose local entries are tie-heavy tables
+(``TableKernel``) on the permuted jittered meshes, d = 1, 2, 3.  Standard
+library and numpy only; the package is imported from
 this checkout's ``src``.
 
 ``tests/data/output_digest.txt`` holds this script's output, and
@@ -129,6 +132,49 @@ def cases(path: Path):
                       path)
     yield from batches(mesh(3))
     yield from rectangular(mesh(3), path)
+    yield from tables()
+
+
+class TableKernel:
+    """Kernel flagged not symmetric whose local entry ``(l, a, n, b)`` on
+    element k is ``table[l*nloc + a, n*nloc + b, k]``; scalar (its index
+    ``(a,)``) without ``m``."""
+
+    symmetric = False
+
+    def __init__(self, table, m=None):
+        self.table, self.nloc = table, table.shape[0] // (m or 1)
+        if m is not None:
+            self.m = m
+
+    def batched(self, *pair):
+        return self.table[self._local(*pair)].copy()
+
+    def single(self, *pair):
+        return float(self.table[self._local(*pair[:-1]) + (pair[-1],)])
+
+    def _local(self, *pair):
+        if len(pair) == 2:
+            return pair
+        l, a, n, b = pair
+        return l * self.nloc + a, n * self.nloc + b
+
+
+def tables():
+    """(case name, SHA-256) of ``base``, ``optv2`` and ``optv`` on
+    ``TableKernel`` tables of values 1e16, -1e16, 1.0, 0.0 and -0.0, whose
+    sums depend on their order and cancel exactly, and whose swapped local
+    pairs differ."""
+    for d in (1, 2, 3):
+        grid = mesh(d)
+        for m in (None, 2):
+            size = (m or 1) * (d + 1)
+            table = np.random.default_rng(10 * d + (m or 1)).choice(
+                [1e16, -1e16, 1.0, 0.0, -0.0], (size, size, grid.nme))
+            kernel = TableKernel(table, m)
+            for strategy in ("base", "optv2", "optv"):
+                yield (f"table-{'vector' if m else 'scalar'} d={d} {strategy}",
+                       matrix_digest(sa.SCALAR_DRIVERS[strategy](grid, kernel)))
 
 
 def rectangular(tets: sa.Mesh, path: Path):

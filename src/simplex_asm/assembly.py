@@ -14,9 +14,10 @@ structure:
 * ``base``   - per element, per entry, into a dictionary of keys;
 * ``optv1``  - per-element fill of full-length triplet arrays, one
   constructor call at the end;
-* ``optv2``  - one batched kernel call per local pair fills full-length
-  triplet arrays, one constructor call at the end; with a kernel flagged
-  symmetric, only the upper vertex pairs and the diagonal ones;
+* ``optv2``  - one batched kernel call per local pair (with a kernel
+  flagged symmetric, per upper one) fills whole-mesh value arrays, the
+  node-diagonal blocks are summed densely, and one constructor call at
+  the end takes both;
 * ``optv``   - one element-length triplet batch per local pair between
   distinct vertices, added into the sum of its component pair as it
   goes, each finished sum added into the result, then the node-diagonal
@@ -24,10 +25,9 @@ structure:
 * ``optvs``  - like ``optv`` over the strict upper triangle ``ii < jj``
   only, then one transpose-add, then the node-diagonal blocks.
 
-``base``, ``optv1`` and ``optv2`` visit the local pairs column by column
-(``jj`` outer, ``ii`` inner).  The one-shot strategies hand the
-constructor an element-major triplet stream, so their duplicates are
-summed in element order and ``optv1`` and ``optv2`` are bitwise
+``base`` and ``optv1`` visit the local pairs column by column (``jj``
+outer, ``ii`` inner).  The one-shot strategies sum every entry's terms in
+element order, so ``base``, ``optv1`` and ``optv2`` are bitwise
 identical.  For a scalar kernel every strategy reproduces the scalar
 loops of the paper triplet for triplet.
 
@@ -74,40 +74,32 @@ node-diagonal blocks, where one call per local pair would sort 144 and
 78 dof streams.  A scalar kernel's vertex pair is its one local pair,
 built by the scalar constructor.
 
-``optv2`` reaches the constructor through the scalar node graph.  It
-evaluates the local pairs component pair by component pair, each as one
-whole-mesh vector written straight into an ``(m, m, nloc, nloc, nme)``
-buffer, and hands the buffer to ``sparse_from_triplets`` as one
-``TripletBatch`` with ``m`` set, indexed by ``(nloc, nloc, nme)``
-broadcast views of the node table.  Their last axis, the element axis,
-is the batch's stream axis, so the constructor sums in element order,
-each element's block column by column: the order of the scalar stream.
-For a scalar kernel that is the paper's stream itself; for a vector
-kernel the constructor sorts the nloc**2*nme node keys instead of the
-L**2*nme dof keys.  Each element adds at most one term to a dof entry,
-so the entries are still summed in element order, and the matrix is
-bitwise that of the dof-key stream and of ``base``.
-
-A kernel flagged ``symmetric`` promises that ``batched(l, a, n, b)`` is
-``batched(n, b, l, a)`` bit for bit (for a scalar kernel, ``batched(a,
-b)`` is ``batched(b, a)``; see ``kernels``), and ``optv2`` reads the flag
-to stream only the upper local vertex pairs, in one stream for every
-``m``: a scalar kernel is the case m = 1.  All ``m*m`` component pairs of
-each vertex pair a < b go in one block batch indexed by ``me[a]`` and
-``me[b]``, and the component pairs ``l <= n`` of each vertex pair (a, a)
-element-major through ``sparse_from_triplets``' private ``_diagonal``
-keyword, in the same one call: 6 of the 9 kernel calls per triangle for
-a scalar kernel, 78 instead of 144 for 3D elasticity.  The constructor
-keys each block by its upper node entry, transposing the blocks of the
-elements where ``me[a] > me[b]``, sums each diagonal node block's
-component pairs by ``bincount`` and lays out each node row's lower blocks
-(the transposed upper ones), diagonal block and upper blocks.  The
-result stays bitwise that of the full stream: an element adds at most
-one term to an entry, so entry (i, j), its mirror (j, i) and the full
-stream's (i, j) all sum, in element order, the element's value for the
-pair or, for the swapped pair, the same bits, and a diagonal entry sums
-its terms in element order too.  Kernels not flagged symmetric keep the
-full stream.
+``optv2`` streams the vertex pairs ``a < b``, in one stream for every
+kernel and every ``m`` (a scalar kernel is the case m = 1).  All ``m*m``
+component pairs of each go as whole-mesh vectors into one block batch
+indexed by ``me[a]`` and ``me[b]``, whose stream axis is the element
+axis, and, unless the kernel is flagged ``symmetric``, those of the
+swapped orientation ``batched(l, b, n, a)`` into a second buffer of the
+same layout, handed over through ``sparse_from_triplets``' private
+``_diagonal`` keyword.  The constructor keys each block by its upper
+node entry, sorts those node keys once and, with a bitwise blend on the
+elements where ``me[a] > me[b]``, sums the upper runs (the orientation
+that writes the upper entry) and the lower runs in element order; it
+then lays out each node row's lower blocks, diagonal block and upper
+blocks.  A kernel flagged ``symmetric`` promises that ``batched(l, a, n,
+b)`` is ``batched(n, b, l, a)`` bit for bit (for a scalar kernel,
+``batched(a, b)`` is ``batched(b, a)``; see ``kernels``), so its swapped
+orientation is its own transposed component pair and its lower blocks
+are its upper blocks transposed: 6 of the 9 kernel calls per triangle for
+a scalar kernel, 78 instead of 144 for 3D elasticity.  The vertex pairs
+``(a, a)`` write exactly the node-diagonal blocks, and the engine sums
+each of their component pairs (``l <= n`` for a symmetric kernel, whose
+pair ``(n, l)`` copies it) by one ``bincount`` over the element-major
+node table into a dense ``(m, m, nq)`` array, which goes to the
+constructor with the batch.  The result is bitwise that of the full
+stream of every local pair and of ``base``: an element adds at most one
+term to an entry, and every entry, upper, lower or diagonal, sums the
+terms of its elements in element order from +0.0.
 """
 
 from __future__ import annotations
@@ -141,44 +133,40 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     # ii -> the kernel's index of local dof ii: (l, alpha), or (alpha,)
     local = [divmod(ii, nloc) if vector else (ii,) for ii in range(size)]
 
-    if strategy == "optv2" and kernel.symmetric:
-        # batched(l, a, n, b) is batched(n, b, l, a) bit for bit: every
-        # component pair of the vertex pairs a < b streams along the element
-        # axis as one block batch (of one value each for a scalar kernel,
-        # m = 1), each component pair l <= n of the vertex pairs (a, a)
-        # element-major, and the constructor mirrors the upper node blocks.
-        # The buffers are passed on unnamed, so that the constructor can
-        # free them
+    if strategy == "optv2":
+        # every component pair of the vertex pairs a < b streams along the
+        # element axis as one block batch (of one value each for a scalar
+        # kernel, m = 1), and for a kernel not flagged symmetric so does the
+        # swapped orientation (b, a); the constructor keys both by the upper
+        # node entry and mirrors them.  The vertex pairs (a, a) write the
+        # node-diagonal blocks only, and each component pair's are summed
+        # here in element order by one bincount; a symmetric kernel's pair
+        # (n, l) copies (l, n).  The buffers are passed on unnamed, so that
+        # the constructor can free them
         rows, cols = np.triu_indices(nloc, 1)
         pairs = list(zip(rows.tolist(), cols.tolist()))
-        return sparse_from_triplets(
-            TripletBatch(ndof, ndof, mesh.me[rows], mesh.me[cols],
-                         _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + b]
-                                            for l in range(m) for n in range(m)
-                                            for a, b in pairs],
-                                   np.empty((m * m * len(pairs), nme))), m),
-            _diagonal=(mesh.me, [
-                _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + a]
-                                   for a in range(nloc)],
-                          np.empty((nme, nloc)).T).T
-                for l in range(m) for n in range(l, m)]))
 
-    if strategy == "optv2":
-        # every local pair is one whole-mesh vector along the last axis, the
-        # stream axis, so the constructor sums in element order, each
-        # element's block column by column; the values of component pair
-        # (l, n) follow the node stream, so with m > 1 the constructor sorts
-        # the node keys only
-        shape = (nloc, nloc, nme)
-        rows = np.broadcast_to(mesh.me[None, :, :], shape)
-        cols = np.broadcast_to(mesh.me[:, None, :], shape)
-        vals = _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + b]
-                                  for l in range(m) for n in range(m)
-                                  for b in range(nloc) for a in range(nloc)],
-                         np.empty((m * m * nloc * nloc, nme)))
-        # the values are ours, so the constructor may overwrite them in place
+        def stream(vertex_pairs):
+            return _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + b]
+                                      for l in range(m) for n in range(m)
+                                      for a, b in vertex_pairs],
+                             np.empty((m * m * len(vertex_pairs), nme)))
+
+        nodes, blocks = mesh.me.T.ravel(), np.zeros((m, m, mesh.nq))
+        terms = np.empty((nme, nloc))  # element-major, as the nodes
+        for l in range(m):
+            for n in range(l, m) if kernel.symmetric else range(m):
+                _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + a]
+                                   for a in range(nloc)], terms.T)
+                blocks[l, n] = np.bincount(nodes, weights=terms.ravel(),
+                                           minlength=mesh.nq)
+                if kernel.symmetric:
+                    blocks[n, l] = blocks[l, n]
+        del nodes, terms
         return sparse_from_triplets(
-            TripletBatch(ndof, ndof, rows, cols, vals, m), _owned=True)
+            TripletBatch(ndof, ndof, mesh.me[rows], mesh.me[cols], stream(pairs), m),
+            _diagonal=(blocks, None if kernel.symmetric
+                       else stream([(b, a) for a, b in pairs])))
 
     if strategy in ("base", "optv1"):
         # (size, nme) table of every local dof's global dof: component l of
@@ -270,8 +258,7 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
         for l, n in order:
             blocks[n, l] = blocks[l, n]
     nodes = np.arange(mesh.nq)
-    diag = sparse_from_triplets(TripletBatch(ndof, ndof, nodes, nodes, blocks, m),
-                                _owned=True)
+    diag = sparse_from_triplets(TripletBatch(ndof, ndof, nodes, nodes, blocks, m))
     del nodes, blocks  # not held through the last merge
     return add(out, diag)
 

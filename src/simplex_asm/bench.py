@@ -104,13 +104,14 @@ def aux_memory_bytes(variant: str, local_dofs: int, nme: int) -> int:
     A convention of 24 bytes (row, column, value) per triplet held at
     once: local_dofs^2 * nme triplets for the full-length strategies, nme
     per step for the incremental ones; the classical one holds the values
-    of a single local matrix.  It is not what ``optv2`` allocates: its
-    row and column arrays are broadcast views, and with a symmetric kernel
-    it holds the upper vertex pairs and the diagonal only.  Its measured
-    tracemalloc peak, warm and with the kernel built, is 2.09 (stiffness)
-    and 1.38 (elastic) float64 arrays of local_dofs^2 * nme on a 2D mesh
-    of 8,192 triangles, which ``tests/test_assembly.py`` bounds by 2.6 and
-    1.6.
+    of a single local matrix.  It is not what ``optv2`` allocates: it
+    holds the values and node indices of the vertex pairs a < b only (of
+    both orientations, unless the kernel is flagged symmetric) and sums
+    the diagonal blocks densely.  Its measured tracemalloc peak, warm and
+    with the kernel built, is 2.09 (stiffness) and 1.40 (elastic) float64
+    arrays of local_dofs^2 * nme on a 2D mesh of 8,192 triangles, and 2.74
+    and 1.57 with the kernels flagged not symmetric, which
+    ``tests/test_assembly.py`` bounds by 2.6, 1.6, 3.0 and 1.7.
     """
     if variant in ("optv1", "optv2"):
         return 3 * local_dofs * local_dofs * nme * 8

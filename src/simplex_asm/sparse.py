@@ -16,13 +16,13 @@ duplicates left to right from +0.0 by ``bincount``:
 
 * ``_from_keys`` gathers one scalar run of values into sorted order in
   the keys' memory.  It overwrites the keys and values it is given, so
-  each caller passes arrays made for the call: the engine (``optv2``,
-  and ``optv``/``optvs`` for their node-diagonal blocks) its own values,
-  the reader the arrays it built, the others a copy.
+  each caller passes arrays made for the call: the reader the arrays it
+  built, the others a copy.
 * ``_block_sums`` sorts one node stream for many runs: the sort leaves
   the stream positions in sorted order, the slot at each one gets the
   number of its node entry, and one ``bincount`` per run sums it.  The
-  runs are only read.
+  runs are only read; a run may take a partner run's values bitwise
+  where a mask is set.
 
 Three layouts place the sums in canonical CSR:
 
@@ -31,14 +31,14 @@ Three layouts place the sums in canonical CSR:
   ``transpose``, the MatrixMarket reader) and for vector ``optv`` and
   ``optvs`` (``sparse_from_triplets``' private ``_pairs`` keyword);
 * ``_from_blocks``, interleaved blocks, for a ``TripletBatch`` with ``m
-  > 1`` such as the full vector ``optv2`` stream, each node entry's block
-  placed by ``_put_blocks``;
-* ``_mirror``, for ``optv2`` with a swap-symmetric kernel, scalar or
-  vector (the private ``_diagonal`` keyword): the batch holds the strict
-  upper local vertex pairs keyed by their upper node entry, the diagonal
-  terms are summed by one ``bincount`` per component pair ``l <= c``, and
-  each node row's lower blocks (the transposed upper blocks of its
-  column), diagonal block and upper blocks are placed by ``_put_blocks``.
+  > 1`` such as the node-diagonal blocks of vector ``optv`` and ``optvs``,
+  each node entry's block placed by ``_put_blocks``;
+* ``_mirror``, for ``optv2``, scalar or vector, with any kernel (the
+  private ``_diagonal`` keyword): the batch holds the strict upper local
+  vertex pairs keyed by their upper node entry, summed into upper and
+  lower blocks, and the diagonal blocks come summed; each node row's
+  lower blocks, diagonal block and upper blocks are placed by
+  ``_put_blocks``.
 
 Every sum is bitwise that of the full scalar stream.  Sums that are
 exactly 0.0 are dropped by ``_drop_zeros``, in every layout and in
@@ -65,7 +65,6 @@ construction; any other matrix is written ``general``.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -401,32 +400,32 @@ def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     return SparseMatrix(nrows, ncols, row_ptr, col_idx, out)
 
 
-def _block_sums(keys, nkeys, runs, swap=None):
+def _block_sums(keys, nkeys, runs, swap=None, partners=None):
     """``(uniq, sums)`` of a block batch: its distinct node keys in
     increasing order, and the ``(len(runs), len(uniq))`` sums of each
     value run at each of them, leaving out the keys whose sums are all
     exactly 0.0.
 
     ``keys`` (int64 in ``[0, nkeys)``) is C-contiguous with the stream
-    axis last (see ``_sort``), and row ``p`` of ``runs`` holds one
+    axis last (see ``_sort``), and each row ``runs[p]`` holds one
     component pair's values in the keys' C order: the ``m*m`` pairs of
-    ``_from_blocks``, or the pairs that ``sparse_from_triplets``' private
-    ``_pairs`` keyword lists.  Only the node keys are sorted (by
-    ``_sort``, which overwrites ``keys``), once for every run; ``runs`` is
-    only read.  The sort leaves the keys' stream positions in sorted
-    order, and the slot at each position, as it stands, gets the number
-    of its node entry, so the slots are in stream order.  One
-    ``bincount`` per run sums it, copied into stream order in the spent
-    keys (read in place for a 1-D batch, already in stream order), slot
-    by slot, left to right from +0.0, as ``_from_keys`` sums a scalar
-    batch.  With ``swap`` (int64, the keys' shape, C order, all bits set
-    or none) the runs are the ``m*m`` pairs ``(l, c)`` in order ``l*m +
-    c`` and the blocks where its bits are set are transposed: pair ``(l,
-    c)`` takes their values from the run of pair ``(c, l)``, by a bitwise
-    blend of the two runs, ``a ^ ((a ^ b) & swap)``, which moves each
-    value's bits unchanged and, unlike a masked copy, does not branch.
-    Besides the slots, the blend's buffer is the only new array of the
-    keys' length, and only with ``swap``.
+    ``_from_blocks``, the pairs that ``sparse_from_triplets``' private
+    ``_pairs`` keyword lists, or the upper and lower runs of its
+    ``_diagonal`` keyword.  Only the node keys are sorted (by ``_sort``,
+    which overwrites ``keys``), once for every run; ``runs`` is only
+    read.  The sort leaves the keys' stream positions in sorted order, and
+    the slot at each position, as it stands, gets the number of its node
+    entry, so the slots are in stream order.  One ``bincount`` per run
+    sums it, copied into stream order in the spent keys (read in place
+    for a 1-D batch, already in stream order), slot by slot, left to right
+    from +0.0, as ``_from_keys`` sums a scalar batch.  With ``swap``
+    (int64, the keys' shape, C order, all bits set or none) run ``p``
+    takes the values of ``partners[p]`` where its bits are set, by a
+    bitwise blend of the two, ``a ^ ((a ^ b) & swap)``, which moves each
+    value's bits unchanged and, unlike a masked copy, does not branch; a
+    run that is its own partner is read as it is.  Besides the slots, the
+    blend's buffer is the only new array of the keys' length, and only
+    with ``swap``.
     """
     n = keys.size
     if n == 0:
@@ -448,27 +447,25 @@ def _block_sums(keys, nkeys, runs, swap=None):
         group = buf[-1]
         slot[e] = buf
     # each component run is copied into stream order in the spent keys;
-    # the runs of a transposed pair are blended in C order first, in a
-    # buffer of their own, since a blend read in stream order is slower
-    run, stream = keys.view(np.float64), keys.reshape(width, lead)
+    # a blended run is blended in C order first, in a buffer of its own,
+    # since a blend read in stream order is slower
+    run = keys.view(np.float64)
     if swap is not None:
         blend, swap = np.empty(n, dtype=np.int64), swap.reshape(-1)
     del keys, e, at, buf, starts
 
-    bits, m = runs.view(np.int64), math.isqrt(len(runs))
     sums = np.empty((len(runs), len(uniq)))
-    for p in range(len(runs)):
-        run_p = bits[p]
-        l, c = divmod(p, m)
-        if swap is not None and l != c:
-            np.bitwise_xor(run_p, bits[c * m + l], out=blend)
+    for p, run_p in enumerate(runs):
+        if swap is not None and partners[p] is not run_p:
+            bits = run_p.view(np.int64)
+            np.bitwise_xor(bits, partners[p].view(np.int64), out=blend)
             blend &= swap
-            blend ^= run_p
-            run_p = blend
+            blend ^= bits
+            run_p = blend.view(np.float64)
         if lead == 1:
-            sums[p] = np.bincount(slot, weights=run_p.view(np.float64))
+            sums[p] = np.bincount(slot, weights=run_p)
         else:
-            stream[...] = run_p.reshape(lead, width).T
+            run.reshape(width, lead)[...] = run_p.reshape(lead, width).T
             sums[p] = np.bincount(slot, weights=run)
     # entries whose sums are all 0.0 go here, so that the layout leaves no
     # dropped tail in the result arrays for them
@@ -563,25 +560,24 @@ def _put_blocks(out, col_idx, m, row_ptr, first, rows, cols, sums, order=None):
         del dst, col
 
 
-def _mirror(n, m, uniq, sums, diag) -> SparseMatrix:
-    """The symmetric n-by-n matrix of m-by-m blocks with strict upper node
-    triangle ``(uniq, sums)`` and diagonal blocks ``diag``, in canonical
-    CSR; a scalar matrix is the case ``m == 1``.
+def _mirror(n, m, uniq, upper, lower, blocks) -> SparseMatrix:
+    """The n-by-n matrix of m-by-m blocks whose node entries pair up
+    across the diagonal, in canonical CSR; a scalar matrix is the case
+    ``m == 1``.
 
     ``uniq`` holds the upper node entries' keys ``row*(n//m) + col``,
-    ``row < col``, in increasing order, and ``sums`` their ``(m, m,
-    len(uniq))`` component sums, as ``_block_sums`` returns them; ``uniq``
-    is overwritten.  ``diag`` holds the diagonal blocks' sums of the
-    component pairs ``l <= c``, in the order of ``np.triu_indices(m)``, one
-    array of ``n//m`` per pair; pair ``(c, l)`` of a diagonal block is pair
-    ``(l, c)``.  Node row ``i`` of the result lists its lower entries (the
-    upper entries of column ``i`` in increasing row order, from one stable
-    sort of the columns, each block transposed), its diagonal block and
-    its upper entries, each placed by ``_put_blocks``.  Besides the result
-    and ``sums``, the node rows, columns and column order of the upper
-    entries are the only arrays of their length.  Sums that are exactly
-    0.0, such as the diagonal entries of nodes in no element, are dropped
-    afterwards.
+    ``row < col``, in increasing order, as ``_block_sums`` returns them,
+    and is overwritten.  ``upper`` holds their ``(m, m, len(uniq))``
+    component sums, and ``lower`` those of their mirrors ``(col, row)``:
+    pair ``(l, c)`` of ``lower`` goes to dof ``(m*col + l, m*row + c)``.
+    ``blocks`` holds the ``(m, m, n//m)`` diagonal blocks.  Node row ``i``
+    of the result lists its lower entries (the mirrors of the upper
+    entries of column ``i``, in increasing row order from one stable sort
+    of the columns), its diagonal block and its upper entries, each placed
+    by ``_put_blocks``.  Besides the result and the sums, the node rows,
+    columns and column order of the upper entries are the only arrays of
+    their length.  Sums that are exactly 0.0, such as the diagonal entries
+    of nodes in no element, are dropped afterwards.
     """
     nr = n // m
     rows = uniq // nr
@@ -596,20 +592,17 @@ def _mirror(n, m, uniq, sums, diag) -> SparseMatrix:
     col_idx = np.empty(len(out), dtype=np.int64)
     # the upper entries of row i follow its lo[i] + 1 other entries
     _put_blocks(out, col_idx, m, row_ptr, np.cumsum(up) - up - lo - 1,
-                rows, cols, sums)
+                rows, cols, upper)
     del up
     # the t-th upper entry in column order, of column c, is the lower entry
     # of rank t minus the upper entries of the columns before c in row c
     _put_blocks(out, col_idx, m, row_ptr, np.cumsum(lo) - lo,
-                cols, rows, sums.transpose(1, 0, 2), _stable_order(cols, nr))
-    del rows, cols, sums
-    blocks = np.empty((m, m, nr))
-    for (l, c), d in zip([(l, c) for l in range(m) for c in range(l, m)], diag):
-        blocks[l, c] = blocks[c, l] = d
+                cols, rows, lower, _stable_order(cols, nr))
+    del rows, cols, upper, lower
     # the diagonal block of row i follows its lo[i] lower entries
     nodes = np.arange(nr)
     _put_blocks(out, col_idx, m, row_ptr, nodes - lo, nodes, nodes, blocks)
-    del blocks, nodes, lo
+    del nodes, lo
     if not out.all():
         row_ptr, col_idx, out = _drop_zeros(row_ptr, col_idx, out)
     return SparseMatrix(n, n, row_ptr, col_idx, out)
@@ -679,36 +672,34 @@ def _stable_order(keys, nkeys: int) -> np.ndarray:
     return order
 
 
-def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
-                         _diagonal=None, _pairs=None) -> SparseMatrix:
+def sparse_from_triplets(batch: TripletBatch, *, _diagonal=None,
+                         _pairs=None) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch.
 
     The batch's index arrays are never written.  With ``batch.m == 1`` its
-    values are copied for the constructor, which overwrites them;
-    ``_owned`` is private to the engine (``optv2``, and the node-diagonal
-    blocks of ``optv`` and ``optvs``), which made ``batch.vals`` for this
-    call and no longer reads it: the scalar constructor then overwrites it
-    instead of a copy.  A block batch (``m > 1``) is built from its node
-    keys by ``_from_blocks``, which only reads the values.
+    values are copied for the constructor, which overwrites the copy.  A
+    block batch (``m > 1``) is built from its node keys by
+    ``_from_blocks``, which only reads the values.
 
-    ``_diagonal=(me, terms)`` is also private to the ``optv2`` engine, for
-    a swap-symmetric kernel: the batch then holds the strict upper local
-    vertex pairs of a square matrix, each block (one triplet for ``m ==
-    1``) standing for itself and its mirror, and ``terms`` the diagonal
-    terms of the ``(nloc, nme)`` node table ``me``, element-major: one
-    ``(nme, nloc)`` array per component pair ``l <= c``, in the order of
-    ``np.triu_indices(m)``.  Each is summed by one ``bincount`` over the
-    elements in order, each adding at most one term to a diagonal entry.
-    The batch is keyed by its upper node entry and summed by
-    ``_block_sums``, which only reads the values, each block whose row
-    node is the larger transposed, and ``_mirror`` lays out each node
-    row's lower blocks, diagonal block and upper blocks.  When each value
-    equals its swap's bit for bit (``(l, a, c, b)`` and ``(c, b, l, a)``),
+    ``_diagonal=(blocks, swapped)`` is private to the ``optv2`` engine: the
+    batch then holds the strict upper local vertex pairs ``(a, b)`` of a
+    square matrix, ``blocks`` the summed ``(m, m, nrows//m)`` diagonal
+    blocks, and ``swapped`` the values of the swapped orientation ``(b,
+    a)`` in the batch's layout, or None for a swap-symmetric kernel, whose
+    swapped pair ``(l, c)`` is its pair ``(c, l)``.  The batch is keyed by
+    its upper node entry and summed by ``_block_sums``, which only reads
+    the values: the upper run of pair ``(l, c)`` takes the orientation
+    that writes the upper entry, the lower run the other one, blended
+    bitwise where the row node is the larger.  A swap-symmetric kernel's
+    lower blocks are its upper blocks transposed.  ``_mirror`` lays out
+    each node row's lower blocks, diagonal block and upper blocks.  An
+    element adds at most one term to each entry, so when ``swapped`` (or,
+    without it, each value's swap) holds the values of the swapped pairs,
     the result is bitwise that of the full stream of both triangles and
-    the diagonal.  The diagonal terms are dropped once summed, the batch
-    before the sort and its values once the upper blocks are summed, so a
-    caller that passes them unnamed, as the engine does, has the index
-    arrays freed before the sort and the rest before the mirror.
+    the diagonal.  The batch is dropped before the sort and its values
+    once the blocks are summed, so a caller that passes them unnamed, as
+    the engine does, has the index arrays freed before the sort and the
+    rest before the mirror.
 
     ``_pairs=(m, pairs)`` is private to the ``optv`` and ``optvs`` engine,
     and the call then returns a list: one canonical matrix per listed
@@ -743,23 +734,29 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
                                  nr * nc, batch.vals.reshape(len(pairs), -1))
         return _pair_matrices(batch.nrows, batch.ncols, m, pairs, uniq, sums)
     if _diagonal is not None:
-        n, nr, nodes = batch.nrows, batch.nrows // m, _diagonal[0].T.ravel()
-        diag = [np.bincount(nodes, weights=t.ravel(), minlength=nr)
-                for t in _diagonal[1]]
-        del _diagonal, nodes
+        (blocks, swapped), n, nr = _diagonal, batch.nrows, batch.nrows // m
         keys, swap = _upper_keys(batch.rows, nr, batch.cols), None
-        if m > 1:
+        if m > 1 or swapped is not None:
             # cols - rows is negative, so its sign fills all bits, exactly
-            # where the row node is the larger and the block stands
-            # transposed
+            # where the row node is the larger: there the swapped
+            # orientation writes the upper entry
             swap = np.subtract(batch.cols, batch.rows, order="C")
             swap >>= 63
-        vals = batch.vals
+        runs = list(batch.vals.reshape(m * m, -1))
         # the batch's index arrays are freed here when the caller holds none
-        del batch
-        uniq, sums = _block_sums(keys, nr * nr, vals.reshape(m * m, -1), swap)
-        del keys, vals, swap
-        return _mirror(n, m, uniq, sums.reshape(m, m, -1), diag)
+        del batch, _diagonal
+        if swapped is None:  # a swapped pair (l, c) is the pair (c, l)
+            partners = [runs[c * m + l] for l in range(m) for c in range(m)]
+        else:  # the lower runs blend the two orientations the other way
+            partners = list(swapped.reshape(m * m, -1))
+            runs, partners = runs + partners, partners + runs
+        del swapped
+        uniq, sums = _block_sums(keys, nr * nr, runs, swap, partners)
+        del keys, swap, runs, partners
+        upper = sums[:m * m].reshape(m, m, len(uniq))
+        lower = (sums[m * m:].reshape(m, m, len(uniq)) if len(sums) > m * m
+                 else upper.transpose(1, 0, 2))
+        return _mirror(n, m, uniq, upper, lower, blocks)
     # the keys are passed on unnamed, so that the constructor can free them
     if m > 1:
         return _from_blocks(batch.nrows, batch.ncols, m,
@@ -767,7 +764,7 @@ def sparse_from_triplets(batch: TripletBatch, *, _owned=False,
                             batch.vals)
     return _from_keys(batch.nrows, batch.ncols,
                       _keys(batch.rows, batch.ncols, batch.cols),
-                      batch.vals if _owned else batch.vals.copy())
+                      batch.vals.copy())
 
 
 def _canonical_keys(m: SparseMatrix, name: str) -> np.ndarray:

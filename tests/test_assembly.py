@@ -193,7 +193,11 @@ CHUNKS = st.sampled_from([simplex_asm.sparse._CHUNK, 5])
 def test_symmetric_optv2_is_bitwise_the_full_stream(d, extra, nme, chunk, data):
     # few vertices and many elements, so vertex pairs and diagonal entries
     # take terms from several elements; values 1e16, -1e16, 1.0, 0.0 and
-    # -0.0 make the sums depend on their order and cancel exactly
+    # -0.0 make the sums depend on their order and cancel exactly.  The
+    # swap-symmetric table flagged symmetric streams one orientation of
+    # each vertex pair; flagged not symmetric, it streams both, the full
+    # stream of every local pair, and so does the table before it was made
+    # swap-symmetric, whose lower entries are not the upper ones mirrored
     nq = d + 1 + extra
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -204,6 +208,7 @@ def test_symmetric_optv2_is_bitwise_the_full_stream(d, extra, nme, chunk, data):
         st.sampled_from([1e16, -1e16, 1.0, 0.0, -0.0]),
         min_size=nloc * nloc * nme, max_size=nloc * nloc * nme))).reshape(
             nloc, nloc, nme)
+    raw = table.copy()
     upper = np.triu(np.ones((nloc, nloc), dtype=bool), 1)
     table.transpose(1, 0, 2)[upper] = table[upper]  # swap-symmetric
     with pytest.MonkeyPatch.context() as mp:
@@ -211,12 +216,16 @@ def test_symmetric_optv2_is_bitwise_the_full_stream(d, extra, nme, chunk, data):
         got = assemble_optv2(mesh, TableKernel(table, True))
         full = assemble_optv2(mesh, TableKernel(table, False))
         loop = assemble_optv1(mesh, TableKernel(table, True))
+        raw_got = assemble_optv2(mesh, TableKernel(raw, False))
+        raw_loop = assemble_optv1(mesh, TableKernel(raw, False))
     assert same_bits(got, full)
     assert same_bits(got, loop)
+    assert same_bits(raw_got, raw_loop)
 
 
 def test_non_symmetric_scalar_optv2_is_bitwise_the_element_loop():
-    # a kernel flagged non-symmetric keeps the full stream of every local pair
+    # a kernel flagged non-symmetric streams both orientations of every
+    # vertex pair
     class Anisotropic:
         symmetric = False
 
@@ -265,13 +274,16 @@ def test_symmetric_vector_optv2_is_bitwise_the_full_stream(d, m, extra, nme,
     # order is random, so about half its vertex pairs have me[a] > me[b]
     # and reach the upper node triangle transposed.  Values 1e16, -1e16,
     # 1.0, 0.0 and -0.0 make the sums depend on their order and cancel
-    # exactly
+    # exactly.  As in the scalar test, the swap-symmetric table is also
+    # streamed in both orientations, and so is the table before it was
+    # made swap-symmetric
     nq = d + 1 + extra
     rng = np.random.default_rng(seed)
     me = np.stack([rng.permutation(nq)[:d + 1] for _ in range(nme)], axis=1)
     mesh = Mesh.from_arrays(rng.random((d, nq)), me)
     size = m * (d + 1)
     table = rng.choice([1e16, -1e16, 1.0, 0.0, -0.0], size=(size, size, nme))
+    raw = table.copy()
     upper = np.triu(np.ones((size, size), dtype=bool), 1)
     table.transpose(1, 0, 2)[upper] = table[upper]  # swap-symmetric
     with pytest.MonkeyPatch.context() as mp:
@@ -279,12 +291,16 @@ def test_symmetric_vector_optv2_is_bitwise_the_full_stream(d, m, extra, nme,
         got = assemble_vector_optv2(mesh, VectorTableKernel(table, m, True))
         full = assemble_vector_optv2(mesh, VectorTableKernel(table, m, False))
         loop = assemble_vector_base(mesh, VectorTableKernel(table, m, True))
+        raw_got = assemble_vector_optv2(mesh, VectorTableKernel(raw, m, False))
+        raw_loop = assemble_vector_base(mesh, VectorTableKernel(raw, m, False))
     assert same_bits(got, full)
     assert same_bits(got, loop)
+    assert same_bits(raw_got, raw_loop)
 
 
 def test_non_symmetric_vector_optv2_is_bitwise_the_element_loop():
-    # a vector kernel flagged non-symmetric keeps the full block stream
+    # a vector kernel flagged non-symmetric streams both orientations of
+    # every vertex pair
     class Anisotropic:
         symmetric = False
 
@@ -812,24 +828,28 @@ def test_every_strategy_is_deterministic(d, vector, seed):
 
 
 def test_optv2_peak_memory_is_two_full_length_buffers():
-    # optv2 with a symmetric kernel, scalar or vector, holds the blocks of
-    # its upper vertex pairs, their node indices and the diagonal terms
-    # (each a third of an L^2*nme float64 buffer in 2D for a scalar
-    # kernel), and the constructor sorts only the upper node keys, frees
-    # the index arrays before the sort and the values once the upper blocks
-    # are summed, and lays the result out chunk by chunk: the peaks
-    # measured 2.09 (stiffness) and 1.38 (elastic) buffers, the result and
-    # the layout's node rows, columns and column order.  With a scalar and
-    # a block mirror of their own they measured 2.27 and 1.38 (3.60 for
-    # the scalar one with the batch alive through the mirror); the full
-    # streams of every local pair measured 2.97 (values and keys, two
-    # buffers) and 2.42 (the nloc^2*nme node keys sorted with the values
-    # alive; 3.08 when the dof keys were sorted)
+    # optv2 with a symmetric kernel, scalar or vector, sums the diagonal
+    # blocks densely, then holds the blocks of its upper vertex pairs and
+    # their node indices (each a third of an L^2*nme float64 buffer in 2D
+    # for a scalar kernel), and the constructor sorts only the upper node
+    # keys, frees the index arrays before the sort and the values once the
+    # blocks are summed, and lays the result out chunk by chunk: the peaks
+    # measured 2.09 (stiffness) and 1.40 (elastic) buffers, the result and
+    # the layout's node rows, columns and column order.  Flagged not
+    # symmetric, the same kernels stream both orientations of the upper
+    # vertex pairs, and the constructor blends them into upper and lower
+    # runs: the peaks measured 2.74 (stiffness) and 1.57 (elastic), where a
+    # full stream of every local pair, sorted by its nloc^2*nme node keys
+    # with the values alive, measured 2.97 and 2.76
     mesh = shuffled_mesh(2, 64, seed=1)
-    for driver, kernel, bound in (
-            (assemble_optv2, StiffnessKernel(mesh), 2.6),
-            (assemble_vector_optv2,
-             ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]), 1.6)):
+    cases = []
+    for symmetric, bounds in ((True, (2.6, 1.6)), (False, (3.0, 1.7))):
+        stiffness = StiffnessKernel(mesh)
+        elastic = ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1])
+        stiffness.symmetric = elastic.symmetric = symmetric
+        cases += [(assemble_optv2, stiffness, bounds[0]),
+                  (assemble_vector_optv2, elastic, bounds[1])]
+    for driver, kernel, bound in cases:
         size = getattr(kernel, "m", 1) * (mesh.d + 1)
         driver(mesh, kernel)  # warm-up, so that first-call allocations stay out
         tracemalloc.start()
@@ -839,7 +859,8 @@ def test_optv2_peak_memory_is_two_full_length_buffers():
         finally:
             tracemalloc.stop()
         buffer = size * size * mesh.nme * 8
-        assert peak < bound * buffer, (driver.__name__, peak / buffer)
+        assert peak < bound * buffer, (driver.__name__, kernel.symmetric,
+                                       peak / buffer)
 
 
 def test_incremental_strategies_peak_memory_per_stored_entry():

@@ -428,17 +428,13 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     rows, cols, vals = tie_heavy(rng, nrows, ncols, n)
     inputs = [rows, cols, vals]
     copies = [x.copy() for x in inputs]
+    # the constructor overwrites its own copy of the values in place,
+    # across 32 chunks
     m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
-    assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
-    # the optv2 engine's route: the constructor overwrites the batch's
-    # values, the engine's own, in place across 32 chunks
-    m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals.copy()),
-                             _owned=True)
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
     # and as a 2-D batch, 17 leading positions by 61,681 (two chunks)
     m = sparse_from_triplets(TripletBatch(
-        nrows, ncols, *(leading_first(x, 17) for x in (rows, cols, vals))),
-        _owned=True)
+        nrows, ncols, *(leading_first(x, 17) for x in (rows, cols, vals))))
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
     for x, before in zip(inputs, copies):
         assert x.tobytes() == before.tobytes()
