@@ -76,12 +76,15 @@ built by the scalar constructor.
 
 ``optv2`` streams the vertex pairs ``a < b``, in one stream for every
 kernel and every ``m`` (a scalar kernel is the case m = 1).  All ``m*m``
-component pairs of each go as whole-mesh vectors into one block batch
-indexed by ``me[a]`` and ``me[b]``, whose stream axis is the element
-axis, and, unless the kernel is flagged ``symmetric``, those of the
-swapped orientation ``batched(l, b, n, a)`` into a second buffer of the
-same layout, handed over through ``sparse_from_triplets``' private
-``_diagonal`` keyword.  The constructor keys each block by its upper
+component pairs of each are evaluated as whole-mesh vectors into one
+block batch streamed element-major: its 1-D node arrays are ``me[a]`` and
+``me[b]`` element by element, vertex pair by vertex pair within an
+element, and each component pair's values, laid out ``(nme, npairs)``,
+come from one transposing copy of the kernel's ``(npairs, nme)`` rows.
+Unless the kernel is flagged ``symmetric``, the swapped orientation
+``batched(l, b, n, a)`` goes into a second buffer of the same layout,
+handed over through ``sparse_from_triplets``' private ``_diagonal``
+keyword.  The constructor keys each block by its upper
 node entry, sorts those node keys once and, with a bitwise blend on the
 elements where ``me[a] > me[b]``, sums the upper runs (the orientation
 that writes the upper entry) and the lower runs in element order; it
@@ -134,23 +137,29 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     local = [divmod(ii, nloc) if vector else (ii,) for ii in range(size)]
 
     if strategy == "optv2":
-        # every component pair of the vertex pairs a < b streams along the
-        # element axis as one block batch (of one value each for a scalar
-        # kernel, m = 1), and for a kernel not flagged symmetric so does the
-        # swapped orientation (b, a); the constructor keys both by the upper
-        # node entry and mirrors them.  The vertex pairs (a, a) write the
-        # node-diagonal blocks only, and each component pair's are summed
-        # here in element order by one bincount; a symmetric kernel's pair
-        # (n, l) copies (l, n).  The buffers are passed on unnamed, so that
-        # the constructor can free them
+        # every component pair of the vertex pairs a < b streams
+        # element-major as one 1-D block batch (of one value each for a
+        # scalar kernel, m = 1), and for a kernel not flagged symmetric so
+        # does the swapped orientation (b, a); the constructor keys both by
+        # the upper node entry and mirrors them.  The vertex pairs (a, a)
+        # write the node-diagonal blocks only, and each component pair's
+        # are summed here in element order by one bincount; a symmetric
+        # kernel's pair (n, l) copies (l, n).  The buffers are passed on
+        # unnamed, so that the constructor can free them
         rows, cols = np.triu_indices(nloc, 1)
         pairs = list(zip(rows.tolist(), cols.tolist()))
 
         def stream(vertex_pairs):
-            return _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + b]
-                                      for l in range(m) for n in range(m)
-                                      for a, b in vertex_pairs],
-                             np.empty((m * m * len(vertex_pairs), nme)))
+            # element-major, as the node indices: run l*m + n of component
+            # pair (l, n) holds [element, vertex pair], one transposing copy
+            # of the kernel's rows
+            out = np.empty((m * m, nme, len(vertex_pairs)))
+            run = np.empty((len(vertex_pairs), nme))
+            for p in range(m * m):
+                l, n = divmod(p, m)
+                out[p] = _evaluate(kernel, [local[l * nloc + a] + local[n * nloc + b]
+                                            for a, b in vertex_pairs], run).T
+            return out
 
         nodes, blocks = mesh.me.T.ravel(), np.zeros((m, m, mesh.nq))
         terms = np.empty((nme, nloc))  # element-major, as the nodes
@@ -163,8 +172,12 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
                 if kernel.symmetric:
                     blocks[n, l] = blocks[l, n]
         del nodes, terms
+        # the node indices go element-major, as the values, by one strided
+        # copy per vertex pair: in 2D that takes about half the time of a
+        # transposing copy of me[rows]
         return sparse_from_triplets(
-            TripletBatch(ndof, ndof, mesh.me[rows], mesh.me[cols], stream(pairs), m),
+            TripletBatch(ndof, ndof, *(np.stack([mesh.me[v] for v in vs], axis=1).ravel()
+                                       for vs in (rows, cols)), stream(pairs), m),
             _diagonal=(blocks, None if kernel.symmetric
                        else stream([(b, a) for a, b in pairs])))
 

@@ -109,7 +109,7 @@ def aux_memory_bytes(variant: str, local_dofs: int, nme: int) -> int:
     both orientations, unless the kernel is flagged symmetric) and sums
     the diagonal blocks densely.  Its measured tracemalloc peak, warm and
     with the kernel built, is 2.09 (stiffness) and 1.40 (elastic) float64
-    arrays of local_dofs^2 * nme on a 2D mesh of 8,192 triangles, and 2.74
+    arrays of local_dofs^2 * nme on a 2D mesh of 8,192 triangles, and 2.40
     and 1.57 with the kernels flagged not symmetric, which
     ``tests/test_assembly.py`` bounds by 2.6, 1.6, 3.0 and 1.7.
     """

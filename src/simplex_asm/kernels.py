@@ -423,11 +423,8 @@ class ElasticKernel:
 
 
 class PkMassKernel:
-    """Order-k lattice mass entries d! * C[a, b] * |K|.
-
-    Only ``batched`` is provided: the lattice mass matrix is assembled with
-    the batched ``optv2`` strategy.
-    """
+    """Order-k lattice mass entries d! * C[a, b] * |K|, for every strategy:
+    ``batched`` over the whole mesh and ``single`` on one element."""
 
     symmetric = True
 
@@ -437,3 +434,6 @@ class PkMassKernel:
 
     def batched(self, a: int, b: int) -> np.ndarray:
         return self.scaled[a, b] * self.vols
+
+    def single(self, a: int, b: int, k: int) -> float:
+        return self.scaled[a, b] * self.vols[k]

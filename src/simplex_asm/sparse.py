@@ -1,28 +1,28 @@
 """Triplet-accumulating sparse matrix construction and small CSR algebra.
 
 Every matrix built from triplets is a keyed sum, then a layout.  Both
-keyed sums start from one sort (``_sort``) of int64 keys ``row*ncols +
-col`` (node keys ``row*(ncols//m) + col`` for m-by-m blocks), which keep
-the shape of the batch's index arrays, whose last axis is the stream axis
-(see ``TripletBatch``): over ``lead`` leading positions, the triplet at
-leading position ``r`` (C order) and position ``k`` along the stream
-axis comes at stream position ``p = k*lead + r``.  The sort is numpy's
-default (unstable, SIMD) sort of the distinct words ``key << shift | p``,
+keyed sums start from one sort (``_sort``) of 1-D int64 keys ``row*ncols
++ col`` (node keys ``row*(ncols//m) + col`` for m-by-m blocks) in stream
+order.  ``sparse_from_triplets`` forms them so: a batch's stream axis,
+the last axis of its index arrays (see ``TripletBatch``), goes to the
+front, where the C order is the stream order; the ``optv2`` engine passes
+1-D element-major streams.  The sort is numpy's default (unstable, SIMD)
+sort of the distinct words ``key << shift | p`` over the positions ``p``,
 ``shift`` the bits of the largest ``p``, or a stable argsort when those
 would not fit in 63 bits; it returns the run starts and the unique keys
-and leaves the stream positions, in stable order, in the keys' memory.
-``_stable_order`` sorts 1-D keys by the same words.  Both sums add
-duplicates left to right from +0.0 by ``bincount``:
+and leaves the positions, in stable order, in the keys' memory.
+``_stable_order`` sorts by the same words.  Both sums add duplicates left
+to right from +0.0 by ``bincount``:
 
 * ``_from_keys`` gathers one scalar run of values into sorted order in
   the keys' memory.  It overwrites the keys and values it is given, so
   each caller passes arrays made for the call: the reader the arrays it
   built, the others a copy.
 * ``_block_sums`` sorts one node stream for many runs: the sort leaves
-  the stream positions in sorted order, the slot at each one gets the
-  number of its node entry, and one ``bincount`` per run sums it.  The
-  runs are only read; a run may take a partner run's values bitwise
-  where a mask is set.
+  the positions in sorted order, the slot at each one gets the number of
+  its node entry, and one ``bincount`` per run sums it.  The runs are
+  only read; a run may take a partner run's values bitwise where a mask
+  is set.
 
 Three layouts place the sums in canonical CSR:
 
@@ -118,11 +118,10 @@ class TripletBatch:
     axis: contributions to one entry are summed in order of their index
     along it, and those with the same index in C order over the leading
     axes.  So a batch sums as the 1-D batch of its triplets in the order
-    of ``np.moveaxis(rows, -1, 0).ravel()``, in which the triplet at
-    position ``k`` along the stream axis and leading position ``r`` (of
-    ``lead``) is triplet ``k*lead + r``, its stream position; a 1-D batch
-    sums in input order.  The ``optv2`` engine passes broadcast views of
-    shape ``(nloc, nloc, nme)``, whose stream axis is the element axis.
+    of ``np.moveaxis(rows, -1, 0).ravel()``; a 1-D batch sums in input
+    order.  The ``optv2`` engine passes 1-D element-major streams, and
+    ``optv`` and ``optvs`` 1-D batches or, for a vertex pair of a vector
+    kernel, broadcast views with one leading axis over component pairs.
 
     With ``m > 1`` the batch holds m-by-m blocks: ``rows`` and ``cols`` are
     node indices in ``[0, nrows // m)`` and ``[0, ncols // m)``, and
@@ -213,16 +212,6 @@ def empty_matrix(nrows: int, ncols: int) -> SparseMatrix:
 _CHUNK = 1 << 15
 
 
-def _stream(keys):
-    """``(lead, width)`` of a C-ordered key array whose last axis is the
-    stream axis: ``width`` positions along it and ``lead`` positions over
-    the leading axes.  The key at leading position ``r`` (C order) and
-    position ``k`` along the stream axis has the stream position ``k*lead
-    + r``."""
-    width = keys.shape[-1]
-    return keys.size // width, width
-
-
 def _heads(starts, a) -> np.ndarray:
     """New array ``a[starts]``.
 
@@ -248,61 +237,46 @@ def _heads(starts, a) -> np.ndarray:
 
 
 def _sort(keys, nkeys: int):
-    """Sort int64 ``keys`` in ``[0, nkeys)`` stably in stream order, in place.
+    """Sort the 1-D int64 ``keys`` in ``[0, nkeys)`` stably, in place.
 
-    ``keys`` is C-contiguous and its last axis is the stream axis: the key
-    at leading position ``r`` (C order over the leading axes) and position
-    ``k`` along the stream axis has the stream position ``p = k*lead + r``
-    (see ``_stream``).  For a 1-D array that is the input position.
     Returns ``(starts, uniq)``: a bool mask of the first position of each
     run of equal keys in sorted order, and the distinct keys in increasing
-    order.  ``keys`` is left holding, in sorted order, the stream
-    positions ``p`` of a sort that is stable in stream order.
+    order.  ``keys`` is left holding, in sorted order, the input positions
+    ``p`` of a stable sort.
 
-    Each key is packed with its stream position into one int64 word,
-    ``key << shift | p`` with ``shift = (keys.size - 1).bit_length()``, in
-    the keys' own memory, one chunk of stream-axis positions at a time.
-    The words are distinct, so numpy's default (unstable, SIMD) sort of
-    them is exactly the stable order of the keys, on every platform.  The
-    run starts and the unique keys are read off the sorted words, and the
-    words are masked down to stream positions.  When the words would not
-    fit in 63 bits, the run starts and the unique keys are read off a
-    sorted copy instead, from a stable argsort of the keys in stream
-    order, which is written into ``keys``.
+    Each key is packed with its position into one int64 word, ``key <<
+    shift | p`` with ``shift = (len(keys) - 1).bit_length()``, in the keys'
+    own memory, chunk by chunk.  The words are distinct, so numpy's default
+    (unstable, SIMD) sort of them is exactly the stable order of the keys,
+    on every platform.  The run starts and the unique keys are read off the
+    sorted words, and the words are masked down to positions.  When the
+    words would not fit in 63 bits, the run starts and the unique keys are
+    read off a sorted copy instead, from a stable argsort of the keys,
+    which is written into ``keys``.
     """
-    n = keys.size
-    lead, width = _stream(keys)
-    flat = keys.reshape(-1)
-    by_lead = keys.reshape(lead, width)
+    n = len(keys)
     starts = np.empty(n, dtype=bool)
     starts[0] = True
     shift = (n - 1).bit_length()
     if (int(nkeys) - 1).bit_length() + shift > 63:
-        stream = by_lead.T.ravel()
-        order = np.argsort(stream, kind="stable")
-        ordered = stream[order]
-        del stream
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        flat[...] = order
+        keys[...] = order
         return starts, _heads(starts, ordered)
-    # chunks along the stream axis only: each op then runs along whole
-    # rows, and the one temporary, the chunk's positions, stays short
-    for s in range(0, width, _CHUNK):
-        e = min(s + _CHUNK, width)
-        words = by_lead[:, s:e]
+    for s in range(0, n, _CHUNK):
+        words = keys[s:s + _CHUNK]
         words <<= shift
-        words += np.arange(s * lead, e * lead, lead)
-        if lead > 1:  # a single leading position is 0
-            words += np.arange(lead)[:, None]
-    flat.sort()
+        words += np.arange(s, s + len(words))
+    keys.sort()
     # neighbours share a key iff they differ in the position bits only
     for s in range(1, n, _CHUNK):
         e = min(s + _CHUNK, n)
-        np.greater_equal(flat[s:e] ^ flat[s - 1:e - 1], 1 << shift,
+        np.greater_equal(keys[s:e] ^ keys[s - 1:e - 1], 1 << shift,
                          out=starts[s:e])
-    uniq = _heads(starts, flat)
+    uniq = _heads(starts, keys)
     uniq >>= shift
-    flat &= (1 << shift) - 1
+    keys &= (1 << shift) - 1
     return starts, uniq
 
 
@@ -311,18 +285,16 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
 
     The constructor of canonical matrices from scalar triplets (``add``
     merges two canonical matrices without it).  Assumes indices already
-    validated and ``nrows*ncols`` within int64.  ``keys`` is C-contiguous
-    with the stream axis last (see ``_sort``), and ``vals`` holds the
-    values in the keys' C order.  Sums duplicates in stream order and
-    drops sums that are exactly 0.0.  Inputs of exactly 0.0 change no
-    sum: the running sums start at +0.0 and are never -0.0, and x + 0.0
-    is x.  ``keys`` (int64) and ``vals`` (float64) must be arrays made for
-    this call: both are overwritten, and no other array of their length
-    is allocated.
+    validated and ``nrows*ncols`` within int64.  ``keys`` and ``vals`` are
+    1-D, in stream order.  Sums duplicates in stream order and drops sums
+    that are exactly 0.0.  Inputs of exactly 0.0 change no sum: the
+    running sums start at +0.0 and are never -0.0, and x + 0.0 is x.
+    ``keys`` (int64) and ``vals`` (float64) must be arrays made for this
+    call: both are overwritten, and no other array of their length is
+    allocated.
 
-    ``_sort`` leaves the stream positions ``p = k*lead + r`` in the keys'
-    memory; the values are gathered into that memory chunk by chunk, each
-    position decoded to the C-order index ``r*width + k``, and the group
+    ``_sort`` leaves the stable order's positions in the keys' memory; the
+    values are gathered into that memory chunk by chunk, and the group
     numbers of the sum then go into the spent ``vals``.  The sums are laid
     out by ``_pair_matrices``, as one pair of a scalar matrix.
     """
@@ -331,32 +303,13 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
         return empty_matrix(nrows, ncols)
 
     starts, uniq = _sort(keys, int(nrows) * int(ncols))
-    lead, width = _stream(keys)
-    keys = keys.reshape(-1)
     # the values in sorted order go into the same memory; each chunk
-    # overwrites only the positions it has just read.  With leading axes a
-    # chunk's C-order indices go into one reused buffer, from which take
-    # writes straight into the keys' memory: the indices are in range, and
-    # mode "clip", unlike "raise", needs no temporary
-    at = np.empty(min(n, _CHUNK), dtype=np.int64) if lead > 1 else None
+    # overwrites only the positions it has just read
     for s in range(0, n, _CHUNK):
-        e = keys[s:s + _CHUNK]
-        out = keys.view(np.float64)[s:s + _CHUNK]
-        if lead > 1:
-            # r*width + k = p*width - (p // lead)*(lead*width - 1), exact
-            # even where the products wrap around int64
-            index = at[:len(e)]
-            np.floor_divide(e, lead, out=index)
-            index *= 1 - lead * width
-            e *= width
-            index += e
-            np.take(vals, index, out=out, mode="clip")
-            del index
-        else:  # one leading position: the stream positions are the indices
-            out[...] = vals[e]
+        keys.view(np.float64)[s:s + _CHUNK] = vals[keys[s:s + _CHUNK]]
     groups = vals.view(np.int64)
     vals = keys.view(np.float64)
-    del keys, e, out, at
+    del keys
 
     # bincount accumulates strictly left-to-right, so duplicates sum in
     # stream order with a reproducible association; cumsum numbers
@@ -371,9 +324,9 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
 def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
     """Canonical CSR from m-by-m blocks keyed by node ``row*(ncols//m) + col``.
 
-    ``keys`` is C-contiguous with the stream axis last (see ``_sort``);
-    ``vals`` holds ``m*m`` runs of ``keys.size`` values, one per component
-    pair ``p = l*m + c``, each in the keys' C order; the value of pair
+    ``keys`` is 1-D, in stream order; ``vals`` holds ``m*m`` runs of
+    ``len(keys)`` values, one per component pair ``p = l*m + c``, each in
+    the keys' order; the value of pair
     ``(l, c)`` at key ``row*(ncols//m) + col`` goes to dof
     ``(m*row + l, m*col + c)``.  ``_block_sums`` sorts the node keys only
     and sums each component pair per node entry in stream order, so the
@@ -406,35 +359,30 @@ def _block_sums(keys, nkeys, runs, swap=None, partners=None):
     value run at each of them, leaving out the keys whose sums are all
     exactly 0.0.
 
-    ``keys`` (int64 in ``[0, nkeys)``) is C-contiguous with the stream
-    axis last (see ``_sort``), and each row ``runs[p]`` holds one
-    component pair's values in the keys' C order: the ``m*m`` pairs of
-    ``_from_blocks``, the pairs that ``sparse_from_triplets``' private
-    ``_pairs`` keyword lists, or the upper and lower runs of its
-    ``_diagonal`` keyword.  Only the node keys are sorted (by ``_sort``,
-    which overwrites ``keys``), once for every run; ``runs`` is only
-    read.  The sort leaves the keys' stream positions in sorted order, and
-    the slot at each position, as it stands, gets the number of its node
-    entry, so the slots are in stream order.  One ``bincount`` per run
-    sums it, copied into stream order in the spent keys (read in place
-    for a 1-D batch, already in stream order), slot by slot, left to right
-    from +0.0, as ``_from_keys`` sums a scalar batch.  With ``swap``
-    (int64, the keys' shape, C order, all bits set or none) run ``p``
-    takes the values of ``partners[p]`` where its bits are set, by a
-    bitwise blend of the two, ``a ^ ((a ^ b) & swap)``, which moves each
-    value's bits unchanged and, unlike a masked copy, does not branch; a
-    run that is its own partner is read as it is.  Besides the slots, the
-    blend's buffer is the only new array of the keys' length, and only
-    with ``swap``.
+    ``keys`` (1-D int64 in ``[0, nkeys)``) is in stream order, and each row
+    ``runs[p]`` holds one component pair's values in that order: the
+    ``m*m`` pairs of ``_from_blocks``, the pairs that
+    ``sparse_from_triplets``' private ``_pairs`` keyword lists, or the
+    upper and lower runs of its ``_diagonal`` keyword.  Only the node keys
+    are sorted (by ``_sort``, which overwrites ``keys``), once for every
+    run; ``runs`` is only read.  The sort leaves the keys' positions in
+    sorted order, and the slot at each position, as it stands, gets the
+    number of its node entry, so the slots are in stream order.  One
+    ``bincount`` per run sums it slot by slot, left to right from +0.0, as
+    ``_from_keys`` sums a scalar batch.  With ``swap`` (int64, the keys'
+    length, all bits set or none) run ``p`` takes the values of
+    ``partners[p]`` where its bits are set, by a bitwise blend of the two,
+    ``a ^ ((a ^ b) & swap)``, which moves each value's bits unchanged and,
+    unlike a masked copy, does not branch; a run that is its own partner is
+    read as it is.  The blend goes into the spent keys, so the slots are
+    the only new array of the keys' length.
     """
-    n = keys.size
+    n = len(keys)
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty((len(runs), 0))
     starts, uniq = _sort(keys, nkeys)
-    lead, width = _stream(keys)
-    keys = keys.reshape(-1)
-    # the slot at each stream position gets the group number of its
-    # sorted position
+    # the slot at each position gets the group number of its sorted
+    # position
     slot = np.empty(n, dtype=np.int64)
     at = np.empty(min(n, _CHUNK), dtype=np.int64)
     group = -1
@@ -446,27 +394,17 @@ def _block_sums(keys, nkeys, runs, swap=None, partners=None):
         buf += group
         group = buf[-1]
         slot[e] = buf
-    # each component run is copied into stream order in the spent keys;
-    # a blended run is blended in C order first, in a buffer of its own,
-    # since a blend read in stream order is slower
-    run = keys.view(np.float64)
-    if swap is not None:
-        blend, swap = np.empty(n, dtype=np.int64), swap.reshape(-1)
-    del keys, e, at, buf, starts
+    del e, at, buf, starts
 
     sums = np.empty((len(runs), len(uniq)))
-    for p, run_p in enumerate(runs):
-        if swap is not None and partners[p] is not run_p:
-            bits = run_p.view(np.int64)
-            np.bitwise_xor(bits, partners[p].view(np.int64), out=blend)
-            blend &= swap
-            blend ^= bits
-            run_p = blend.view(np.float64)
-        if lead == 1:
-            sums[p] = np.bincount(slot, weights=run_p)
-        else:
-            run.reshape(width, lead)[...] = run_p.reshape(lead, width).T
-            sums[p] = np.bincount(slot, weights=run)
+    for p, run in enumerate(runs):
+        if swap is not None and partners[p] is not run:
+            bits = run.view(np.int64)
+            np.bitwise_xor(bits, partners[p].view(np.int64), out=keys)
+            keys &= swap
+            keys ^= bits
+            run = keys.view(np.float64)
+        sums[p] = np.bincount(slot, weights=run)
     # entries whose sums are all 0.0 go here, so that the layout leaves no
     # dropped tail in the result arrays for them
     if not sums.all():
@@ -635,17 +573,17 @@ def _drop_zeros(row_ptr, col_idx, vals):
 
 
 def _keys(rows, ncols, cols) -> np.ndarray:
-    """New int64 keys ``rows*ncols + cols``, C-contiguous in the shape of
-    ``rows``, whose last axis stays the stream axis."""
+    """New 1-D int64 keys ``rows*ncols + cols``, in the C order of
+    ``rows``."""
     keys = np.multiply(rows, ncols, order="C")
     keys += cols
-    return keys
+    return keys.ravel()
 
 
 def _upper_keys(rows, n, cols) -> np.ndarray:
     """New int64 keys ``min(rows, cols)*n + max(rows, cols)`` of an n-by-n
-    matrix: each triplet keyed by its entry in the upper triangle,
-    C-contiguous in the shape of ``rows``.  They are formed in place as
+    matrix: each triplet keyed by its entry in the upper triangle, in the
+    C order of ``rows``.  They are formed in place as
     ``min(rows, cols)*(n - 1) + rows + cols``, which needs no maximum."""
     keys = np.minimum(rows, cols, order="C")
     keys *= n - 1
@@ -657,8 +595,8 @@ def _upper_keys(rows, n, cols) -> np.ndarray:
 def _stable_order(keys, nkeys: int) -> np.ndarray:
     """The positions of the int64 ``keys`` in ``[0, nkeys)`` in stably
     sorted order: one default sort of the distinct words ``key << shift |
-    p`` over the positions ``p``, the words of ``_sort`` for a 1-D array,
-    or a stable argsort when the words would not fit in 63 bits.  The
+    p`` over the positions ``p``, the words of ``_sort``, or a stable
+    argsort when the words would not fit in 63 bits.  The
     positions are filled in chunk by chunk, so that the words are the only
     new array of the keys' length."""
     shift = (len(keys) - 1).bit_length()
@@ -676,17 +614,21 @@ def sparse_from_triplets(batch: TripletBatch, *, _diagonal=None,
                          _pairs=None) -> SparseMatrix:
     """Build a canonical sparse matrix from a triplet batch.
 
-    The batch's index arrays are never written.  With ``batch.m == 1`` its
-    values are copied for the constructor, which overwrites the copy.  A
-    block batch (``m > 1``) is built from its node keys by
-    ``_from_blocks``, which only reads the values.
+    The batch's index arrays are never written.  Its stream axis goes to
+    the front, by a transposed view, and the keys are formed there, in
+    stream order.  With ``batch.m == 1`` the values are copied in stream
+    order for the constructor, which overwrites the copy.  A block batch
+    (``m > 1``) is built from its node keys by ``_from_blocks``, which only
+    reads the values; a block batch with leading axes gets one copy of
+    them in stream order.
 
     ``_diagonal=(blocks, swapped)`` is private to the ``optv2`` engine: the
-    batch then holds the strict upper local vertex pairs ``(a, b)`` of a
-    square matrix, ``blocks`` the summed ``(m, m, nrows//m)`` diagonal
-    blocks, and ``swapped`` the values of the swapped orientation ``(b,
-    a)`` in the batch's layout, or None for a swap-symmetric kernel, whose
-    swapped pair ``(l, c)`` is its pair ``(c, l)``.  The batch is keyed by
+    1-D batch then holds the strict upper local vertex pairs ``(a, b)`` of
+    a square matrix in stream order, ``blocks`` the summed ``(m, m,
+    nrows//m)`` diagonal blocks, and ``swapped`` the values of the swapped
+    orientation ``(b, a)`` in the batch's layout, or None for a
+    swap-symmetric kernel, whose swapped pair ``(l, c)`` is its pair ``(c,
+    l)``.  The batch is keyed by
     its upper node entry and summed by ``_block_sums``, which only reads
     the values: the upper run of pair ``(l, c)`` takes the orientation
     that writes the upper entry, the lower run the other one, blended
@@ -757,14 +699,18 @@ def sparse_from_triplets(batch: TripletBatch, *, _diagonal=None,
         lower = (sums[m * m:].reshape(m, m, len(uniq)) if len(sums) > m * m
                  else upper.transpose(1, 0, 2))
         return _mirror(n, m, uniq, upper, lower, blocks)
-    # the keys are passed on unnamed, so that the constructor can free them
+    # the stream axis goes first, where the C order is the stream order:
+    # the keys are formed in it, and a scalar batch's values copied in it.
+    # The keys are passed on unnamed, so that the constructor can free them
+    nd = batch.rows.ndim
+    axes = (nd - 1, *range(nd - 1))
+    rows, cols = batch.rows.transpose(axes), batch.cols.transpose(axes)
+    vals = batch.vals.reshape(m * m, *batch.rows.shape).transpose(0, nd, *range(1, nd))
     if m > 1:
         return _from_blocks(batch.nrows, batch.ncols, m,
-                            _keys(batch.rows, batch.ncols // m, batch.cols),
-                            batch.vals)
-    return _from_keys(batch.nrows, batch.ncols,
-                      _keys(batch.rows, batch.ncols, batch.cols),
-                      batch.vals.copy())
+                            _keys(rows, batch.ncols // m, cols), vals.reshape(m * m, -1))
+    return _from_keys(batch.nrows, batch.ncols, _keys(rows, batch.ncols, cols),
+                      vals.flatten())
 
 
 def _canonical_keys(m: SparseMatrix, name: str) -> np.ndarray:

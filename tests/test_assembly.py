@@ -14,6 +14,7 @@ from simplex_asm import (
     MassKernel,
     Mesh,
     NonSymmetricKernelError,
+    PkMassKernel,
     SCALAR_DRIVERS,
     StiffnessKernel,
     TripletBatch,
@@ -838,9 +839,9 @@ def test_optv2_peak_memory_is_two_full_length_buffers():
     # the layout's node rows, columns and column order.  Flagged not
     # symmetric, the same kernels stream both orientations of the upper
     # vertex pairs, and the constructor blends them into upper and lower
-    # runs: the peaks measured 2.74 (stiffness) and 1.57 (elastic), where a
-    # full stream of every local pair, sorted by its nloc^2*nme node keys
-    # with the values alive, measured 2.97 and 2.76
+    # runs in the spent keys: the peaks measured 2.40 (stiffness) and 1.57
+    # (elastic), where a full stream of every local pair, sorted by its
+    # nloc^2*nme node keys with the values alive, measured 2.97 and 2.76
     mesh = shuffled_mesh(2, 64, seed=1)
     cases = []
     for symmetric, bounds in ((True, (2.6, 1.6)), (False, (3.0, 1.7))):
@@ -937,6 +938,21 @@ def test_mass_pk_single_interval_local_matrix():
     local = mat[np.ix_(lattice.me[:, 0], lattice.me[:, 0])]
     want = np.array([[4., 2., -1.], [2., 16., 2.], [-1., 2., 4.]]) / 30
     assert np.allclose(local, want, atol=1e-16)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_mass_pk_runs_every_strategy(k):
+    # the one-element path (single) of base and optv1 sums as optv2 does;
+    # optv and optvs merge in another order
+    lattice = build_pk_mesh(shuffled_mesh(2, 4, seed=k), k)
+    kernel = PkMassKernel(lattice, pk_mass_coeffs(2, k))
+    matrices = {name: driver(lattice, kernel)
+                for name, driver in SCALAR_DRIVERS.items()}
+    assert same_bits(matrices["base"], matrices["optv2"])
+    assert same_bits(matrices["optv1"], matrices["optv2"])
+    scale = max_abs(matrices["optv2"])
+    for name in ("optv", "optvs"):
+        assert max_abs_diff(matrices[name], matrices["optv2"]) <= 1e-12 * scale
 
 
 def test_mass_pk_rejects_mismatched_table():

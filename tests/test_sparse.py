@@ -401,9 +401,8 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
     rows, cols, vals = tie_heavy(rng, nrows, ncols, n)
     m = sparse_from_triplets(TripletBatch(nrows, ncols, rows, cols, vals))
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
-    # the same stream as a 2-D batch, 17 leading positions by 241: its
-    # words take as many bits, and the gather decodes each stream position
-    # to its C-order index
+    # the same stream as a 2-D batch, 17 leading positions by 241, whose
+    # keys are formed in stream order: its words take as many bits
     m = sparse_from_triplets(TripletBatch(
         nrows, ncols, *(leading_first(x, 17) for x in (rows, cols, vals))))
     assert_csr_bitwise(m, nrows, ncols, rows, cols, vals)
@@ -444,28 +443,36 @@ def test_sort_branches_bitwise_at_packing_boundary(tmp_path, bits):
 
 
 def test_sort_branches_agree_on_ties():
-    # three chunks along the stream axis of keys from few values, with no,
-    # 3 and 9 leading positions; nkeys = 2**62 leaves no room for the
-    # position bits, so the second call takes the stable argsort.  Both
-    # leave the plain stream positions k*lead + r, in the order of
-    # keys.T.ravel()
+    # three chunks of keys from few values; nkeys = 2**62 leaves no room
+    # for the position bits, so the second call takes the stable argsort.
+    # Both leave the positions of the stable order
     rng = np.random.default_rng(7)
-    for shape in [(2 * _CHUNK + 5,), (3, 2 * _CHUNK + 5), (9, 2 * _CHUNK + 5)]:
-        keys = rng.integers(0, 50, shape)
-        stream = keys.T.ravel()
-        want = np.argsort(stream, kind="stable")
-        results = []
-        for nkeys in (50, 2**62):
-            order = keys.copy()
-            starts, uniq = _sort(order, nkeys)
-            assert np.array_equal(order.ravel(), want)
-            results.append((starts, uniq))
-            assert np.array_equal(_stable_order(stream, nkeys), want)
-        (packed, packed_uniq), (argsorted, argsorted_uniq) = results
-        assert np.array_equal(packed, argsorted)
-        assert np.array_equal(packed, np.diff(stream[want], prepend=-1) != 0)
-        assert np.array_equal(packed_uniq, argsorted_uniq)
-        assert np.array_equal(packed_uniq, np.unique(keys))
+    keys = rng.integers(0, 50, 2 * _CHUNK + 5)
+    want = np.argsort(keys, kind="stable")
+    results = []
+    for nkeys in (50, 2**62):
+        order = keys.copy()
+        results.append(_sort(order, nkeys))
+        assert np.array_equal(order, want)
+        assert np.array_equal(_stable_order(keys, nkeys), want)
+    (packed, packed_uniq), (argsorted, argsorted_uniq) = results
+    assert np.array_equal(packed, argsorted)
+    assert np.array_equal(packed, np.diff(keys[want], prepend=-1) != 0)
+    assert np.array_equal(packed_uniq, argsorted_uniq)
+    assert np.array_equal(packed_uniq, np.unique(keys))
+    # batches with 3 and 9 leading positions on 5 rows, keyed on 6 bits
+    # (10 columns: packed) or 63 (2**60 columns: the stable argsort), sum
+    # bitwise as their 1-D stream batches
+    for lead in (3, 9):
+        shape = (lead, 2 * _CHUNK + 5)
+        rows, cols = rng.integers(0, 5, shape), rng.integers(0, 10, shape)
+        vals = rng.choice([1e16, -1e16, 1.0, 0.5], shape)
+        for ncols in (10, 2**60):
+            assert (packed_bits(5, ncols, rows.size) > 63) == (ncols > 10)
+            assert_same_csr(
+                sparse_from_triplets(TripletBatch(5, ncols, rows, cols, vals)),
+                sparse_from_triplets(TripletBatch(
+                    5, ncols, *(in_stream_order(x) for x in (rows, cols, vals)))))
 
 
 def test_cancellations_are_dropped_across_chunks():
