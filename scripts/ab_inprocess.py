@@ -22,13 +22,16 @@ workload's own ``run``, timed with ``time.perf_counter``; the times are
 raw, not scaled for host speed.  After the warm-up, one more untimed call
 per side runs under ``tracemalloc``, started just before it, as
 perfbench's ``peak_pass`` measures ``peak_mb.*``, and one more with that
-side's ``assembly.sparse_from_triplets``, ``assembly.add`` and
-``assembly.transpose`` wrapped and perfbench's ``Tracer`` passed to the
-workload, to count the constructions and the triplets they take in (the
-batches' values, as perfbench's ``sparse.construct_calls`` and
-``sparse.triplets_in``), the ``add`` calls and the entries they merge
-(both operands' stored entries, as perfbench's
-``sparse.add_entries_in``), the ``transpose`` calls, and the kernel's
+side's ``assembly.sparse_from_triplets``, ``assembly.add``,
+``assembly._add_all`` (where the side has it) and ``assembly.transpose``
+wrapped and perfbench's ``Tracer`` passed to the workload, to count the
+constructions and the triplets they take in (the batches' values, as
+perfbench's ``sparse.construct_calls`` and ``sparse.triplets_in``), the
+``add`` calls and the entries they merge (both operands' stored entries,
+as perfbench's ``sparse.add_entries_in``), the ``_add_all`` calls and
+the entries they take in (every operand's stored entries; perfbench's
+tracer does not wrap ``_add_all``, so its time counts in
+``assembly.self_s``), the ``transpose`` calls, and the kernel's
 ``batched`` calls (perfbench's ``kernels.eval_calls``, counted by the
 workload's own ``TimedKernel`` proxy; ``pipeline`` passes no kernel
 through it and reads 0).  For each call the script prints the median and
@@ -37,7 +40,8 @@ pairs the second side won (ties count for neither), whether the two
 sides' outputs were bitwise equal (shape, row pointer, column indices
 and value bits) in every pair, both sides' tracemalloc peaks in MiB, and
 both sides' constructions, triplets in, ``add`` calls, entries merged,
-``transpose`` calls and ``batched`` calls.
+``_add_all`` calls, entries summed by them, ``transpose`` calls and
+``batched`` calls.
 
 The two calls of a pair run back to back in one process, under the same
 host load, so pairs resolve smaller differences than separate benchmark
@@ -134,15 +138,17 @@ def traced_peak(workload, sample, call) -> float:
 
 def call_counts(assembly, workload, sample, call) -> list[int]:
     """Constructions, triplets in, ``add`` calls, entries merged,
-    ``transpose`` calls and kernel ``batched`` calls in one untimed call,
-    counted by wrapping the package's ``assembly.sparse_from_triplets``,
-    ``assembly.add`` and ``assembly.transpose`` during the call and by the
-    workload's kernel proxy, which reports to perfbench's ``Tracer``."""
+    ``_add_all`` calls, entries they take in, ``transpose`` calls and
+    kernel ``batched`` calls in one untimed call, counted by wrapping the
+    package's ``assembly.sparse_from_triplets``, ``assembly.add``,
+    ``assembly._add_all`` (0 calls where it has none) and
+    ``assembly.transpose`` during the call and by the workload's kernel
+    proxy, which reports to perfbench's ``Tracer``."""
     from tracing import Tracer  # perfbench's, on the path since load_workloads
 
     construct, merge = assembly.sparse_from_triplets, assembly.add
-    flip = assembly.transpose
-    counts = [0, 0, 0, 0, 0]
+    union, flip = getattr(assembly, "_add_all", None), assembly.transpose
+    counts = [0, 0, 0, 0, 0, 0, 0]
 
     def constructed(batch, **kwargs):
         counts[0] += 1
@@ -154,18 +160,27 @@ def call_counts(assembly, workload, sample, call) -> list[int]:
         counts[3] += a.nnz + b.nnz
         return merge(a, b)
 
-    def transposed(a):
+    def summed(mats):
         counts[4] += 1
+        counts[5] += sum(a.nnz for a in mats)
+        return union(mats)
+
+    def transposed(a):
+        counts[6] += 1
         return flip(a)
 
     tracer = Tracer()
     assembly.sparse_from_triplets, assembly.add = constructed, merged
     assembly.transpose = transposed
+    if union is not None:
+        assembly._add_all = summed
     try:
         workload.run(sample, call, tracer)
     finally:
         assembly.sparse_from_triplets, assembly.add = construct, merge
         assembly.transpose = flip
+        if union is not None:
+            assembly._add_all = union
     return counts + [tracer.counts.get(("", "kernels.eval_calls"), 0)]
 
 
@@ -212,7 +227,7 @@ def compare(name: str, sides, calls, pairs: int, seed: int,
               f"{won:3d}/{pairs:<3d} {'yes' if equal else 'NO':>7s} "
               f"{peaks[0]:8.2f} {peaks[1]:8.2f} "
               + " ".join(f"{a:{w}d} {b:{w}d}" for a, b, w in
-                         zip(*counts, (6, 11, 6, 11, 5, 7))), flush=True)
+                         zip(*counts, (6, 11, 6, 11, 5, 11, 5, 7))), flush=True)
 
 
 def main(argv=None) -> int:
@@ -247,11 +262,13 @@ def main(argv=None) -> int:
     print(f"a = {args.a.resolve()}\nb = {args.b.resolve()}\n"
           f"{args.pairs} pairs, seed {args.seed}, raw ms: median [q1, q3]; "
           "tracemalloc peaks in MiB; constructions, triplets in, add calls, "
-          "entries merged, transpose calls and kernel batched calls")
+          "entries merged, _add_all calls, entries they sum, transpose "
+          "calls and kernel batched calls")
     print(f"{'workload':20s} {'call':9s} {'a':>26s} {'b':>26s} {'b/a-1':>8s} "
           f"{'b won':>7s} bitwise {'peak a':>8s} {'peak b':>8s} "
           f"{'cons a':>6s} {'cons b':>6s} {'trip a':>11s} {'trip b':>11s} "
           f"{'adds a':>6s} {'adds b':>6s} {'merged a':>11s} {'merged b':>11s} "
+          f"{'all a':>5s} {'all b':>5s} {'summed a':>11s} {'summed b':>11s} "
           f"{'tr a':>5s} {'tr b':>5s} {'eval a':>7s} {'eval b':>7s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

@@ -16,8 +16,8 @@ to right from +0.0 by ``bincount``:
 
 * ``_from_keys`` gathers one scalar run of values into sorted order in
   the keys' memory.  It overwrites the keys and values it is given, so
-  each caller passes arrays made for the call: the reader the arrays it
-  built, the others a copy.
+  each caller passes arrays made for the call: the reader and
+  ``_add_all`` the arrays they built, ``sparse_from_triplets`` a copy.
 * ``_block_sums`` sorts one node stream for many runs: the sort leaves
   the positions in sorted order, the slot at each one gets the number of
   its node entry, and one ``bincount`` per run sums it.  The runs are
@@ -28,7 +28,7 @@ Three layouts place the sums in canonical CSR:
 
 * ``_pair_matrices``, per-pair scalar: one scalar matrix per listed
   component pair, for ``_from_keys`` (one pair, m = 1: scalar batches,
-  ``transpose``, the MatrixMarket reader) and for vector ``optv`` and
+  ``_add_all``, the MatrixMarket reader) and for vector ``optv`` and
   ``optvs`` (``sparse_from_triplets``' private ``_pairs`` keyword);
 * ``_from_blocks``, interleaved blocks, for a ``TripletBatch`` with ``m
   > 1`` such as the node-diagonal blocks of vector ``optv`` and ``optvs``,
@@ -51,7 +51,12 @@ interleaves the two in one pass, adding the values of ``b`` to the equal
 keys of ``a``; the result is bit-identical to constructing the
 concatenated triplets, ``a``'s first.  Operands whose keys do not strictly
 increase raise ``NonCanonicalMatrixError``, and so does an operand that
-stores an exact 0.0 when the sum holds one.
+stores an exact 0.0 when the sum holds one.  ``_add_all`` sums a list of
+canonical operands, bitwise as ``add`` one after the other, by one keyed
+sum of their entries in operand order; the engine sums the finished
+component-pair sums of vector ``optv`` and ``optvs`` so.  ``transpose``
+needs no sum: the entries' stable column order, from ``_stable_order``,
+is the transpose's row-major order.
 
 Shapes whose keys overflow int64 raise ``CapacityError`` where they
 enter: ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
@@ -806,9 +811,53 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.nrows, a.ncols, row_ptr, col_idx, vals)
 
 
+def _add_all(mats: list) -> SparseMatrix:
+    """The entrywise sum of the canonical operands ``mats``, of one shape,
+    bitwise ``functools.reduce(add, mats)``, by one keyed sum.
+
+    Each operand's keys ``row*ncols + col`` and values go into one stream,
+    in the order of ``mats``, and the operand is then popped from the
+    list, which the call empties; ``_from_keys`` sums the stream.  An entry
+    gets at most one term per operand, summed in operand order from +0.0,
+    and x + 0.0 is x: each partial sum is the one that ``add`` forms, and a
+    sum that ``add`` would drop as an exact zero adds as an absent entry
+    and is dropped at the end.  A single operand is returned as it is, as
+    ``reduce`` returns it; the sum of two or more shares no memory with
+    them.  As in ``add``, an operand whose keys do not strictly increase,
+    or that stores an exact 0.0, raises NonCanonicalMatrixError naming its
+    position in ``mats``, and operands of different shapes raise
+    ShapeMismatchError.
+    """
+    if len(mats) == 1:
+        return mats.pop()
+    nrows, ncols = shape = mats[0].shape
+    for p, a in enumerate(mats):
+        if a.shape != shape:
+            raise ShapeMismatchError(f"cannot add shapes {shape} and {a.shape} "
+                                     f"(operand {p})")
+    n = sum(a.nnz for a in mats)
+    keys, vals = stream = [np.empty(n, dtype=np.int64), np.empty(n)]
+    at = 0
+    for p in range(len(mats)):
+        a = mats.pop(0)
+        keys[at:at + a.nnz] = _canonical_keys(a, str(p))
+        _check_no_stored_zero(a, str(p))
+        vals[at:at + a.nnz] = a.vals
+        at += a.nnz
+    # the stream is passed on unnamed (and not through a * call, whose
+    # tuple would hold it), so that the constructor can free it
+    del a, keys, vals
+    return _from_keys(nrows, ncols, stream.pop(0), stream.pop())
+
+
 def transpose(a: SparseMatrix) -> SparseMatrix:
-    return _from_keys(a.ncols, a.nrows,
-                      _keys(a.col_idx, a.nrows, a.row_indices()), a.vals.copy())
+    """``a``'s transpose: its entries in stable column order, which is row
+    order within each column, since ``a`` is canonical."""
+    order = _stable_order(a.col_idx, a.ncols)
+    row_ptr = np.zeros(a.ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a.col_idx, minlength=a.ncols), out=row_ptr[1:])
+    return SparseMatrix(a.ncols, a.nrows, row_ptr, a.row_indices()[order],
+                        a.vals[order])
 
 
 def max_abs_diff(a: SparseMatrix, b: SparseMatrix) -> float:

@@ -498,7 +498,7 @@ def test_batch_counts_per_strategy(monkeypatch):
     # the benchmark's tracer swaps these module attributes and proxies the
     # kernel, so every strategy must call through both
     calls = collections.Counter()
-    for name in ("sparse_from_triplets", "add", "transpose"):
+    for name in ("sparse_from_triplets", "add", "_add_all", "transpose"):
         def counted(*args, _name=name, _real=getattr(simplex_asm.assembly, name),
                     **kwargs):
             calls[_name] += 1
@@ -512,6 +512,9 @@ def test_batch_counts_per_strategy(monkeypatch):
         size = m * nloc   # L local dofs
         pairs, half = size * size, size * (size + 1) // 2
         offdiag = nloc * (nloc - 1)   # vertex pairs a != b
+        # a vector kernel's finished component-pair sums go into one keyed
+        # sum; a scalar kernel's one sum is the result
+        union = {"_add_all": 1} if m > 1 else {}
         expected = {
             "base": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
             "optv1": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
@@ -522,20 +525,22 @@ def test_batch_counts_per_strategy(monkeypatch):
                       {"batched": nloc * (nloc - 1) // 2 * m * m
                        + nloc * m * (m + 1) // 2}),
             # one construction per vertex pair a != b gives the matrices of
-            # its component pairs; each component pair's sum starts as its
-            # first pair's matrix, and the sums are added up from the first,
-            # then the node-diagonal blocks of the pairs (a, a), summed
-            # densely, in one more construction and add: m^2 nloc(nloc - 1)
-            # adds for optv.  optvs adds the transpose too and visits the
-            # vertex pairs a > b only for the component pairs l < n, which a
-            # scalar kernel does not have: one add per strict upper local
-            # pair between distinct vertices, plus one
+            # its component pairs; each of the m^2 component pairs' sums
+            # starts as its first pair's matrix and adds the other
+            # nloc(nloc - 1) - 1, and one more construction and add bring in
+            # the node-diagonal blocks of the pairs (a, a), summed densely.
+            # optvs visits the vertex pairs a > b only for the component
+            # pairs l < n, which a scalar kernel does not have: each of its
+            # m(m + 1)/2 sums adds the rest of its strict upper local pairs
+            # between distinct vertices, and it adds the transpose too
             "optv": ({"sparse_from_triplets": offdiag + 1,
-                      "add": m * m * offdiag}, {"batched": pairs}),
+                      "add": m * m * (offdiag - 1) + 1, **union},
+                     {"batched": pairs}),
             "optvs": ({"sparse_from_triplets": (offdiag if m > 1 else
                                                 offdiag // 2) + 1,
                        "add": size * (size - 1) // 2 - nloc * m * (m - 1) // 2
-                       + 1, "transpose": 1}, {"batched": half}),
+                       - m * (m + 1) // 2 + 2, "transpose": 1, **union},
+                      {"batched": half}),
         }
         for strategy, driver in drivers.items():
             calls.clear()

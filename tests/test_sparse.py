@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 
@@ -208,6 +209,8 @@ def test_add_identities():
         assert entries_of(both) == {(0, 1): 2.0, (1, 0): 3.0, (3, 3): 2.0}
         with pytest.raises(ShapeMismatchError):
             add(a, empty_matrix(3, 3))
+        with pytest.raises(ShapeMismatchError, match=r"\(operand 2\)"):
+            sparse._add_all([a, a, empty_matrix(3, 3)])
     with pytest.raises(ShapeMismatchError):
         add(a, empty_matrix(9, 5))
 
@@ -230,6 +233,13 @@ def test_add_rejects_non_canonical_operands():
                 add(*operands)
         with pytest.raises(NonCanonicalMatrixError, match="operand b: "):
             max_abs_diff(good, bad)
+        # the keyed sum of many operands names the operand by its position
+        for p in range(3):
+            mats = [good, good]
+            mats.insert(p, bad)
+            with pytest.raises(NonCanonicalMatrixError,
+                               match=f"^operand {p}: {where} is out of order"):
+                sparse._add_all(mats)
 
 
 def test_add_rejects_stored_zeros():
@@ -244,6 +254,15 @@ def test_add_rejects_stored_zeros():
             add(*operands)
     with pytest.raises(NonCanonicalMatrixError, match="operand b: "):
         max_abs_diff(other, zero)
+    # the keyed sum of many operands checks each one for stored zeros and
+    # names it by its position
+    for p in range(3):
+        mats = [other, other]
+        mats.insert(p, zero)
+        with pytest.raises(NonCanonicalMatrixError,
+                           match=rf"^operand {p}: stored entry 0 \(row 0, col 0\) "
+                                 "is an exact zero"):
+            sparse._add_all(mats)
     # the row is found past an empty one
     late = SparseMatrix(3, 3, np.array([0, 1, 1, 3]), np.array([0, 0, 2]),
                         np.array([1.0, 2.0, 0.0]))
@@ -503,16 +522,22 @@ def test_cancellations_are_dropped_across_chunks():
 # values whose sums depend on the order of addition: with a's entries
 # first, 1e16 + 1.0 rounds to 1e16 and then cancels against -1e16
 ordered_values = st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.5, 3.0])
+operand_values = ordered_values | st.floats(-8, 8).filter(lambda v: v != 0.0)
+OPERAND_SHAPES = [(1, 1), (1, 9), (9, 1), (5, 9), (8, 8)]
+
+
+def operand_entries(shape):
+    nrows, ncols = shape
+    return st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                     operand_values)
 
 
 @st.composite
 def operand_pairs(draw):
     """Two canonical operands of one shape, b drawn freely or with a's
     pattern, disjoint from it, empty, or exactly -a; either may come first."""
-    nrows, ncols = shape = draw(st.sampled_from([(1, 1), (1, 9), (9, 1), (5, 9),
-                                                 (8, 8)]))
-    values = ordered_values | st.floats(-8, 8).filter(lambda v: v != 0.0)
-    entry = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), values)
+    nrows, ncols = shape = draw(st.sampled_from(OPERAND_SHAPES))
+    values, entry = operand_values, operand_entries(shape)
     a = sparse_from_triplets(batch(draw(st.lists(entry, max_size=40)), shape))
     relation = draw(st.sampled_from(["free", "same pattern", "disjoint", "empty",
                                      "negated"]))
@@ -545,6 +570,89 @@ def test_add_is_bitwise_the_construction_of_both_operands_entries(operands):
     for got in (out.row_ptr, out.col_idx, out.vals):
         for operand in (a.row_ptr, a.col_idx, a.vals, b.row_ptr, b.col_idx, b.vals):
             assert not np.shares_memory(got, operand)
+
+
+@st.composite
+def operand_lists(draw):
+    """1 to 10 canonical operands of one shape, the first drawn freely and
+    each later one drawn freely, with an earlier one's pattern, disjoint
+    from every earlier one, empty, or exactly an earlier one negated."""
+    nrows, ncols = shape = draw(st.sampled_from(OPERAND_SHAPES))
+    entry = operand_entries(shape)
+    mats = [sparse_from_triplets(batch(draw(st.lists(entry, max_size=40)), shape))]
+    for _ in range(draw(st.integers(0, 9))):
+        earlier = draw(st.sampled_from(mats))
+        relation = draw(st.sampled_from(["free", "same pattern", "disjoint",
+                                         "empty", "negated"]))
+        if relation == "negated":
+            mats.append(SparseMatrix(nrows, ncols, earlier.row_ptr.copy(),
+                                     earlier.col_idx.copy(), -earlier.vals))
+        elif relation == "same pattern":
+            vals = draw(st.lists(operand_values, min_size=earlier.nnz,
+                                 max_size=earlier.nnz))
+            mats.append(SparseMatrix(nrows, ncols, earlier.row_ptr.copy(),
+                                     earlier.col_idx.copy(),
+                                     np.array(vals, dtype=np.float64)))
+        elif relation == "empty":
+            mats.append(empty_matrix(nrows, ncols))
+        else:
+            entries = draw(st.lists(entry, max_size=40))
+            if relation == "disjoint":
+                taken = {key for a in mats for key in entries_of(a)}
+                entries = [e for e in entries if e[:2] not in taken]
+            mats.append(sparse_from_triplets(batch(entries, shape)))
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(mats=operand_lists())
+def test_add_all_is_bitwise_reduce_of_add(mats):
+    want = functools.reduce(add, mats)
+    got = sparse._add_all(list(mats))
+    assert_same_csr(got, want)
+    if len(mats) == 1:  # returned as it is, as reduce returns it
+        assert got is mats[0]
+        return
+    for x in (got.row_ptr, got.col_idx, got.vals):
+        for a in mats:
+            for y in (a.row_ptr, a.col_idx, a.vals):
+                assert not np.shares_memory(x, y)
+
+
+def transpose_by_keyed_sum(a: SparseMatrix) -> SparseMatrix:
+    """The transpose as the scalar constructor builds it from the keys
+    ``col*nrows + row`` of ``a``'s entries."""
+    return sparse._from_keys(a.ncols, a.nrows,
+                             sparse._keys(a.col_idx, a.nrows, a.row_indices()),
+                             a.vals.copy())
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(0, 3), (3, 0), (1, 1), (1, 9), (9, 1), (5, 9),
+                              (30, 7)]),
+       argsort=st.booleans(), data=st.data())
+def test_transpose_is_bitwise_the_keyed_sum_of_its_keys(shape, argsort, data):
+    nrows, ncols = shape
+    entries = data.draw(st.lists(operand_entries(shape), max_size=60)
+                        if nrows and ncols else st.just([]))
+    a = sparse_from_triplets(batch(entries, shape))
+    want = transpose_by_keyed_sum(a)
+    # _stable_order takes its argsort fallback where the column bits and the
+    # position bits exceed 63.  No matrix whose transpose's row pointer fits
+    # in memory is that wide, so the fallback is forced by the key range:
+    # 63 bits, and at least one position bit for two or more entries
+    stable_order, calls = sparse._stable_order, []
+
+    def forced(keys, nkeys):
+        calls.append(nkeys)
+        return stable_order(keys, np.iinfo(np.int64).max if argsort else nkeys)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "_stable_order", forced)
+        got = transpose(a)
+    assert calls == [ncols]
+    assert_same_csr(got, want)
+    assert np.array_equal(got.to_dense(), a.to_dense().T)
 
 
 SHAPES = [(8, 8), (5, 9), (9, 5)]
@@ -790,7 +898,7 @@ def test_constructed_matrices_share_no_memory(m):
     for i, x in enumerate(arrays):
         for y in arrays[i + 1:] + [blocks.rows, blocks.cols, blocks.vals]:
             assert not np.shares_memory(x, y)
-    # transpose, through the scalar constructor, of a rectangular operand
+    # transpose, by a stable column order, of a rectangular operand
     a = sparse_from_triplets(TripletBatch(m * nq, nq, rows, cols, vals[0]))
     assert a.nnz == n - 20
     t = transpose(a)
