@@ -190,9 +190,22 @@ class Mesh:
         """Check the structural invariants.
 
         Validation is a separate pass so that assembly and benchmark paths
-        never pay for it implicitly.
+        never pay for it implicitly.  Besides the checks of ``from_arrays``
+        and the volumes, it rejects an element whose vertex set repeats an
+        earlier element's, naming both: that simplex would be assembled
+        twice.  Each element's vertices are sorted, and one stable
+        lexicographic sort of the sorted sets puts equal sets next to each
+        other in element order.
         """
         _check_mesh_arrays(self.q, self.me)
+        verts = np.sort(self.me, axis=0)
+        order = np.lexsort(verts[::-1])
+        repeat = (verts[:, order[1:]] == verts[:, order[:-1]]).all(axis=0)
+        if repeat.any():
+            t = np.flatnonzero(repeat)[order[1:][repeat].argmin()]
+            raise MeshValidationError(
+                f"element {order[t + 1]} repeats the vertices of element {order[t]}"
+            )
         if self.vols.shape != (self.nme,):
             raise MeshValidationError(
                 f"volume array shape {self.vols.shape} does not match (nme,)"

@@ -2,37 +2,37 @@
 
 Every matrix built from triplets is a keyed sum, then a layout.  Both
 keyed sums start from one sort (``_sort``) of 1-D int64 keys ``row*ncols
-+ col`` (node keys ``row*(ncols//m) + col`` for m-by-m blocks) in stream
-order.  ``sparse_from_triplets`` forms them so: a batch's stream axis,
-the last axis of its index arrays (see ``TripletBatch``), goes to the
-front, where the C order is the stream order; the ``optv2`` engine passes
-1-D element-major streams.  The sort is numpy's default (unstable, SIMD)
-sort of the distinct words ``key << shift | p`` over the positions ``p``,
-``shift`` the bits of the largest ``p``, or a stable argsort when those
-would not fit in 63 bits; it returns the run starts and the unique keys
-and leaves the positions, in stable order, in the keys' memory.
++ col`` (node keys ``row*(ncols//m) + col`` for the m-by-m blocks of the
+private keywords) in stream order.  ``sparse_from_triplets`` forms them
+so: a batch's stream axis, the last axis of its index arrays (see
+``TripletBatch``), goes to the front, where the C order is the stream
+order, and a block batch's node triplets expand there to their dof
+triplets; the ``optv2`` engine passes 1-D element-major streams.  The
+sort is numpy's default (unstable, SIMD) sort of the distinct words
+``key << shift | p`` over the positions ``p``, ``shift`` the bits of the
+largest ``p``, or a stable argsort when those would not fit in 63 bits;
+it returns the run starts and the unique keys and leaves the positions,
+in stable order, in the keys' memory.
 ``_stable_order`` sorts by the same words.  Both sums add duplicates left
 to right from +0.0 by ``bincount``:
 
 * ``_from_keys`` gathers one scalar run of values into sorted order in
   the keys' memory.  It overwrites the keys and values it is given, so
   each caller passes arrays made for the call: the reader and
-  ``_add_all`` the arrays they built, ``sparse_from_triplets`` a copy.
+  ``_add_all`` the arrays they built, ``sparse_from_triplets`` a copy
+  (a block batch's dof keys and values).
 * ``_block_sums`` sorts one node stream for many runs: the sort leaves
   the positions in sorted order, the slot at each one gets the number of
   its node entry, and one ``bincount`` per run sums it.  The runs are
   only read; a run may take a partner run's values bitwise where a mask
   is set.
 
-Three layouts place the sums in canonical CSR:
+Two layouts place the sums in canonical CSR:
 
 * ``_pair_matrices``, per-pair scalar: one scalar matrix per listed
-  component pair, for ``_from_keys`` (one pair, m = 1: scalar batches,
-  ``_add_all``, the MatrixMarket reader) and for vector ``optv`` and
-  ``optvs`` (``sparse_from_triplets``' private ``_pairs`` keyword);
-* ``_from_blocks``, interleaved blocks, for a ``TripletBatch`` with ``m
-  > 1`` such as the node-diagonal blocks of vector ``optv`` and ``optvs``,
-  each node entry's block placed by ``_put_blocks``;
+  component pair, for ``_from_keys`` (one pair, m = 1: scalar and block
+  batches, ``_add_all``, the MatrixMarket reader) and for vector ``optv``
+  and ``optvs`` (``sparse_from_triplets``' private ``_pairs`` keyword);
 * ``_mirror``, for ``optv2``, scalar or vector, with any kernel (the
   private ``_diagonal`` keyword): the batch holds the strict upper local
   vertex pairs keyed by their upper node entry, summed into upper and
@@ -132,8 +132,10 @@ class TripletBatch:
     node indices in ``[0, nrows // m)`` and ``[0, ncols // m)``, and
     ``vals`` holds ``m*m`` runs of ``rows.size`` values, one per component
     pair ``(l, n)`` in order ``l*m + n``, each in the C order of ``rows``;
-    its entries go to dof ``(m*row + l, m*col + n)``.  ``nrows`` and
-    ``ncols`` count dofs and must be multiples of ``m``.
+    its entries go to dof ``(m*row + l, m*col + n)``.  It sums as the
+    scalar batch of those dof triplets, each node triplet's pairs in
+    order ``l*m + n`` at its place in the stream.  ``nrows`` and ``ncols``
+    count dofs and must be multiples of ``m``.
     """
 
     nrows: int
@@ -326,48 +328,15 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     return _pair_matrices(nrows, ncols, 1, [(0, 0)], uniq, sums[None])[0]
 
 
-def _from_blocks(nrows, ncols, m, keys, vals) -> SparseMatrix:
-    """Canonical CSR from m-by-m blocks keyed by node ``row*(ncols//m) + col``.
-
-    ``keys`` is 1-D, in stream order; ``vals`` holds ``m*m`` runs of
-    ``len(keys)`` values, one per component pair ``p = l*m + c``, each in
-    the keys' order; the value of pair
-    ``(l, c)`` at key ``row*(ncols//m) + col`` goes to dof
-    ``(m*row + l, m*col + c)``.  ``_block_sums`` sorts the node keys only
-    and sums each component pair per node entry in stream order, so the
-    result is bit-identical to ``_from_keys`` on the expanded scalar
-    triplets, whose duplicates all come from one pair; ``_put_blocks``
-    lays the node entries out.  Sums that are exactly 0.0 are dropped
-    afterwards.
-    """
-    nr, nc = nrows // m, ncols // m
-    uniq, sums = _block_sums(keys, nr * nc, vals.reshape(m * m, -1))
-    sums = sums.reshape(m, m, -1)
-    del keys
-    rows = uniq // nc
-    uniq -= rows * nc  # now the node columns
-    deg = np.bincount(rows, minlength=nr)
-    row_ptr = _block_row_ptr(m, deg)
-    out = np.empty(row_ptr[-1])
-    col_idx = np.empty(len(out), dtype=np.int64)
-    # node row i starts at entry cumsum(deg)[i] - deg[i] of uniq
-    _put_blocks(out, col_idx, m, row_ptr, np.cumsum(deg) - deg, rows, uniq, sums)
-    del rows, uniq, sums
-    if not out.all():
-        row_ptr, col_idx, out = _drop_zeros(row_ptr, col_idx, out)
-    return SparseMatrix(nrows, ncols, row_ptr, col_idx, out)
-
-
 def _block_sums(keys, nkeys, runs, swap=None, partners=None):
-    """``(uniq, sums)`` of a block batch: its distinct node keys in
-    increasing order, and the ``(len(runs), len(uniq))`` sums of each
-    value run at each of them, leaving out the keys whose sums are all
-    exactly 0.0.
+    """``(uniq, sums)`` of one node stream with many value runs: its
+    distinct node keys in increasing order, and the ``(len(runs),
+    len(uniq))`` sums of each value run at each of them, leaving out the
+    keys whose sums are all exactly 0.0.
 
     ``keys`` (1-D int64 in ``[0, nkeys)``) is in stream order, and each row
-    ``runs[p]`` holds one component pair's values in that order: the
-    ``m*m`` pairs of ``_from_blocks``, the pairs that
-    ``sparse_from_triplets``' private ``_pairs`` keyword lists, or the
+    ``runs[p]`` holds one component pair's values in that order: the pairs
+    that ``sparse_from_triplets``' private ``_pairs`` keyword lists, or the
     upper and lower runs of its ``_diagonal`` keyword.  Only the node keys
     are sorted (by ``_sort``, which overwrites ``keys``), once for every
     run; ``runs`` is only read.  The sort leaves the keys' positions in
@@ -455,16 +424,6 @@ def _pair_matrices(nrows, ncols, m, pairs, uniq, sums) -> list:
     return out
 
 
-def _block_row_ptr(m, deg) -> np.ndarray:
-    """The dof row pointer of a matrix of m-by-m blocks whose node row ``i``
-    holds ``deg[i]`` node entries: under the interleaved numbering it
-    expands to the ``m`` dof rows ``m*i + l`` of ``m*deg[i]`` entries each."""
-    row_ptr = np.zeros(m * len(deg) + 1, dtype=np.int64)
-    row_ptr[1:].reshape(-1, m)[...] = (m * deg)[:, None]
-    np.cumsum(row_ptr, out=row_ptr)
-    return row_ptr
-
-
 def _put_blocks(out, col_idx, m, row_ptr, first, rows, cols, sums, order=None):
     """Write node entries into the CSR arrays of a matrix of m-by-m blocks.
 
@@ -473,10 +432,11 @@ def _put_blocks(out, col_idx, m, row_ptr, first, rows, cols, sums, order=None):
     without ``order``), and ``first[i]`` is the ``t`` of rank 0 in node row
     ``i``.  Pair ``(l, c)`` of the entry of rank ``k`` in node row ``i``
     goes to position ``row_ptr[m*i + l] + m*k + c``, with dof column
-    ``m*col + c``; ``row_ptr`` is ``_block_row_ptr``'s.  The entries are
-    written chunk by chunk and pair by pair, each pair's positions and
-    columns stepped on in place from the last pair's, so no temporary is as
-    long as the entries.
+    ``m*col + c``; in ``row_ptr`` each dof row ``m*i + l`` holds ``m``
+    entries per node entry of node row ``i``.  The entries are written
+    chunk by chunk and pair by pair, each pair's positions and columns
+    stepped on in place from the last pair's, so no temporary is as long
+    as the entries.
     """
     at = row_ptr[:-1:m] - m * first  # pair (0, 0) of entry t = 0, by node row
     # from pair (l, m - 1) to pair (l + 1, 0): the rest of the dof row
@@ -527,10 +487,12 @@ def _mirror(n, m, uniq, upper, lower, blocks) -> SparseMatrix:
     uniq -= rows * nr
     cols = uniq
     # node row i holds lo[i] lower entries, its diagonal block and up[i]
-    # upper entries
+    # upper entries, each block m entries in each of its m dof rows
     lo = np.bincount(cols, minlength=nr)
     up = np.bincount(rows, minlength=nr)
-    row_ptr = _block_row_ptr(m, lo + up + 1)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    row_ptr[1:].reshape(nr, m)[...] = (m * (lo + up + 1))[:, None]
+    np.cumsum(row_ptr, out=row_ptr)
     out = np.empty(row_ptr[-1])
     col_idx = np.empty(len(out), dtype=np.int64)
     # the upper entries of row i follow its lo[i] + 1 other entries
@@ -577,11 +539,16 @@ def _drop_zeros(row_ptr, col_idx, vals):
     return row_ptr, col_idx[:at], vals[:at]
 
 
-def _keys(rows, ncols, cols) -> np.ndarray:
+def _keys(rows, ncols, cols, m=1) -> np.ndarray:
     """New 1-D int64 keys ``rows*ncols + cols``, in the C order of
-    ``rows``."""
+    ``rows``.  With ``m > 1`` the indices are nodes of m-by-m blocks, and
+    each one's ``m*m`` dof keys ``(m*row + l)*ncols + m*col + c`` follow
+    in order ``l*m + c``, formed as ``m*(row*ncols + col) + l*ncols + c``."""
     keys = np.multiply(rows, ncols, order="C")
     keys += cols
+    if m > 1:
+        keys *= m
+        keys = np.add.outer(keys, np.add.outer(np.arange(m) * ncols, np.arange(m)))
     return keys.ravel()
 
 
@@ -621,11 +588,12 @@ def sparse_from_triplets(batch: TripletBatch, *, _diagonal=None,
 
     The batch's index arrays are never written.  Its stream axis goes to
     the front, by a transposed view, and the keys are formed there, in
-    stream order.  With ``batch.m == 1`` the values are copied in stream
-    order for the constructor, which overwrites the copy.  A block batch
-    (``m > 1``) is built from its node keys by ``_from_blocks``, which only
-    reads the values; a block batch with leading axes gets one copy of
-    them in stream order.
+    stream order, and the values copied in stream order for the
+    constructor, ``_from_keys``, which overwrites the copy.  A block batch
+    (``m > 1``) is handed over as its scalar batch: each node triplet's
+    ``m*m`` dof keys and values, in order ``l*m + c``, at its place in the
+    stream.  Its dof keys are formed from the node keys, with no expanded
+    index arrays.
 
     ``_diagonal=(blocks, swapped)`` is private to the ``optv2`` engine: the
     1-D batch then holds the strict upper local vertex pairs ``(a, b)`` of
@@ -705,16 +673,14 @@ def sparse_from_triplets(batch: TripletBatch, *, _diagonal=None,
                  else upper.transpose(1, 0, 2))
         return _mirror(n, m, uniq, upper, lower, blocks)
     # the stream axis goes first, where the C order is the stream order:
-    # the keys are formed in it, and a scalar batch's values copied in it.
-    # The keys are passed on unnamed, so that the constructor can free them
+    # the keys are formed in it and the values copied in it, a block
+    # batch's component pairs last.  The keys are passed on unnamed, so
+    # that the constructor can free them
     nd = batch.rows.ndim
     axes = (nd - 1, *range(nd - 1))
     rows, cols = batch.rows.transpose(axes), batch.cols.transpose(axes)
-    vals = batch.vals.reshape(m * m, *batch.rows.shape).transpose(0, nd, *range(1, nd))
-    if m > 1:
-        return _from_blocks(batch.nrows, batch.ncols, m,
-                            _keys(rows, batch.ncols // m, cols), vals.reshape(m * m, -1))
-    return _from_keys(batch.nrows, batch.ncols, _keys(rows, batch.ncols, cols),
+    vals = batch.vals.reshape(m * m, *batch.rows.shape).transpose(nd, *range(1, nd), 0)
+    return _from_keys(batch.nrows, batch.ncols, _keys(rows, batch.ncols, cols, m),
                       vals.flatten())
 
 

@@ -12,9 +12,11 @@ from simplex_asm import (
     CapacityError,
     DegenerateSimplexError,
     IndexRangeError,
+    MassKernel,
     Mesh,
     MeshFormatError,
     MeshValidationError,
+    assemble_optv2,
     build_pk_mesh,
     compute_volumes,
     generate_hypercube_mesh,
@@ -227,6 +229,24 @@ def test_validate_catches_tampering():
     with pytest.raises(MeshValidationError,
                        match=r"volume array shape \(7,\) does not match"):
         short.validate()
+
+
+def test_validate_catches_repeated_element():
+    # the first triangle appended again, its vertices rotated: the P1 mass
+    # of the unit square then sums to 1.5
+    mesh = generate_hypercube_mesh(2, 1)
+    me = np.concatenate([mesh.me, np.roll(mesh.me[:, :1], 1, axis=0)], axis=1)
+    twice = Mesh(mesh.q, me, np.append(mesh.vols, mesh.vols[0]))
+    assert assemble_optv2(twice, MassKernel(twice)).vals.sum() == 1.5
+    with pytest.raises(MeshValidationError,
+                       match="element 2 repeats the vertices of element 0"):
+        twice.validate()
+    # the repeat of lowest element number is named, not the first repeated
+    # vertex set in sorted order
+    me = mesh.me[:, [1, 0, 0, 1]]
+    with pytest.raises(MeshValidationError,
+                       match="element 2 repeats the vertices of element 1"):
+        Mesh(mesh.q, me, compute_volumes(mesh.q, me)).validate()
 
 
 TRI_Q = np.array([[0., 1., 0.], [0., 0., 1.]])

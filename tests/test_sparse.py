@@ -795,16 +795,20 @@ def test_block_batch_is_bitwise_its_scalar_expansion(blocks):
 
 
 def test_block_batch_with_keys_too_wide_to_pack():
-    # one node row of 2**60 columns and 16 triplets: 60 key and 4 position
-    # bits, so the node keys take the stable argsort
+    # one node row of 16 triplets: with m = 2 and 2**60 columns the node
+    # words take 60 key and 4 position bits; with m = 3 and 2**55 columns
+    # they fit in 63 bits (55 + 4), but the dof words of the 144 dof
+    # triplets do not (59 + 8).  Both take the stable argsort
     rng = np.random.default_rng(5)
-    nc, n = 2**60, 16
-    assert packed_bits(1, nc, n) == 64
-    cols = rng.choice([0, 7, nc - 1], n)
-    vals = rng.choice([1e16, -1e16, 1.0, 0.0], 4 * n)
-    blocks = TripletBatch(2, 2 * nc, np.zeros(n, dtype=np.int64), cols, vals, 2)
-    assert_same_csr(sparse_from_triplets(blocks),
-                    sparse_from_triplets(expand(blocks)))
+    n = 16
+    for m, nc in ((2, 2**60), (3, 2**55)):
+        assert packed_bits(1, nc, n) == (64 if m == 2 else 59)
+        assert packed_bits(m, m * nc, m * m * n) > 63
+        cols = rng.choice([0, 7, nc - 1], n)
+        vals = rng.choice([1e16, -1e16, 1.0, 0.0], m * m * n)
+        blocks = TripletBatch(m, m * nc, np.zeros(n, dtype=np.int64), cols, vals, m)
+        assert_same_csr(sparse_from_triplets(blocks),
+                        sparse_from_triplets(expand(blocks)))
 
 
 def test_block_batch_rejects_bad_shapes_and_node_indices():
