@@ -23,14 +23,15 @@ raw, not scaled for host speed.  After the warm-up, one more untimed call
 per side runs under ``tracemalloc``, started just before it, as
 perfbench's ``peak_pass`` measures ``peak_mb.*``, and one more with that
 side's ``assembly.sparse_from_triplets``, ``assembly.add``,
-``assembly._add_all`` (where the side has it) and ``assembly.transpose``
+``assembly._add_blocks`` (where the side has it) and ``assembly.transpose``
 wrapped and perfbench's ``Tracer`` passed to the workload, to count the
 constructions and the triplets they take in (the batches' values, as
 perfbench's ``sparse.construct_calls`` and ``sparse.triplets_in``), the
 ``add`` calls and the entries they merge (both operands' stored entries,
-as perfbench's ``sparse.add_entries_in``), the ``_add_all`` calls and
-the entries they take in (every operand's stored entries; perfbench's
-tracer does not wrap ``_add_all``, so its time counts in
+as perfbench's ``sparse.add_entries_in``), the ``_add_blocks`` calls of
+vector ``optv`` and ``optvs`` and the node entries they take in (those
+of the running node sums and of the vertex pair's; perfbench's tracer
+does not wrap ``_add_blocks``, so its time counts in
 ``assembly.self_s``), the ``transpose`` calls, and the kernel's
 ``batched`` calls (perfbench's ``kernels.eval_calls``, counted by the
 workload's own ``TimedKernel`` proxy; ``pipeline`` passes no kernel
@@ -40,7 +41,7 @@ pairs the second side won (ties count for neither), whether the two
 sides' outputs were bitwise equal (shape, row pointer, column indices
 and value bits) in every pair, both sides' tracemalloc peaks in MiB, and
 both sides' constructions, triplets in, ``add`` calls, entries merged,
-``_add_all`` calls, entries summed by them, ``transpose`` calls and
+``_add_blocks`` calls, node entries they take in, ``transpose`` calls and
 ``batched`` calls.
 
 The two calls of a pair run back to back in one process, under the same
@@ -138,16 +139,16 @@ def traced_peak(workload, sample, call) -> float:
 
 def call_counts(assembly, workload, sample, call) -> list[int]:
     """Constructions, triplets in, ``add`` calls, entries merged,
-    ``_add_all`` calls, entries they take in, ``transpose`` calls and
-    kernel ``batched`` calls in one untimed call, counted by wrapping the
-    package's ``assembly.sparse_from_triplets``, ``assembly.add``,
-    ``assembly._add_all`` (0 calls where it has none) and
+    ``_add_blocks`` calls, node entries they take in, ``transpose`` calls
+    and kernel ``batched`` calls in one untimed call, counted by wrapping
+    the package's ``assembly.sparse_from_triplets``, ``assembly.add``,
+    ``assembly._add_blocks`` (0 calls where it has none) and
     ``assembly.transpose`` during the call and by the workload's kernel
     proxy, which reports to perfbench's ``Tracer``."""
     from tracing import Tracer  # perfbench's, on the path since load_workloads
 
     construct, merge = assembly.sparse_from_triplets, assembly.add
-    union, flip = getattr(assembly, "_add_all", None), assembly.transpose
+    blocks, flip = getattr(assembly, "_add_blocks", None), assembly.transpose
     counts = [0, 0, 0, 0, 0, 0, 0]
 
     def constructed(batch, **kwargs):
@@ -160,10 +161,10 @@ def call_counts(assembly, workload, sample, call) -> list[int]:
         counts[3] += a.nnz + b.nnz
         return merge(a, b)
 
-    def summed(mats):
+    def merged_blocks(keys, sums, uniq, new, rows):
         counts[4] += 1
-        counts[5] += sum(a.nnz for a in mats)
-        return union(mats)
+        counts[5] += len(keys) + len(uniq)
+        return blocks(keys, sums, uniq, new, rows)
 
     def transposed(a):
         counts[6] += 1
@@ -172,15 +173,15 @@ def call_counts(assembly, workload, sample, call) -> list[int]:
     tracer = Tracer()
     assembly.sparse_from_triplets, assembly.add = constructed, merged
     assembly.transpose = transposed
-    if union is not None:
-        assembly._add_all = summed
+    if blocks is not None:
+        assembly._add_blocks = merged_blocks
     try:
         workload.run(sample, call, tracer)
     finally:
         assembly.sparse_from_triplets, assembly.add = construct, merge
         assembly.transpose = flip
-        if union is not None:
-            assembly._add_all = union
+        if blocks is not None:
+            assembly._add_blocks = blocks
     return counts + [tracer.counts.get(("", "kernels.eval_calls"), 0)]
 
 
@@ -262,13 +263,13 @@ def main(argv=None) -> int:
     print(f"a = {args.a.resolve()}\nb = {args.b.resolve()}\n"
           f"{args.pairs} pairs, seed {args.seed}, raw ms: median [q1, q3]; "
           "tracemalloc peaks in MiB; constructions, triplets in, add calls, "
-          "entries merged, _add_all calls, entries they sum, transpose "
-          "calls and kernel batched calls")
+          "entries merged, _add_blocks calls, node entries they take in, "
+          "transpose calls and kernel batched calls")
     print(f"{'workload':20s} {'call':9s} {'a':>26s} {'b':>26s} {'b/a-1':>8s} "
           f"{'b won':>7s} bitwise {'peak a':>8s} {'peak b':>8s} "
           f"{'cons a':>6s} {'cons b':>6s} {'trip a':>11s} {'trip b':>11s} "
           f"{'adds a':>6s} {'adds b':>6s} {'merged a':>11s} {'merged b':>11s} "
-          f"{'all a':>5s} {'all b':>5s} {'summed a':>11s} {'summed b':>11s} "
+          f"{'blk a':>5s} {'blk b':>5s} {'nodes a':>11s} {'nodes b':>11s} "
           f"{'tr a':>5s} {'tr b':>5s} {'eval a':>7s} {'eval b':>7s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

@@ -20,8 +20,8 @@ structure:
   the end takes both;
 * ``optv``   - one element-length triplet batch per local pair between
   distinct vertices, added into the sum of its component pair as it
-  goes, the finished sums summed into the result by one keyed sum, then
-  the node-diagonal blocks, summed densely;
+  goes (for a vector kernel at node level, laid out once at the end),
+  then the node-diagonal blocks, summed densely;
 * ``optvs``  - like ``optv`` over the strict upper triangle ``ii < jj``
   only, then one transpose-add, then the node-diagonal blocks.
 
@@ -40,12 +40,9 @@ a)`` write exactly the node-diagonal entries, ``i == j``, and no other
 vertex pair writes one.  Each component pair therefore sums its own local
 pairs between distinct vertices, ``optv`` column by column (``b`` outer,
 ``a`` inner) and ``optvs`` over ``l <= n`` row by row (``a`` outer, ``b``
-inner, keeping ``ii < jj``); each sum starts as its first pair's matrix.
-The finished sums of a vector kernel go, in the order of their first
-pairs, into one keyed sum (``sparse._add_all``, bitwise what adding them
-one by one gives), and ``optvs`` then adds the transpose.  The pairs
-``(a, a)`` need no sort and no merge: each component pair's values go
-into a dense ``(m, m, nq)`` array of node-diagonal blocks by one
+inner, keeping ``ii < jj``), and ``optvs`` then adds the transpose.  The
+pairs ``(a, a)`` need no sort and no merge: each component pair's values
+go into a dense ``(m, m, nq)`` array of node-diagonal blocks by one
 ``bincount`` over ``me[a]`` per vertex, in the order of ``a``,
 ``optvs``'s upper component pairs are copied to their transposes, and
 one construction and one last ``add`` bring the blocks in.  The result
@@ -54,29 +51,33 @@ gets the same per-pair sums in the same order, each summed
 in element order from +0.0 (``bincount`` sums as the constructor does),
 summing matrices with disjoint patterns only interleaves their entries,
 and whether an entry is kept or dropped as an exact zero depends on its
-own sums only; a dense entry that no pair writes stays 0.0, which adds
-as an absent one, since x + 0.0 is x, and the construction drops it.
-For a scalar kernel there is one component pair, the paper's one sum,
-and no keyed sum.  On 3D elasticity ``add`` merges 2.58M entries in 100
-calls for ``optv`` and 1.51M in 50 for ``optvs``, against 21.3M and
-8.34M for one growing accumulator, and the keyed sum takes 241k and 120k
-entries.
+own sums only; a sum that no pair writes stays 0.0, which adds as an
+absent one, since x + 0.0 is x, and is never stored.
 
-The local pairs of one vertex pair ``(a, b)``, ``a != b``, all index the
-node stream ``(me[a], me[b])``, so ``optv`` and ``optvs`` evaluate every
-component pair that the vertex pair needs (all ``m*m`` for ``optv``; for
-``optvs`` ``l <= n`` when ``a < b`` and ``l < n`` otherwise) and hand
-them to ``sparse_from_triplets`` in one call, through its private
-``_pairs`` keyword: the node keys are sorted once, and each component
-pair's matrix is bitwise that of its own dof batch.  ``optv`` visits the
-vertex pairs ``b`` outer, ``a`` inner, and ``optvs`` ``a`` outer, ``b``
-inner, so each component pair's sum receives its matrices in the order
-above.  The adds and the entries they merge are those of one call per
-local pair between distinct vertices, and on 3D elasticity ``optv`` and
-``optvs`` each make 12 node-stream constructions, plus the one of the
+A scalar kernel has one component pair, the paper's one sum: each local
+pair between distinct vertices is constructed and added into the growing
+matrix.  The local pairs of a vector kernel's vertex pair ``(a, b)``, ``a
+!= b``, all index the node stream ``(me[a], me[b])``, so ``optv`` and
+``optvs`` evaluate every component pair that the vertex pair needs (all
+``m*m`` for ``optv``; for ``optvs`` ``l <= n`` when ``a < b`` and ``l <
+n`` otherwise) and hand them to ``sparse_from_triplets`` in one call,
+through its private ``_pairs`` keyword, which sorts the node keys once
+and returns each listed component pair's node sums.  The engine keeps one
+running ``(keys, sums)`` of node sums, one row per component pair: the
+first vertex pair's sums start it (it lists every component pair), and
+``sparse._add_blocks`` adds each later vertex pair's in by one binary
+search, a component pair that the vertex pair does not list adding 0.0.
+``sparse._block_csr`` lays the running sums out once, placing only the
+nonzero ones.  ``optv`` visits the vertex pairs ``b`` outer, ``a`` inner,
+and ``optvs`` ``a`` outer, ``b`` inner, so each component pair gets its
+sums in the order above, and each node sum is bitwise what adding the
+vertex pairs' matrices one by one gives.  On 3D elasticity ``optv`` and
+``optvs`` each make 12 node-stream constructions and 11 node-level
+merges (260k node entries in), plus the one construction of the
 node-diagonal blocks, where one call per local pair would sort 144 and
-78 dof streams.  A scalar kernel's vertex pair is its one local pair,
-built by the scalar constructor.
+78 dof streams; ``add`` then merges 0.26M entries in 1 call for ``optv``
+and 0.50M in 2 for ``optvs``, against 21.3M and 8.34M for one growing
+accumulator.
 
 ``optv2`` streams the vertex pairs ``a < b``, in one stream for every
 kernel and every ``m`` (a scalar kernel is the case m = 1).  All ``m*m``
@@ -119,7 +120,8 @@ from .mesh import Mesh, PkMesh
 from .sparse import (
     SparseMatrix,
     TripletBatch,
-    _add_all,
+    _add_blocks,
+    _block_csr,
     add,
     sparse_from_triplets,
     transpose,
@@ -224,42 +226,44 @@ def _assemble(mesh, kernel, strategy: str) -> SparseMatrix:
     order = ([(l, n) for l in range(m) for n in range(l, m)] if symmetric
              else [(l, n) for n in range(m) for l in range(m)])
 
-    def visit(a, b, listed, sums) -> None:
-        """Add the matrices of the local pairs (l*nloc + a, n*nloc + b), one
-        per listed component pair (l, n) and all from one sort of the node
-        keys, into ``sums[(l, n)]``; a new sum starts as its matrix.  A
-        scalar kernel's vertex pair is its one local pair."""
-        if m == 1:
-            new = [sparse_from_triplets(TripletBatch(
-                ndof, ndof, mesh.me[a], mesh.me[b], kernel.batched(a, b)))]
-        else:
-            shape = (len(listed), nme)
-            new = sparse_from_triplets(
-                TripletBatch(ndof, ndof, np.broadcast_to(mesh.me[a], shape),
-                             np.broadcast_to(mesh.me[b], shape),
-                             _evaluate(kernel, [(l, a, n, b) for l, n in listed],
-                                       np.empty(shape))),
-                _pairs=(m, listed))
-        for key, mat in zip(listed, new):
-            sums[key] = add(sums[key], mat) if key in sums else mat
-
     # component pair (l, n) writes only the dof entries (m*i + l, m*j + n),
     # so each sums its own local pairs, in their order (optv visits b
     # outer, a inner; optvs a outer, b inner, keeping l*nloc + a <
-    # n*nloc + b), and summing the finished sums only interleaves their
-    # entries; each sum starts as its first pair's matrix.  The vertices of
-    # an element are distinct, so only the vertex pairs (a, a) write the
-    # node-diagonal blocks (i, i), and they are summed apart, below
-    sums: dict = {}
+    # n*nloc + b).  The vertices of an element are distinct, so only the
+    # vertex pairs (a, a) write the node-diagonal blocks (i, i), and they
+    # are summed apart, below.  A scalar kernel's vertex pair is its one
+    # local pair, added into the growing matrix; a vector kernel's vertex
+    # pair gives the node sums of its listed component pairs from one sort
+    # of the node keys, added into the running node sums of every
+    # component pair, which are laid out once at the end
+    out = keys = None
     for a, b in ([(a, b) for a in range(nloc) for b in range(nloc)] if symmetric
                  else [(a, b) for b in range(nloc) for a in range(nloc)]):
         listed = [(l, n) for l, n in order if not symmetric or l < n or a < b]
-        if a != b and listed:
-            visit(a, b, listed, sums)
-    # the finished sums, one per component pair, go into one keyed sum; a
-    # scalar kernel's one sum is the result
-    out = (sums.pop(order[0]) if m == 1
-           else _add_all([sums.pop(ln) for ln in order]))
+        if a == b or not listed:
+            continue
+        if m == 1:
+            mat = sparse_from_triplets(TripletBatch(
+                ndof, ndof, mesh.me[a], mesh.me[b], kernel.batched(a, b)))
+            out = mat if out is None else add(out, mat)
+            del mat
+            continue
+        shape = (len(listed), nme)
+        uniq, sums = sparse_from_triplets(
+            TripletBatch(ndof, ndof, np.broadcast_to(mesh.me[a], shape),
+                         np.broadcast_to(mesh.me[b], shape),
+                         _evaluate(kernel, [(l, a, n, b) for l, n in listed],
+                                   np.empty(shape))),
+            _pairs=(m, listed))
+        if keys is None:  # the first vertex pair lists every component pair
+            keys, total = uniq, sums
+        else:
+            keys, total = _add_blocks(keys, total, uniq, sums,
+                                      [order.index(ln) for ln in listed])
+        del uniq, sums  # not held through the layout and the last merges
+    if m > 1:
+        out = _block_csr(ndof, ndof, m, order, keys, total)
+        del keys, total
     if symmetric:
         out = add(out, transpose(out))
     # node i's diagonal block sums, per component pair, the values of the

@@ -17,32 +17,32 @@ in stable order, in the keys' memory.
 to right from +0.0 by ``bincount``:
 
 * ``_from_keys`` gathers one scalar run of values into sorted order in
-  the keys' memory.  It overwrites the keys and values it is given, so
-  each caller passes arrays made for the call: the reader and
-  ``_add_all`` the arrays they built, ``sparse_from_triplets`` a copy
-  (a block batch's dof keys and values).
+  the keys' memory and lays the sums out as a scalar matrix.  It
+  overwrites the keys and values it is given, so each caller passes
+  arrays made for the call: the reader the arrays it built,
+  ``sparse_from_triplets`` a copy (a block batch's dof keys and values).
 * ``_block_sums`` sorts one node stream for many runs: the sort leaves
   the positions in sorted order, the slot at each one gets the number of
   its node entry, and one ``bincount`` per run sums it.  The runs are
   only read; a run may take a partner run's values bitwise where a mask
-  is set.
+  is set.  Its node sums go to one of two layouts, or stay at node level:
 
-Two layouts place the sums in canonical CSR:
+  * ``_mirror``, for ``optv2``, scalar or vector, with any kernel (the
+    private ``_diagonal`` keyword): the batch holds the strict upper local
+    vertex pairs keyed by their upper node entry, summed into upper and
+    lower blocks, and the diagonal blocks come summed; each node row's
+    lower blocks, diagonal block and upper blocks are placed by
+    ``_put_blocks``;
+  * for vector ``optv`` and ``optvs`` (the private ``_pairs`` keyword),
+    ``sparse_from_triplets`` returns the node sums of each listed
+    component pair of one vertex pair.  ``_add_blocks`` adds them into
+    the engine's running node sums, one row per component pair, by one
+    binary search, as ``add`` merges two matrices, and ``_block_csr``
+    lays the running sums out once, placing the nonzero ones only.
 
-* ``_pair_matrices``, per-pair scalar: one scalar matrix per listed
-  component pair, for ``_from_keys`` (one pair, m = 1: scalar and block
-  batches, ``_add_all``, the MatrixMarket reader) and for vector ``optv``
-  and ``optvs`` (``sparse_from_triplets``' private ``_pairs`` keyword);
-* ``_mirror``, for ``optv2``, scalar or vector, with any kernel (the
-  private ``_diagonal`` keyword): the batch holds the strict upper local
-  vertex pairs keyed by their upper node entry, summed into upper and
-  lower blocks, and the diagonal blocks come summed; each node row's
-  lower blocks, diagonal block and upper blocks are placed by
-  ``_put_blocks``.
-
-Every sum is bitwise that of the full scalar stream.  Sums that are
-exactly 0.0 are dropped by ``_drop_zeros``, in every layout and in
-``add``, so no exact zero is ever stored.
+Every sum is bitwise that of the full scalar stream.  No exact zero is
+ever stored: ``_drop_zeros`` drops the zero sums of ``_from_keys``,
+``_mirror`` and ``add``, and ``_block_csr`` places none.
 
 ``add`` (and ``max_abs_diff`` through it) does not sort: it merges two
 canonical matrices in linear time, as Matlab's sparse ``+`` does.  It
@@ -51,12 +51,9 @@ interleaves the two in one pass, adding the values of ``b`` to the equal
 keys of ``a``; the result is bit-identical to constructing the
 concatenated triplets, ``a``'s first.  Operands whose keys do not strictly
 increase raise ``NonCanonicalMatrixError``, and so does an operand that
-stores an exact 0.0 when the sum holds one.  ``_add_all`` sums a list of
-canonical operands, bitwise as ``add`` one after the other, by one keyed
-sum of their entries in operand order; the engine sums the finished
-component-pair sums of vector ``optv`` and ``optvs`` so.  ``transpose``
-needs no sum: the entries' stable column order, from ``_stable_order``,
-is the transpose's row-major order.
+stores an exact 0.0 when the sum holds one.  ``transpose`` needs no sum:
+the entries' stable column order, from ``_stable_order``, is the
+transpose's row-major order.
 
 Shapes whose keys overflow int64 raise ``CapacityError`` where they
 enter: ``TripletBatch`` and the MatrixMarket size line.  The MatrixMarket
@@ -302,8 +299,9 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
 
     ``_sort`` leaves the stable order's positions in the keys' memory; the
     values are gathered into that memory chunk by chunk, and the group
-    numbers of the sum then go into the spent ``vals``.  The sums are laid
-    out by ``_pair_matrices``, as one pair of a scalar matrix.
+    numbers of the sum then go into the spent ``vals``.  The sorted keys
+    are decoded into the columns in place, and exact-zero sums are dropped
+    in place by ``_drop_zeros``.
     """
     n = len(vals)
     if n == 0:
@@ -325,7 +323,17 @@ def _from_keys(nrows, ncols, keys, vals) -> SparseMatrix:
     np.cumsum(groups, out=groups)
     sums = np.bincount(groups, weights=vals)[1:]
     del groups, vals, starts  # lowers the peak memory of the CSR below
-    return _pair_matrices(nrows, ncols, 1, [(0, 0)], uniq, sums[None])[0]
+    # the sorted keys are decoded in place into the columns, and the row
+    # pointer counts their rows
+    rows = uniq // ncols  # a division by one scalar, faster than divmod
+    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+    rows *= ncols
+    uniq -= rows
+    del rows
+    if (sums == 0.0).any():
+        row_ptr, uniq, sums = _drop_zeros(row_ptr, uniq, sums)
+    return SparseMatrix(nrows, ncols, row_ptr, uniq, sums)
 
 
 def _block_sums(keys, nkeys, runs, swap=None, partners=None):
@@ -388,40 +396,112 @@ def _block_sums(keys, nkeys, runs, swap=None, partners=None):
     return uniq, sums
 
 
-def _pair_matrices(nrows, ncols, m, pairs, uniq, sums) -> list:
-    """One canonical nrows-by-ncols scalar matrix per listed component pair:
-    the layout of every scalar matrix built from sorted keys.
+def _add_blocks(keys, sums, uniq, new, rows):
+    """The running node sums ``(keys, sums)`` plus one vertex pair's
+    ``(uniq, new)``, as ``_block_sums`` returns them: a new ``(keys,
+    sums)``.
 
-    ``uniq`` holds node keys ``row*(ncols//m) + col`` in increasing order
-    and row ``p`` of ``sums`` the sums of pair ``pairs[p] = (l, c)`` at
-    them (``_from_keys`` passes dof keys, m = 1 and the pair ``(0, 0)``);
-    the sum at node entry ``(row, col)`` goes to dof ``(m*row + l, m*col +
-    c)``.  Those increase row-major as the node keys do, so each matrix is
-    the node entries in order, less the exact zeros that ``_drop_zeros``
-    drops under the node row pointer, which is then spread over the dof
-    rows.  ``uniq`` and ``sums`` are overwritten: the last pair takes the
-    decoded node columns and the node row pointer in place (every earlier
-    pair a copy), and each matrix keeps its row of ``sums`` as its values.
+    ``keys`` and ``uniq`` are node keys in increasing order.  Row ``p`` of
+    ``sums`` holds one component pair's sums at ``keys``, and row ``q`` of
+    ``new`` adds into row ``rows[q]``; a row that ``rows`` does not name
+    adds 0.0.  One binary search places ``uniq`` among ``keys``, as in
+    ``add``, and each key's slot in the merged keys follows from it; every
+    row's values move by those slots, a new key's start at +0.0, and the
+    values of ``new`` are added at their slots.  A sum is never -0.0, so
+    x + 0.0 is x: adding a vertex pair's sums so is bitwise what ``add``
+    gives for its laid-out matrices, and a sum that ``add`` would drop as
+    an exact zero adds as an absent entry.  When no key is new, ``sums``
+    is added to in place and returned.
+    """
+    # each key of uniq goes after its equal key in keys, if any: keys[pos -
+    # 1].  Where pos is 0, keys[-1] is larger than the key, so no false match
+    pos = np.searchsorted(keys, uniq, side="right")
+    fresh = (keys[pos - 1] != uniq if len(keys)
+             else np.ones(len(uniq), dtype=bool))
+    # the slot of each key of uniq: its place in keys, shifted by the new
+    # keys up to it
+    slots = np.cumsum(fresh)
+    slots += pos
+    slots -= 1
+    del pos
+    at = slots[fresh]
+    if len(at):
+        kept = np.ones(len(keys) + len(at), dtype=bool)
+        kept[at] = False
+        old = np.flatnonzero(kept)
+        del kept
+        grown = np.empty(len(old) + len(at), dtype=np.int64)
+        grown[old] = keys
+        grown[at] = uniq[fresh]
+        merged = np.empty((len(sums), len(grown)))
+        # row by row, each a 1-D view: faster than indexing the 2-D array
+        for row, run in zip(merged, sums):
+            row[old] = run
+            row[at] = 0.0
+        keys, sums = grown, merged
+        del old, grown, merged
+    del fresh, at
+    for q, p in enumerate(rows):
+        row = sums[p]
+        row[slots] += new[q]
+    return keys, sums
+
+
+def _block_csr(nrows, ncols, m, pairs, keys, sums) -> SparseMatrix:
+    """The canonical nrows-by-ncols CSR of node sums of m-by-m blocks,
+    placing their nonzero sums only.
+
+    ``keys`` holds node keys ``row*(ncols//m) + col`` in increasing order
+    and row ``p`` of ``sums`` the sums of component pair ``pairs[p] = (l,
+    c)`` at them, which go to dof ``(m*row + l, m*col + c)``; ``pairs``
+    may come in any order, and a pair that it does not list is 0.0.  Both
+    are only read.  Dof row ``m*i +
+    l`` holds the node entries of node row ``i`` in order, each one's
+    pairs ``(l, c)`` in order of ``c``, which is its column order.  So the
+    nonzero sums of the pairs ``(l, c)``, counted node entry by node entry,
+    give the row pointer and each entry's first position in its dof row,
+    and each pair's nonzero sums are placed as in ``_put_blocks``, chunk by
+    chunk of node entries, the positions stepped on from pair to pair.  No
+    zero is placed, so none is dropped afterwards.
     """
     nr, nc = nrows // m, ncols // m
-    rows = uniq // nc  # a division by one scalar, faster than divmod
-    ptr = np.zeros(nr + 1, dtype=np.int64)  # the node row pointer
-    np.cumsum(np.bincount(rows, minlength=nr), out=ptr[1:])
-    rows *= nc
-    uniq -= rows  # now the node columns
-    del rows
-    out = []
-    for p, ((l, c), s) in enumerate(zip(pairs, sums)):
-        col, row_ptr = (uniq, ptr) if p == len(pairs) - 1 else (uniq.copy(), ptr.copy())
-        if m > 1:
-            col *= m
-            col += c
-        if (s == 0.0).any():
-            row_ptr, col, s = _drop_zeros(row_ptr, col, s)
-        if m > 1:  # dof row m*i + l holds node row i, the other m - 1 none
-            row_ptr = np.repeat(row_ptr, m)[m - 1 - l:nrows + m - l]
-        out.append(SparseMatrix(nrows, ncols, row_ptr, col, s))
-    return out
+    at = {pair: p for p, pair in enumerate(pairs)}  # the row of each pair
+    # node row i holds keys[node_ptr[i]:node_ptr[i + 1]]
+    node_ptr = np.searchsorted(keys, np.arange(nr + 1) * nc)
+    # before[l, k]: the nonzero sums (l, c) of the node entries before k
+    before = np.zeros((m, len(keys) + 1), dtype=np.int64)
+    for (l, c), s in zip(pairs, sums):
+        before[l, 1:] += s != 0.0
+    np.cumsum(before, axis=1, out=before)
+    ends = before[:, node_ptr]
+    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.diff(ends).T.ravel(), out=row_ptr[1:])
+    # node entry k of node row i starts in dof row m*i + l at first[l][i] +
+    # before[l, k]
+    first = [row_ptr[l:-1:m] - ends[l, :-1] for l in range(m)]
+    vals = np.empty(row_ptr[-1])
+    col_idx = np.empty(len(vals), dtype=np.int64)
+    for s in range(0, len(keys), _CHUNK):
+        rows = keys[s:s + _CHUNK] // nc
+        cols = keys[s:s + _CHUNK] - rows * nc
+        cols *= m
+        for l in range(m):
+            dst = first[l][rows]
+            dst += before[l, s:s + len(rows)]
+            for c in range(m):
+                if (l, c) not in at:
+                    continue
+                run = sums[at[l, c], s:s + _CHUNK]
+                kept = run != 0.0
+                if kept.all():
+                    vals[dst] = run
+                    col_idx[dst] = cols + c
+                    dst += 1
+                else:
+                    vals[dst[kept]] = run[kept]
+                    col_idx[dst[kept]] = cols[kept] + c
+                    dst += kept
+    return SparseMatrix(nrows, ncols, row_ptr, col_idx, vals)
 
 
 def _put_blocks(out, col_idx, m, row_ptr, first, rows, cols, sums, order=None):
@@ -616,18 +696,19 @@ def sparse_from_triplets(batch: TripletBatch, *, _diagonal=None,
     the engine does, has the index arrays freed before the sort and the
     rest before the mirror.
 
-    ``_pairs=(m, pairs)`` is private to the ``optv`` and ``optvs`` engine,
-    and the call then returns a list: one canonical matrix per listed
-    component pair ``(l, c)`` of a matrix of m-by-m blocks.  The
-    batch (``m`` unset) has one leading axis over ``pairs``, along which
-    its node ``rows`` and ``cols`` repeat one node stream (the engine
-    broadcasts ``me[a]`` and ``me[b]``), and ``vals`` holds one run of
-    values per listed pair, each in stream order.  Matrix ``p`` is
-    bitwise what this function returns for the 1-D dof batch ``(m*rows[p]
-    + l, m*cols[p] + c, vals[p])``: ``_block_sums`` sorts the node keys
-    once, sums each run per node entry in stream order from +0.0, as the
-    scalar constructor does, and ``_pair_matrices`` lays out each pair's
-    nonzero sums.  The values are only read.
+    ``_pairs=(m, pairs)`` is private to the vector ``optv`` and ``optvs``
+    engine, and the call then returns the node sums ``(uniq, sums)`` of
+    the listed component pairs ``(l, c)`` of a matrix of m-by-m blocks,
+    as ``_block_sums`` returns them, not a matrix.  The batch (``m``
+    unset) has one leading axis over ``pairs``, along which its node
+    ``rows`` and ``cols`` repeat one node stream (the engine broadcasts
+    ``me[a]`` and ``me[b]``), and ``vals`` holds one run of values per
+    listed pair, each in stream order.  ``_block_sums`` sorts the node
+    keys once and sums each run per node entry in stream order from +0.0,
+    as the scalar constructor does, so ``sums[p]``, laid out by
+    ``_block_csr`` alone, is bitwise what this function returns for the
+    1-D dof batch ``(m*rows[p] + l, m*cols[p] + c, vals[p])``.  The values
+    are only read.
     """
     m = batch.m if _pairs is None else _pairs[0]
     for name, idx, size in (("row", batch.rows, batch.nrows // m),
@@ -644,10 +725,9 @@ def sparse_from_triplets(batch: TripletBatch, *, _diagonal=None,
             )
     del stored, idx  # views, not to be held through the construction
     if _pairs is not None:
-        pairs, nr, nc = _pairs[1], batch.nrows // m, batch.ncols // m
-        uniq, sums = _block_sums(_keys(batch.rows[0], nc, batch.cols[0]),
-                                 nr * nc, batch.vals.reshape(len(pairs), -1))
-        return _pair_matrices(batch.nrows, batch.ncols, m, pairs, uniq, sums)
+        nr, nc = batch.nrows // m, batch.ncols // m
+        return _block_sums(_keys(batch.rows[0], nc, batch.cols[0]), nr * nc,
+                           batch.vals.reshape(len(_pairs[1]), -1))
     if _diagonal is not None:
         (blocks, swapped), n, nr = _diagonal, batch.nrows, batch.nrows // m
         keys, swap = _upper_keys(batch.rows, nr, batch.cols), None
@@ -775,45 +855,6 @@ def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         _check_no_stored_zero(a, "a")
         row_ptr, col_idx, vals = _drop_zeros(row_ptr, col_idx, vals)
     return SparseMatrix(a.nrows, a.ncols, row_ptr, col_idx, vals)
-
-
-def _add_all(mats: list) -> SparseMatrix:
-    """The entrywise sum of the canonical operands ``mats``, of one shape,
-    bitwise ``functools.reduce(add, mats)``, by one keyed sum.
-
-    Each operand's keys ``row*ncols + col`` and values go into one stream,
-    in the order of ``mats``, and the operand is then popped from the
-    list, which the call empties; ``_from_keys`` sums the stream.  An entry
-    gets at most one term per operand, summed in operand order from +0.0,
-    and x + 0.0 is x: each partial sum is the one that ``add`` forms, and a
-    sum that ``add`` would drop as an exact zero adds as an absent entry
-    and is dropped at the end.  A single operand is returned as it is, as
-    ``reduce`` returns it; the sum of two or more shares no memory with
-    them.  As in ``add``, an operand whose keys do not strictly increase,
-    or that stores an exact 0.0, raises NonCanonicalMatrixError naming its
-    position in ``mats``, and operands of different shapes raise
-    ShapeMismatchError.
-    """
-    if len(mats) == 1:
-        return mats.pop()
-    nrows, ncols = shape = mats[0].shape
-    for p, a in enumerate(mats):
-        if a.shape != shape:
-            raise ShapeMismatchError(f"cannot add shapes {shape} and {a.shape} "
-                                     f"(operand {p})")
-    n = sum(a.nnz for a in mats)
-    keys, vals = stream = [np.empty(n, dtype=np.int64), np.empty(n)]
-    at = 0
-    for p in range(len(mats)):
-        a = mats.pop(0)
-        keys[at:at + a.nnz] = _canonical_keys(a, str(p))
-        _check_no_stored_zero(a, str(p))
-        vals[at:at + a.nnz] = a.vals
-        at += a.nnz
-    # the stream is passed on unnamed (and not through a * call, whose
-    # tuple would hold it), so that the constructor can free it
-    del a, keys, vals
-    return _from_keys(nrows, ncols, stream.pop(0), stream.pop())
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:

@@ -382,6 +382,46 @@ def test_optv_and_optvs_are_bitwise_the_paper_loops(d, m, extra, nme, chunk,
                              paper_loops(mesh, table, m, symmetric)), strategy
 
 
+@pytest.mark.parametrize("case", ["cancelling-pair", "lower-vertex-pairs",
+                                  "no-elements"])
+def test_vector_node_sums_are_bitwise_the_paper_loops(case):
+    # vector optv and optvs add each vertex pair's node sums into running
+    # sums of every component pair, a pair that the vertex pair does not
+    # list adding 0.0, and lay them out once.  Element 0 writes node entry
+    # (0, 1) through its vertex pair (0, 1) and element 1 through (1, 0):
+    # component pair (0, 1) cancels there to exactly 0.0 across the two,
+    # and must be dropped, while the other pairs keep the entry.  Elements
+    # [1, 0, 2] and [3, 2, 0] write node entry (0, 1) through the vertex
+    # pair (1, 0) only, so optvs lists there only the pair (0, 1), whose
+    # sum must be placed alone in the two rows of node 0
+    m, nloc = 2, 3
+    me = {"cancelling-pair": [[0, 1], [1, 0], [2, 3]],
+          "lower-vertex-pairs": [[1, 3], [0, 2], [2, 0]],
+          "no-elements": np.empty((nloc, 0), dtype=np.int64)}[case]
+    me = np.asarray(me)
+    mesh = Mesh.from_arrays(np.random.default_rng(2).random((2, 4)), me)
+    table = np.ones((m * nloc, m * nloc, me.shape[1]))
+    if case == "cancelling-pair":
+        # local pair (l*nloc + a, n*nloc + b) of component pair (0, 1):
+        # vertex pair (0, 1) of element 0, vertex pair (1, 0) of element 1,
+        # each with its swap, as the kernel is flagged symmetric
+        table[0, nloc + 1, 0] = table[nloc + 1, 0, 0] = 1.0
+        table[1, nloc, 1] = table[nloc, 1, 1] = -1.0
+    kernel = VectorTableKernel(table, m, True)
+    for strategy, symmetric in (("optv", False), ("optvs", True)):
+        got = VECTOR_DRIVERS[strategy](mesh, kernel)
+        assert same_bits(got, paper_loops(mesh, table, m, symmetric)), strategy
+        dense = got.to_dense()
+        if case == "cancelling-pair":
+            assert got.nnz == np.count_nonzero(dense)
+            assert dense[0, 3] == dense[3, 0] == 0.0
+            assert dense[0, 2] == dense[1, 3] == 2.0
+        elif case == "lower-vertex-pairs":
+            assert dense[0:2, 2:4].tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        else:
+            assert same_bits(got, empty_matrix(m * 4, m * 4))
+
+
 def local_table(kernel, m, nloc):
     """``kernel``'s local values as a table[ii, jj], over the component-major
     local dofs ``ii = l*nloc + a``."""
@@ -498,7 +538,7 @@ def test_batch_counts_per_strategy(monkeypatch):
     # the benchmark's tracer swaps these module attributes and proxies the
     # kernel, so every strategy must call through both
     calls = collections.Counter()
-    for name in ("sparse_from_triplets", "add", "_add_all", "transpose"):
+    for name in ("sparse_from_triplets", "add", "_add_blocks", "transpose"):
         def counted(*args, _name=name, _real=getattr(simplex_asm.assembly, name),
                     **kwargs):
             calls[_name] += 1
@@ -512,9 +552,6 @@ def test_batch_counts_per_strategy(monkeypatch):
         size = m * nloc   # L local dofs
         pairs, half = size * size, size * (size + 1) // 2
         offdiag = nloc * (nloc - 1)   # vertex pairs a != b
-        # a vector kernel's finished component-pair sums go into one keyed
-        # sum; a scalar kernel's one sum is the result
-        union = {"_add_all": 1} if m > 1 else {}
         expected = {
             "base": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
             "optv1": ({"sparse_from_triplets": 1}, {"single": pairs * mesh.nme}),
@@ -524,22 +561,26 @@ def test_batch_counts_per_strategy(monkeypatch):
             "optv2": ({"sparse_from_triplets": 1},
                       {"batched": nloc * (nloc - 1) // 2 * m * m
                        + nloc * m * (m + 1) // 2}),
-            # one construction per vertex pair a != b gives the matrices of
-            # its component pairs; each of the m^2 component pairs' sums
-            # starts as its first pair's matrix and adds the other
-            # nloc(nloc - 1) - 1, and one more construction and add bring in
-            # the node-diagonal blocks of the pairs (a, a), summed densely.
-            # optvs visits the vertex pairs a > b only for the component
-            # pairs l < n, which a scalar kernel does not have: each of its
-            # m(m + 1)/2 sums adds the rest of its strict upper local pairs
-            # between distinct vertices, and it adds the transpose too
+            # one construction per vertex pair a != b, and one more
+            # construction and add bring in the node-diagonal blocks of the
+            # pairs (a, a), summed densely.  A scalar kernel's vertex pair
+            # is its one local pair, and its sum starts as the first one's
+            # matrix and adds the others; optvs visits only its vertex
+            # pairs a < b and adds the transpose too.  A vector kernel's
+            # vertex pair gives the node sums of its component pairs, and
+            # the running node sums start as the first one's and merge each
+            # later one in (optvs visits the vertex pairs a > b for the
+            # component pairs l < n); they are laid out once, and optvs
+            # then adds the transpose
             "optv": ({"sparse_from_triplets": offdiag + 1,
-                      "add": m * m * (offdiag - 1) + 1, **union},
+                      **({"add": 1, "_add_blocks": offdiag - 1} if m > 1
+                         else {"add": offdiag})},
                      {"batched": pairs}),
             "optvs": ({"sparse_from_triplets": (offdiag if m > 1 else
                                                 offdiag // 2) + 1,
-                       "add": size * (size - 1) // 2 - nloc * m * (m - 1) // 2
-                       - m * (m + 1) // 2 + 2, "transpose": 1, **union},
+                       **({"add": 2, "_add_blocks": offdiag - 1} if m > 1
+                          else {"add": offdiag // 2 + 1}),
+                       "transpose": 1},
                       {"batched": half}),
         }
         for strategy, driver in drivers.items():
@@ -870,17 +911,21 @@ def test_optv2_peak_memory_is_two_full_length_buffers():
 
 
 def test_incremental_strategies_peak_memory_per_stored_entry():
-    # optvs and optv hold the growing matrix, the growing sum of one
-    # component pair, one pair's batch and the merge of two of them.  The
-    # peaks measured 51.0 (optvs, stiffness) and 38.3 (optv, elastic) bytes
-    # per stored entry of the result, about 10% and 9% under the bounds
-    # (36.4 for optv when every pair merged into the one growing matrix);
-    # re-sorting both operands' keys in every add took them to 60.6 and 52.1
+    # scalar optvs holds the growing matrix, one local pair's batch and the
+    # merge of the two; vector optv and optvs hold the running node sums,
+    # one vertex pair's batch and the merge of the two, and at the end the
+    # laid-out matrix and its last merges.  The peaks measured 51.0
+    # (optvs, stiffness), 36.4 (optv, elastic) and 41.2 (optvs, elastic)
+    # bytes per stored entry of the result, about 10%, 15% and 9% under
+    # the bounds; re-sorting both operands' keys in every add took the
+    # first two to 60.6 and 52.1.  Holding the running node sums through
+    # the last merges takes the vector cases to 44.9 and 48.1, and holding
+    # optvs' laid-out upper triangle through the diagonal add to 45.5
     mesh = shuffled_mesh(2, 64, seed=1)
-    for driver, kernel, bound in (
-            (assemble_optvs, StiffnessKernel(mesh), 56),
-            (assemble_vector_optv,
-             ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1]), 42)):
+    elastic = ElasticKernel(mesh, lambda q: 1 + q[0], lambda q: 2 + q[-1])
+    for driver, kernel, bound in ((assemble_optvs, StiffnessKernel(mesh), 56),
+                                  (assemble_vector_optv, elastic, 42),
+                                  (assemble_vector_optvs, elastic, 45)):
         nnz = driver(mesh, kernel).nnz  # warm-up
         tracemalloc.start()
         try:

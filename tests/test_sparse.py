@@ -209,8 +209,6 @@ def test_add_identities():
         assert entries_of(both) == {(0, 1): 2.0, (1, 0): 3.0, (3, 3): 2.0}
         with pytest.raises(ShapeMismatchError):
             add(a, empty_matrix(3, 3))
-        with pytest.raises(ShapeMismatchError, match=r"\(operand 2\)"):
-            sparse._add_all([a, a, empty_matrix(3, 3)])
     with pytest.raises(ShapeMismatchError):
         add(a, empty_matrix(9, 5))
 
@@ -233,13 +231,6 @@ def test_add_rejects_non_canonical_operands():
                 add(*operands)
         with pytest.raises(NonCanonicalMatrixError, match="operand b: "):
             max_abs_diff(good, bad)
-        # the keyed sum of many operands names the operand by its position
-        for p in range(3):
-            mats = [good, good]
-            mats.insert(p, bad)
-            with pytest.raises(NonCanonicalMatrixError,
-                               match=f"^operand {p}: {where} is out of order"):
-                sparse._add_all(mats)
 
 
 def test_add_rejects_stored_zeros():
@@ -254,15 +245,6 @@ def test_add_rejects_stored_zeros():
             add(*operands)
     with pytest.raises(NonCanonicalMatrixError, match="operand b: "):
         max_abs_diff(other, zero)
-    # the keyed sum of many operands checks each one for stored zeros and
-    # names it by its position
-    for p in range(3):
-        mats = [other, other]
-        mats.insert(p, zero)
-        with pytest.raises(NonCanonicalMatrixError,
-                           match=rf"^operand {p}: stored entry 0 \(row 0, col 0\) "
-                                 "is an exact zero"):
-            sparse._add_all(mats)
     # the row is found past an empty one
     late = SparseMatrix(3, 3, np.array([0, 1, 1, 3]), np.array([0, 0, 2]),
                         np.array([1.0, 2.0, 0.0]))
@@ -604,19 +586,59 @@ def operand_lists(draw):
     return mats
 
 
+@st.composite
+def node_sum_lists(draw):
+    """The node sums of 1 to 10 vertex pairs of a matrix of m-by-m blocks,
+    as ``_block_sums`` returns them, with the rows of the running sums that
+    they add into: ``((nr, nc), m, pairs, [(keys, sums, rows), ...])``.
+    The node patterns and values are those of ``operand_lists`` (overlapping,
+    disjoint, empty and negated); each operand lists some of the component
+    ``pairs``, every one of m^2 or only those with l <= c, in any order, and
+    each listed pair takes the operand's values, or 0.0 at some entries."""
+    mats = draw(operand_lists())
+    m = draw(st.sampled_from([1, 2, 3]))
+    upper = draw(st.booleans())
+    pairs = draw(st.permutations([(l, c) for l in range(m) for c in range(m)
+                                  if not upper or l <= c]))
+    operands = []
+    for a in mats:
+        rows = draw(st.lists(st.sampled_from(range(len(pairs))), min_size=1,
+                             unique=True))
+        zero = draw(st.lists(st.booleans(), min_size=len(rows) * a.nnz,
+                             max_size=len(rows) * a.nnz))
+        sums = np.where(np.reshape(zero, (len(rows), a.nnz)), 0.0, a.vals)
+        operands.append((a.row_indices() * a.ncols + a.col_idx, sums, rows))
+    return mats[0].shape, m, pairs, operands
+
+
 @settings(max_examples=300, deadline=None)
-@given(mats=operand_lists())
-def test_add_all_is_bitwise_reduce_of_add(mats):
-    want = functools.reduce(add, mats)
-    got = sparse._add_all(list(mats))
+@given(case=node_sum_lists())
+def test_add_blocks_is_bitwise_reduce_of_add(case):
+    # the running node sums of vector optv and optvs: each operand's node
+    # sums added by _add_blocks, the first one's rows starting the sums,
+    # and the total laid out by _block_csr, are bitwise the add, one after
+    # the other, of every operand's own dof matrix
+    (nr, nc), m, pairs, operands = case
+    shape = (m * nr, m * nc)
+
+    def dof_matrix(keys, sums, rows):
+        node_rows, node_cols = np.divmod(keys, nc)
+        return sparse_from_triplets(TripletBatch(
+            *shape, np.concatenate([m * node_rows + pairs[p][0] for p in rows]),
+            np.concatenate([m * node_cols + pairs[p][1] for p in rows]),
+            sums.ravel()))
+
+    want = functools.reduce(add, [dof_matrix(*op) for op in operands])
+    keys, first, rows = operands[0]
+    total = np.zeros((len(pairs), len(keys)))
+    total[rows] = first
+    for op in operands[1:]:
+        keys, total = sparse._add_blocks(keys, total, *op)
+    got = sparse._block_csr(*shape, m, pairs, keys, total)
     assert_same_csr(got, want)
-    if len(mats) == 1:  # returned as it is, as reduce returns it
-        assert got is mats[0]
-        return
+    assert np.all(got.vals != 0.0)
     for x in (got.row_ptr, got.col_idx, got.vals):
-        for a in mats:
-            for y in (a.row_ptr, a.col_idx, a.vals):
-                assert not np.shares_memory(x, y)
+        assert not any(np.shares_memory(x, y) for y in (keys, total))
 
 
 def transpose_by_keyed_sum(a: SparseMatrix) -> SparseMatrix:
@@ -843,12 +865,13 @@ def test_block_batch_rejects_bad_shapes_and_node_indices():
 def test_listed_pairs_are_bitwise_their_scalar_batches(m, subset, nq, nodes,
                                                        chunk, seed):
     # the private _pairs keyword: one node stream, repeated along a leading
-    # axis over the listed component pairs (l, n), gives one matrix per
-    # pair, each byte for byte the construction of that pair's scalar dof
-    # batch.  Few nodes, so that keys repeat; values whose sums depend on
-    # their order, +-0.0, and triplets cancelled exactly by the next one
-    # (the third field of a node), whose sums must be dropped.  Every
-    # other seed gives a matrix with one node column more than node rows
+    # axis over the listed component pairs (l, n), gives the node sums of
+    # every pair, and each pair's sums, laid out alone, are byte for byte
+    # the construction of that pair's scalar dof batch.  Few nodes, so that
+    # keys repeat; values whose sums depend on their order, +-0.0, and
+    # triplets cancelled exactly by the next one (the third field of a
+    # node), whose sums must be dropped.  Every other seed gives a matrix
+    # with one node column more than node rows
     pairs = [(l, n) for l in range(m) for n in range(m)
              if subset == "all" or l < n or (subset == "upper" and l == n)]
     rng = np.random.default_rng(seed)
@@ -866,14 +889,17 @@ def test_listed_pairs_are_bitwise_their_scalar_batches(m, subset, nq, nodes,
     shape = (len(pairs), len(keys))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse, "_CHUNK", chunk)
-        got = sparse_from_triplets(
+        keys, sums = sparse_from_triplets(
             TripletBatch(m * nq, m * nc, np.broadcast_to(rows, shape),
                          np.broadcast_to(cols, shape), vals.copy()),
             _pairs=(m, pairs))
+        got = [sparse._block_csr(m * nq, m * nc, m, [pair], keys, sums[p:p + 1])
+               for p, pair in enumerate(pairs)]
         want = [sparse_from_triplets(TripletBatch(m * nq, m * nc, m * rows + l,
                                                   m * cols + n, run))
                 for (l, n), run in zip(pairs, vals)]
-    assert len(got) == len(pairs)
+    assert sums.shape == (len(pairs), len(keys))
+    assert np.all(np.diff(keys) > 0) and sums.any(axis=0).all()
     for a, b in zip(got, want):
         assert_same_csr(a, b)
         assert np.all(a.vals != 0.0)
@@ -881,10 +907,10 @@ def test_listed_pairs_are_bitwise_their_scalar_batches(m, subset, nq, nodes,
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_constructed_matrices_share_no_memory(m):
-    # the matrices of one _pairs call: the last listed pair takes the node
-    # columns in place, every earlier one a copy, and the early pairs'
-    # cancelled sums are dropped in place.  Distinct node entries, the first
-    # 20 of them cancelled exactly in every pair but the last
+    # the node sums of one _pairs call, and their layout: the sums and keys
+    # are new arrays, and the layout places the nonzero sums into new ones.
+    # Distinct node entries, the first 20 of them cancelled exactly in
+    # every pair but the last
     pairs = [(l, n) for l in range(m) for n in range(m)]
     rng = np.random.default_rng(m)
     nq, n = 8, 40
@@ -896,9 +922,11 @@ def test_constructed_matrices_share_no_memory(m):
     shape = (len(pairs), len(rows))
     blocks = TripletBatch(m * nq, m * nq, np.broadcast_to(rows, shape),
                           np.broadcast_to(cols, shape), vals)
-    got = sparse_from_triplets(blocks, _pairs=(m, pairs))
-    assert [a.nnz for a in got] == [n - 20] * (len(pairs) - 1) + [n]
-    arrays = [x for a in got for x in (a.row_ptr, a.col_idx, a.vals)]
+    keys, sums = sparse_from_triplets(blocks, _pairs=(m, pairs))
+    assert [np.count_nonzero(s) for s in sums] == [n - 20] * (len(pairs) - 1) + [n]
+    got = sparse._block_csr(m * nq, m * nq, m, pairs, keys, sums)
+    assert got.nnz == (n - 20) * (len(pairs) - 1) + n
+    arrays = [keys, sums, got.row_ptr, got.col_idx, got.vals]
     for i, x in enumerate(arrays):
         for y in arrays[i + 1:] + [blocks.rows, blocks.cols, blocks.vals]:
             assert not np.shares_memory(x, y)
